@@ -49,7 +49,7 @@ _EXPORTS = {
     "branch_irrigation_cost": "mollified",
     "saturated_two_path_cost": "mollified",
     "saturated_two_path_cost_dl2": "mollified",
-    "GradientVector": "gradients",
+    "Layout": "gradients",
     "central_difference": "gradients",
     "ObjectiveConfig": "objective",
     "ObjectiveValue": "objective",

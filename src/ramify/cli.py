@@ -354,11 +354,10 @@ def run_gradient_check(run_cfg, corrupt: bool = False) -> dict:
     worst_component = None
     for index in range(check.plans):
         plan = random_branch_plan(rng, check.max_branches, check.max_segments)
-        analytic = tree_objective_gradient(plan, run_cfg.objective).flatten()
+        analytic = tree_objective_gradient(plan, run_cfg.objective)
         if corrupt and index == 0:
-            analytic = analytic.copy()
             analytic[min(1, len(analytic) - 1)] += 1e-3
-        numeric = fd_gradient(plan, run_cfg.objective, check.step).flatten()
+        numeric = fd_gradient(plan, run_cfg.objective, check.step)
         scale = np.maximum(np.abs(analytic), np.abs(numeric))
         relevant = scale > 1e-8
         if not np.any(relevant):

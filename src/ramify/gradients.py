@@ -1,10 +1,11 @@
-"""Plan-shaped gradient vectors and flat packing used by the optimizer.
+"""Flat packing of plans for the optimizer, and flat gradients.
 
 The flat layout is owner-major: for each path or branch in order, first
 all x coordinates, then all y coordinates, then (branch plans only) all
 interval densities. Pinned coordinates keep their slots so the layout is
-independent of which entries are free; gradients carry exact zeros there
-and steps never move them.
+independent of which entries are free; gradients are plain vectors in
+this layout with exact zeros there, and steps never move them. This
+module is the only one that knows the order.
 """
 
 from __future__ import annotations
@@ -16,46 +17,64 @@ import numpy as np
 from .plan_model import Branch, BranchPlan, Path, PathPlan
 
 
-@dataclass
-class GradientVector:
-    """Per-owner gradient blocks mirroring a plan's degrees of freedom."""
+def _int_slots(blocks: list) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=int)
 
-    dx: list
-    dy: list
-    dm: list
 
-    @staticmethod
-    def zeros_like(plan) -> "GradientVector":
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Slot map of one plan shape, built once per descent stage.
+
+    ``template`` supplies what the flat vector does not hold: the plan
+    type, path masses and terminal flags. ``base`` is the template's own
+    vector; the feasibility projection restores its pinned slots.
+    """
+
+    template: object
+    offsets: tuple           # first slot of each owner's block, then the total size
+    counts: tuple            # vertex count of each owner
+    free: np.ndarray         # (N,) False on pinned slots
+    base: np.ndarray         # (N,)
+    clamp: np.ndarray        # slots kept nonnegative: branch heights and densities
+    start_slots: np.ndarray  # (S, 2) x and y slots of each segment's start vertex
+    end_slots: np.ndarray    # (S, 2) x and y slots of each segment's end vertex
+    m_slots: np.ndarray      # (S,) density slot of each segment; empty for path plans
+
+    @classmethod
+    def of(cls, plan) -> "Layout":
+        """Layout of a plan's shape, with the plan as template.
+
+        The origin vertex of every path and branch is pinned. Path
+        terminals are pinned when the path's ``terminal_fixed`` flag is
+        set. Densities are always free; the projection clamps them.
+        """
         if isinstance(plan, PathPlan):
-            return GradientVector(
-                dx=[np.zeros(p.vertices.shape[0]) for p in plan.paths],
-                dy=[np.zeros(p.vertices.shape[0]) for p in plan.paths],
-                dm=[np.zeros(0) for _ in plan.paths],
-            )
-        if isinstance(plan, BranchPlan):
-            return GradientVector(
-                dx=[np.zeros(len(b.x)) for b in plan.branches],
-                dy=[np.zeros(len(b.y)) for b in plan.branches],
-                dm=[np.zeros(len(b.m)) for b in plan.branches],
-            )
-        raise TypeError("expected a PathPlan or BranchPlan")
-
-    def flatten(self) -> np.ndarray:
-        blocks = []
-        for gx, gy, gm in zip(self.dx, self.dy, self.dm):
-            blocks.extend([gx, gy, gm])
-        return np.concatenate(blocks) if blocks else np.zeros(0)
-
-    def norm(self) -> float:
-        flat = self.flatten()
-        return float(np.sqrt((flat * flat).sum()))
-
-    def scaled(self, factor: float) -> "GradientVector":
-        return GradientVector(
-            dx=[factor * g for g in self.dx],
-            dy=[factor * g for g in self.dy],
-            dm=[factor * g for g in self.dm],
-        )
+            owners = [(p.vertices.shape[0], 0, p.terminal_fixed) for p in plan.paths]
+        elif isinstance(plan, BranchPlan):
+            owners = [(len(b.x), len(b.m), False) for b in plan.branches]
+        else:
+            raise TypeError("expected a PathPlan or BranchPlan")
+        base = plan_to_vector(plan)
+        free = np.ones(len(base), dtype=bool)
+        offsets, counts, clamp, starts, m_slots = [], [], [], [], []
+        offset = 0
+        for count, densities, terminal_fixed in owners:
+            x0, y0, m0 = offset, offset + count, offset + 2 * count
+            free[[x0, y0]] = False
+            if terminal_fixed:
+                free[[y0 - 1, m0 - 1]] = False
+            starts.append(np.column_stack([np.arange(x0, y0 - 1), np.arange(y0, m0 - 1)]))
+            if densities:
+                clamp.append(np.arange(y0, m0 + densities))
+                m_slots.append(np.arange(m0, m0 + densities))
+            offsets.append(offset)
+            counts.append(count)
+            offset = m0 + densities
+        offsets.append(offset)
+        start_slots = np.concatenate(starts) if starts else np.zeros((0, 2), dtype=int)
+        return cls(template=plan, offsets=tuple(offsets), counts=tuple(counts), free=free,
+                   base=base, clamp=_int_slots(clamp), start_slots=start_slots,
+                   end_slots=start_slots + 1, m_slots=_int_slots(m_slots))
 
 
 def plan_to_vector(plan) -> np.ndarray:
@@ -72,80 +91,48 @@ def plan_to_vector(plan) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
-def vector_to_plan(vector: np.ndarray, template):
+def vector_to_plan(vector: np.ndarray, layout: Layout):
     """Rebuild a plan from the flat layout, carrying template metadata."""
     vector = np.asarray(vector, dtype=float)
-    offset = 0
+    pieces = [(vector[lo:lo + count], vector[lo + count:lo + 2 * count], vector[lo + 2 * count:hi])
+              for lo, hi, count in zip(layout.offsets, layout.offsets[1:], layout.counts)]
+    template = layout.template
     if isinstance(template, PathPlan):
-        paths = []
-        for p in template.paths:
-            count = p.vertices.shape[0]
-            xs = vector[offset:offset + count]
-            ys = vector[offset + count:offset + 2 * count]
-            offset += 2 * count
-            paths.append(Path(
-                vertices=np.column_stack([xs, ys]),
-                mass=p.mass,
-                terminal_fixed=p.terminal_fixed,
-            ))
-        return PathPlan(paths=tuple(paths))
-    if isinstance(template, BranchPlan):
-        branches = []
-        for b in template.branches:
-            count = len(b.x)
-            xs = vector[offset:offset + count]
-            ys = vector[offset + count:offset + 2 * count]
-            ms = vector[offset + 2 * count:offset + 2 * count + len(b.m)]
-            offset += 2 * count + len(b.m)
-            branches.append(Branch(x=xs, y=ys, m=ms))
-        return BranchPlan(branches=tuple(branches))
-    raise TypeError("expected a PathPlan or BranchPlan")
+        return PathPlan(paths=tuple(
+            Path(vertices=np.column_stack([xs, ys]), mass=p.mass,
+                 terminal_fixed=p.terminal_fixed)
+            for p, (xs, ys, _) in zip(template.paths, pieces)))
+    return BranchPlan(branches=tuple(Branch(x=xs, y=ys, m=ms) for xs, ys, ms in pieces))
 
 
-def free_mask(plan) -> np.ndarray:
-    """Boolean mask over the flat layout; False marks pinned coordinates.
+def scatter_segment_gradients(plan, table, ga, gb, gx, g_len, g_density=None) -> np.ndarray:
+    """Flat gradient of a plan from per-segment sensitivities.
 
-    The origin vertex of every path and branch is pinned. Path terminals
-    are pinned when the path's ``terminal_fixed`` flag is set. Densities
-    are always free (the feasibility projection clamps them).
+    ``table`` is the plan's segment table. ga, gb pull on the segment
+    endpoints, gx on the segment midpoint, and g_len scales the unit
+    tangent for direct length sensitivities; g_density (branch plans)
+    is the sensitivity to each segment's density. Pinned slots are
+    exactly zero.
     """
-    blocks = []
-    if isinstance(plan, PathPlan):
-        for p in plan.paths:
-            count = p.vertices.shape[0]
-            coord = np.ones(count, dtype=bool)
-            coord[0] = False
-            if p.terminal_fixed:
-                coord[-1] = False
-            blocks.extend([coord, coord.copy(), np.zeros(0, dtype=bool)])
-    elif isinstance(plan, BranchPlan):
-        for b in plan.branches:
-            count = len(b.x)
-            coord = np.ones(count, dtype=bool)
-            coord[0] = False
-            blocks.extend([coord, coord.copy(), np.ones(len(b.m), dtype=bool)])
-    else:
-        raise TypeError("expected a PathPlan or BranchPlan")
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=bool)
-
-
-def apply_free_mask(grad: GradientVector, plan) -> GradientVector:
-    """Zero the gradient entries of pinned coordinates, in place."""
-    if isinstance(plan, PathPlan):
-        for p, gx, gy in zip(plan.paths, grad.dx, grad.dy):
-            gx[0] = 0.0
-            gy[0] = 0.0
-            if p.terminal_fixed:
-                gx[-1] = 0.0
-                gy[-1] = 0.0
-    elif isinstance(plan, BranchPlan):
-        for gx, gy in zip(grad.dx, grad.dy):
-            gx[0] = 0.0
-            gy[0] = 0.0
+    layout = Layout.of(plan)
+    d = table.b - table.a
+    # A collapsed interval has no tangent; zero is a valid subgradient of
+    # the length there, so its direct length pull is dropped. Descent can
+    # then pass through states where consecutive knots coincide.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(table.length[:, None] > 0.0, d / table.length[:, None], 0.0)
+    grad = np.zeros(len(layout.base))
+    # Each vertex starts at most one segment and ends at most one, so
+    # the slots of each scatter are distinct.
+    grad[layout.start_slots] += ga + 0.5 * gx - unit * g_len[:, None]
+    grad[layout.end_slots] += gb + 0.5 * gx + unit * g_len[:, None]
+    if g_density is not None:
+        grad[layout.m_slots] = g_density
+    grad[~layout.free] = 0.0
     return grad
 
 
-def central_difference(func, plan, step: float = 1e-6) -> GradientVector:
+def central_difference(func, plan, step: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar plan functional.
 
     Differentiates only free coordinates; pinned entries stay zero. The
@@ -153,29 +140,23 @@ def central_difference(func, plan, step: float = 1e-6) -> GradientVector:
     leave the feasible set (negative density or branch height) fall back
     to a one-sided difference on the feasible side.
     """
-    base = plan_to_vector(plan)
-    mask = free_mask(plan)
-    flat = np.zeros_like(base)
+    layout = Layout.of(plan)
+    base = layout.base
+    grad = np.zeros_like(base)
     base_value = None
-    for i in np.flatnonzero(mask):
+    for i in np.flatnonzero(layout.free):
         h = step * max(1.0, abs(base[i]))
         forward = base.copy()
         forward[i] += h
         backward = base.copy()
         backward[i] -= h
-        f_plus = func(vector_to_plan(forward, plan))
+        f_plus = func(vector_to_plan(forward, layout))
         try:
-            f_minus = func(vector_to_plan(backward, plan))
+            f_minus = func(vector_to_plan(backward, layout))
         except ValueError:
             if base_value is None:
                 base_value = func(plan)
-            flat[i] = (f_plus - base_value) / h
+            grad[i] = (f_plus - base_value) / h
             continue
-        flat[i] = (f_plus - f_minus) / (2.0 * h)
-    grad = GradientVector.zeros_like(plan)
-    offset = 0
-    for j in range(len(grad.dx)):
-        for block in (grad.dx[j], grad.dy[j], grad.dm[j]):
-            block[:] = flat[offset:offset + len(block)]
-            offset += len(block)
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad

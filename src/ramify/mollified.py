@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import point_segment_projection
-from .gradients import GradientVector, apply_free_mask
+from .gradients import scatter_segment_gradients
 from .kernels import (
     KernelSpec,
     bump_segment_integral,
-    bump_segment_integral_grad,
     kernel_derivative,
     kernel_eval,
     kernel_segment_integral,
@@ -40,12 +39,12 @@ from .plan_model import BranchPlan, PathPlan, SegmentTable, segment_table
 
 @dataclass(frozen=True)
 class MollifiedEval:
-    """Energy value with its per-segment midpoint-rule breakdown."""
+    """Energy value with its per-segment midpoint-rule terms."""
 
     value: float
     alpha: float
     eps: float
-    per_segment: dict  # (owner index, interval index) -> contribution
+    terms: np.ndarray  # (S,) contribution of each segment table row
 
 
 def _check_alpha(alpha: float):
@@ -68,10 +67,11 @@ def _as_points(x) -> tuple:
     return np.atleast_2d(pts), single
 
 
-def _min_path_distance(points: np.ndarray, table: SegmentTable) -> np.ndarray:
-    """Min distance from each point to each owner's polyline, shape (T, n)."""
+def _multiplicity_max(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
+                      eps: float, spec: KernelSpec) -> np.ndarray:
     _, dist = point_segment_projection(points, table.a, table.b)
-    return np.minimum.reduceat(dist, table.group_starts, axis=1)
+    min_dist = np.minimum.reduceat(dist, table.group_starts, axis=1)
+    return kernel_eval(spec, min_dist / eps) @ masses
 
 
 def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec()) :
@@ -86,22 +86,16 @@ def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpe
     if not plan.paths:
         out = np.zeros(len(points))
         return float(out[0]) if single else out
-    table = segment_table(plan)
-    min_dist = _min_path_distance(points, table)
-    values = kernel_eval(spec, min_dist / eps) @ _path_masses(plan)
+    values = _multiplicity_max(points, segment_table(plan), _path_masses(plan), eps, spec)
     return float(values[0]) if single else values
 
 
-def _per_path_inner(points: np.ndarray, table: SegmentTable, eps: float,
-                    spec: KernelSpec, quad_points: int) -> np.ndarray:
-    """Arc-length kernel integrals along each owner's polyline, shape (T, n)."""
-    if spec.kind == "bump":
-        mat = bump_segment_integral(table.a[None, :, :], table.b[None, :, :],
-                                    points[:, None, :], eps)
-    else:
-        mat = kernel_segment_integral(spec, table.a[None, :, :], table.b[None, :, :],
-                                      points[:, None, :], eps, quad_points)
-    return np.add.reduceat(mat, table.group_starts, axis=1)
+def _multiplicity_avg(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
+                      eps: float, spec: KernelSpec, quad_points: int) -> np.ndarray:
+    mat = kernel_segment_integral(spec, table.a[None, :, :], table.b[None, :, :],
+                                  points[:, None, :], eps, quad_points)
+    inner = np.add.reduceat(mat, table.group_starts, axis=1)
+    return np.minimum(inner, 1.0) @ masses
 
 
 def multiplicity_avg(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec(),
@@ -117,9 +111,8 @@ def multiplicity_avg(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpe
     if not plan.paths:
         out = np.zeros(len(points))
         return float(out[0]) if single else out
-    table = segment_table(plan)
-    inner = _per_path_inner(points, table, eps, spec, quad_points)
-    values = np.minimum(inner, 1.0) @ _path_masses(plan)
+    values = _multiplicity_avg(points, segment_table(plan), _path_masses(plan), eps, spec,
+                               quad_points)
     return float(values[0]) if single else values
 
 
@@ -135,11 +128,7 @@ def _midpoint_energy(table: SegmentTable, multiplicities: np.ndarray, masses_per
     powers = np.zeros_like(multiplicities)
     np.power(multiplicities, alpha - 1.0, out=powers, where=active)
     terms = np.where(active, powers * masses_per_seg * table.length, 0.0)
-    per_segment = {
-        (int(table.owner[i]), int(table.interval[i])): float(terms[i])
-        for i in range(table.size)
-    }
-    return MollifiedEval(value=float(terms.sum()), alpha=alpha, eps=eps, per_segment=per_segment)
+    return MollifiedEval(value=float(terms.sum()), alpha=alpha, eps=eps, terms=terms)
 
 
 def energy_max(plan: PathPlan, alpha: float, eps: float,
@@ -152,9 +141,9 @@ def energy_max(plan: PathPlan, alpha: float, eps: float,
     _check_alpha(alpha)
     _check_eps(eps)
     if not plan.paths:
-        return MollifiedEval(value=0.0, alpha=alpha, eps=eps, per_segment={})
+        return MollifiedEval(value=0.0, alpha=alpha, eps=eps, terms=np.zeros(0))
     table = segment_table(plan)
-    w = multiplicity_max(table.midpoint, plan, eps, spec)
+    w = _multiplicity_max(table.midpoint, table, _path_masses(plan), eps, spec)
     return _midpoint_energy(table, w, table.flux, alpha, eps, "energy_max")
 
 
@@ -164,38 +153,14 @@ def energy_avg(plan: PathPlan, alpha: float, eps: float,
     _check_alpha(alpha)
     _check_eps(eps)
     if not plan.paths:
-        return MollifiedEval(value=0.0, alpha=alpha, eps=eps, per_segment={})
+        return MollifiedEval(value=0.0, alpha=alpha, eps=eps, terms=np.zeros(0))
     table = segment_table(plan)
-    w = multiplicity_avg(table.midpoint, plan, eps, spec, quad_points)
+    w = _multiplicity_avg(table.midpoint, table, _path_masses(plan), eps, spec, quad_points)
     return _midpoint_energy(table, w, table.flux, alpha, eps, "energy_avg")
 
 
-def _scatter_vertex_gradients(plan: PathPlan, table: SegmentTable,
-                              ga, gb, gx, g_len) -> GradientVector:
-    """Assemble per-vertex gradients from per-segment contributions.
-
-    ga, gb pull on the segment endpoints, gx on the segment midpoint, and
-    g_len scales the unit tangent for direct length sensitivities.
-    """
-    grad = GradientVector.zeros_like(plan)
-    d = table.b - table.a
-    # A collapsed interval has no tangent; zero is a valid subgradient of
-    # the length there, so its direct length pull is dropped. Descent can
-    # then pass through states where consecutive knots coincide.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(table.length[:, None] > 0.0, d / table.length[:, None], 0.0)
-    pull_a = ga + 0.5 * gx - unit * g_len[:, None]
-    pull_b = gb + 0.5 * gx + unit * g_len[:, None]
-    for k, start in enumerate(table.group_starts):
-        stop = table.group_starts[k + 1] if k + 1 < len(table.group_starts) else table.size
-        for axis, block in ((0, grad.dx[k]), (1, grad.dy[k])):
-            block[:-1] += pull_a[start:stop, axis]
-            block[1:] += pull_b[start:stop, axis]
-    return apply_free_mask(grad, plan)
-
-
 def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
-                        spec: KernelSpec = KernelSpec(), quad_points: int = 32) -> GradientVector:
+                        spec: KernelSpec = KernelSpec(), quad_points: int = 32) -> np.ndarray:
     """Exact gradient of :func:`energy_avg` in the free vertex coordinates.
 
     Chain rules through segment lengths, midpoints, and the segment
@@ -207,12 +172,8 @@ def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
     table = segment_table(plan)
     masses = _path_masses(plan)
     points = table.midpoint
-    if spec.kind == "bump":
-        mat, d_a, d_b, d_x = bump_segment_integral_grad(
-            table.a[None, :, :], table.b[None, :, :], points[:, None, :], eps)
-    else:
-        mat, d_a, d_b, d_x = kernel_segment_integral_grad(
-            spec, table.a[None, :, :], table.b[None, :, :], points[:, None, :], eps, quad_points)
+    mat, d_a, d_b, d_x = kernel_segment_integral_grad(
+        spec, table.a[None, :, :], table.b[None, :, :], points[:, None, :], eps, quad_points)
     inner = np.add.reduceat(mat, table.group_starts, axis=1)
     uncapped = inner < 1.0
     w = np.minimum(inner, 1.0) @ masses
@@ -232,11 +193,11 @@ def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
     ga = np.einsum("ts,tsk->sk", weight, d_a)
     gb = np.einsum("ts,tsk->sk", weight, d_b)
     gx = np.einsum("ts,tsk->tk", weight, d_x)
-    return _scatter_vertex_gradients(plan, table, ga, gb, gx, g_len)
+    return scatter_segment_gradients(plan, table, ga, gb, gx, g_len)
 
 
 def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
-                        spec: KernelSpec = KernelSpec()) -> GradientVector:
+                        spec: KernelSpec = KernelSpec()) -> np.ndarray:
     """Gradient of :func:`energy_max` in the free vertex coordinates.
 
     The minimum distance to each path is differentiated through its
@@ -285,7 +246,7 @@ def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
         gx += pull
         np.add.at(ga, seg[positive], -(1.0 - tp[positive, None]) * pull[positive])
         np.add.at(gb, seg[positive], -tp[positive, None] * pull[positive])
-    return _scatter_vertex_gradients(plan, table, ga, gb, gx, g_len)
+    return scatter_segment_gradients(plan, table, ga, gb, gx, g_len)
 
 
 def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
@@ -296,7 +257,10 @@ def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
     Returns one value per segment table row.
     """
     _check_eps(eps)
-    table = segment_table(plan)
+    return _mollified_flux(segment_table(plan), eps)
+
+
+def _mollified_flux(table: SegmentTable, eps: float) -> np.ndarray:
     mat = bump_segment_integral(table.a[None, :, :], table.b[None, :, :],
                                 table.midpoint[:, None, :], eps)
     return mat @ table.flux
@@ -333,16 +297,14 @@ def branch_irrigation_cost(plan: BranchPlan, alpha: float, eps: float,
     _check_eps(eps)
     if f_min < 0.0:
         raise ValueError("f_min must be nonnegative")
-    table = segment_table(plan)
-    flux_mol = mollified_flux(plan, eps)
+    terms = _branch_cost_terms(segment_table(plan), alpha, eps, f_min)
+    return MollifiedEval(value=float(terms.sum()), alpha=alpha, eps=eps, terms=terms)
+
+
+def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float,
+                       f_min: float) -> np.ndarray:
     transported = table.flux * table.length
-    powers = floored_power(flux_mol, transported, alpha, f_min)
-    terms = powers * transported
-    per_segment = {
-        (int(table.owner[i]), int(table.interval[i])): float(terms[i])
-        for i in range(table.size)
-    }
-    return MollifiedEval(value=float(terms.sum()), alpha=alpha, eps=eps, per_segment=per_segment)
+    return floored_power(_mollified_flux(table, eps), transported, alpha, f_min) * transported
 
 
 def saturated_two_path_cost(m1: float, m2: float, l1: float, l2: float, alpha: float) -> float:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gradients import GradientVector, central_difference
+from .gradients import central_difference, scatter_segment_gradients
 from .kernels import bump_segment_integral_grad
-from .mollified import MollifiedEval, branch_irrigation_cost, floored_power
+from .mollified import _branch_cost_terms, floored_power
 from .plan_model import BranchPlan, segment_table
 
 PENALTY_KERNELS = ("gaussian", "powerlaw")
@@ -119,7 +119,10 @@ def _penalty_weights(table, density, du, cfg: ObjectiveConfig) -> np.ndarray:
 
 def crowding_penalty(plan: BranchPlan, cfg: ObjectiveConfig) -> float:
     """Pairwise repulsion between segment midpoints, weighted by mass."""
-    table, density, du = _branch_arrays(plan)
+    return _crowding_penalty(*_branch_arrays(plan), cfg)
+
+
+def _crowding_penalty(table, density, du, cfg: ObjectiveConfig) -> float:
     weights = _penalty_weights(table, density, du, cfg)
     m_mat, _ = _penalty_matrices(table.midpoint, weights, cfg)
     return float(weights @ m_mat @ weights)
@@ -127,20 +130,32 @@ def crowding_penalty(plan: BranchPlan, cfg: ObjectiveConfig) -> float:
 
 def tree_objective(plan: BranchPlan, cfg: ObjectiveConfig) -> ObjectiveValue:
     """Evaluate J = I + c1 * P - c2 * H on a branch plan."""
-    irrigation = branch_irrigation_cost(plan, cfg.alpha, cfg.eps, cfg.f_min).value
-    penalty = crowding_penalty(plan, cfg) if cfg.c1 != 0.0 else 0.0
-    payoff = leaf_payoff(plan)
+    table, density, du = _branch_arrays(plan)
+    irrigation = float(_branch_cost_terms(table, cfg.alpha, cfg.eps, cfg.f_min).sum())
+    penalty = _crowding_penalty(table, density, du, cfg) if cfg.c1 != 0.0 else 0.0
+    payoff = float((density * table.length).sum())
     total = irrigation + cfg.c1 * penalty - cfg.c2 * payoff
     return ObjectiveValue(total=total, irrigation=irrigation, penalty=penalty, payoff=payoff)
 
 
-def _exclusive_prefix_sum(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    np.cumsum(values[:-1], out=out[1:])
-    return out
+def _downstream_flux_adjoint(table, g_flux: np.ndarray) -> np.ndarray:
+    """Adjoint of the per-segment downstream flux in each segment's mass.
+
+    Downstream flux is half the local mass plus everything beyond it on
+    the same branch, so the adjoint is half the local pull plus the
+    pulls of every earlier segment of the branch.
+    """
+    g_cell = np.zeros_like(g_flux)
+    bounds = list(table.group_starts) + [table.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = g_flux[start:stop]
+        prefix = np.zeros_like(block)
+        np.cumsum(block[:-1], out=prefix[1:])
+        g_cell[start:stop] = 0.5 * block + prefix
+    return g_cell
 
 
-def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig) -> GradientVector:
+def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig) -> np.ndarray:
     """Exact gradient of :func:`tree_objective` in free coordinates.
 
     Returns sensitivities for every interior vertex coordinate and every
@@ -183,13 +198,7 @@ def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig) -> GradientV
     gb = np.einsum("ts,tsk->sk", pair_weight, d_b)
     gx = np.einsum("ts,tsk->tk", pair_weight, d_x)
 
-    # Downstream flux is half the local mass plus everything beyond it,
-    # so the adjoint of mass-per-segment is a prefix sum of flux pulls.
-    g_cell = np.zeros(size)
-    for k, start in enumerate(table.group_starts):
-        stop = table.group_starts[k + 1] if k + 1 < len(table.group_starts) else size
-        block = g_flux[start:stop]
-        g_cell[start:stop] = 0.5 * block + _exclusive_prefix_sum(block)
+    g_cell = _downstream_flux_adjoint(table, g_flux)
     g_density = g_cell * table.length
     g_len = g_len + g_cell * density
 
@@ -211,20 +220,9 @@ def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig) -> GradientV
     g_density = g_density - cfg.c2 * table.length
     g_len = g_len - cfg.c2 * density
 
-    grad = _assemble_branch_gradient(plan, table, ga, gb, gx, g_len)
-    pos = 0
-    for k, br in enumerate(plan.branches):
-        count = len(br.m)
-        grad.dm[k][:] = g_density[pos:pos + count]
-        pos += count
-    return grad
+    return scatter_segment_gradients(plan, table, ga, gb, gx, g_len, g_density)
 
 
-def _assemble_branch_gradient(plan, table, ga, gb, gx, g_len) -> GradientVector:
-    from .mollified import _scatter_vertex_gradients
-    return _scatter_vertex_gradients(plan, table, ga, gb, gx, g_len)
-
-
-def fd_gradient(plan: BranchPlan, cfg: ObjectiveConfig, step: float = 1e-6) -> GradientVector:
+def fd_gradient(plan: BranchPlan, cfg: ObjectiveConfig, step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of the objective, for verification."""
     return central_difference(lambda p: tree_objective(p, cfg).total, plan, step)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import cumulative_arclength, resample_polyline, segment_lengths
-from .gradients import GradientVector, free_mask, plan_to_vector, vector_to_plan
+from .gradients import Layout, plan_to_vector, vector_to_plan
 from .kernels import KernelSpec
 from .mollified import energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
 from .objective import ObjectiveConfig, ObjectiveValue, tree_objective, tree_objective_gradient
@@ -149,30 +149,22 @@ def branch_evaluator(obj_cfg: ObjectiveConfig, eps: float) -> Evaluator:
     )
 
 
-def feasibility_project(vector: np.ndarray, template) -> np.ndarray:
+def feasibility_project(vector: np.ndarray, layout: Layout) -> np.ndarray:
     """Project a flat coordinate vector onto the feasible set.
 
-    Pinned slots are restored from the template plan; branch heights and
-    densities are clamped to zero from below. Path vertices are
-    otherwise unconstrained.
+    Pinned slots are restored from the layout's base vector; branch
+    heights and densities are clamped to zero from below. Path vertices
+    are otherwise unconstrained.
     """
-    base = plan_to_vector(template)
-    out = np.where(free_mask(template), np.asarray(vector, dtype=float), base)
-    if isinstance(template, BranchPlan):
-        offset = 0
-        for b in template.branches:
-            count = len(b.x)
-            y_block = slice(offset + count, offset + 2 * count)
-            m_block = slice(offset + 2 * count, offset + 2 * count + len(b.m))
-            np.maximum(out[y_block], 0.0, out=out[y_block])
-            np.maximum(out[m_block], 0.0, out=out[m_block])
-            offset += 2 * count + len(b.m)
+    out = np.where(layout.free, np.asarray(vector, dtype=float), layout.base)
+    out[layout.clamp] = np.maximum(out[layout.clamp], 0.0)
     return out
 
 
 def project_plan(plan):
     """Return the nearest feasible plan (identity on feasible input)."""
-    return vector_to_plan(feasibility_project(plan_to_vector(plan), plan), plan)
+    layout = Layout.of(plan)
+    return vector_to_plan(feasibility_project(layout.base, layout), layout)
 
 
 def _rediscretize_branch(branch: Branch) -> Branch:
@@ -219,25 +211,23 @@ def rediscretize_plan(plan):
     raise TypeError("expected a PathPlan or BranchPlan")
 
 
-def backtracking_step(plan, current_total: float, grad: GradientVector, tau0: float,
-                      evaluator: Evaluator, cfg: DescentConfig):
-    """Largest projected step tau0 * factor^j that strictly decreases.
+def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad: np.ndarray,
+                      tau0: float, evaluator: Evaluator, cfg: DescentConfig):
+    """Largest projected step tau0 * factor^j from x that strictly decreases.
 
-    Returns (plan, value, tau, trials) on success, where trials counts
-    the rejected shrinks before acceptance, or (None, None, 0.0, limit)
-    when every trial step fails to decrease the objective.
+    Returns (x, plan, value, tau, trials) on success, where trials counts
+    the rejected shrinks before acceptance, or (None, None, None, 0.0,
+    limit) when every trial step fails to decrease the objective.
     """
-    flat = plan_to_vector(plan)
-    direction = grad.flatten()
     tau = tau0
     for j in range(cfg.backtrack_limit):
-        candidate_vec = feasibility_project(flat - tau * direction, plan)
-        candidate = vector_to_plan(candidate_vec, plan)
+        trial = feasibility_project(x - tau * grad, layout)
+        candidate = vector_to_plan(trial, layout)
         value = evaluator.objective(candidate)
         if value.total < current_total:
-            return candidate, value, tau, j
+            return trial, candidate, value, tau, j
         tau *= cfg.backtrack_factor
-    return None, None, 0.0, cfg.backtrack_limit
+    return None, None, None, 0.0, cfg.backtrack_limit
 
 
 def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0: float,
@@ -248,9 +238,12 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     decrease falls below ``stop_tol``, when the line search cannot find
     any decreasing step, or at the iteration cap. Returns the final
     plan, its objective value, the accepted-iteration rows, and the stop
-    reason.
+    reason. The iterate is carried as a flat vector in the layout of the
+    starting plan; plans are rebuilt only to evaluate them.
     """
-    plan = project_plan(plan)
+    layout = Layout.of(plan)
+    x = feasibility_project(layout.base, layout)
+    plan = vector_to_plan(x, layout)
     value = evaluator.objective(plan)
     if not np.isfinite(value.total):
         raise ValueError("objective is not finite at the initial plan")
@@ -259,17 +252,17 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     reason = "iteration_cap"
     for it in range(1, cfg.j_max + 1):
         grad = evaluator.gradient(plan)
-        candidate, cand_value, tau, trials = backtracking_step(
-            plan, value.total, grad, tau0, evaluator, cfg)
+        trial, candidate, cand_value, tau, trials = backtracking_step(
+            x, layout, value.total, grad, tau0, evaluator, cfg)
         if candidate is None:
             reason = "line_search_exhausted"
             break
-        plan, new_value = candidate, cand_value
+        x, plan, new_value = trial, candidate, cand_value
         if cfg.rediscretize_every > 0 and it % cfg.rediscretize_every == 0:
             resampled = rediscretize_plan(plan)
             resampled_value = evaluator.objective(resampled)
             if resampled_value.total <= new_value.total:
-                plan, new_value = resampled, resampled_value
+                x, plan, new_value = plan_to_vector(resampled), resampled, resampled_value
         row = TraceRow(
             iteration=start_iteration + it,
             eps=eps,
@@ -278,7 +271,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
             penalty=new_value.penalty,
             payoff=new_value.payoff,
             tau=tau,
-            grad_norm=grad.norm(),
+            grad_norm=float(np.sqrt((grad * grad).sum())),
             backtracks=trials,
         )
         rows.append(row)

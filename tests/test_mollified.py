@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ramify.exact_cost import exact_multiplicity, exact_plan_cost
-from ramify.gradients import central_difference, free_mask, plan_to_vector, vector_to_plan
+from ramify.gradients import Layout, central_difference, plan_to_vector, vector_to_plan
 from ramify.kernels import KERNEL_KINDS, KernelSpec
 from ramify.mollified import (
     branch_irrigation_cost,
@@ -26,6 +26,7 @@ from ramify.plan_model import (
     PathPlan,
     build_star_plan,
     half_circle_targets,
+    segment_table,
 )
 
 
@@ -173,10 +174,13 @@ def test_alpha_one_energy_invariant_under_collinear_insertion():
 
 def test_per_segment_breakdown_sums_to_value():
     plan = _y_plan()
+    table = segment_table(plan)
+    rows = list(zip(table.owner.tolist(), table.interval.tolist()))
     for fn in (energy_max, energy_avg):
         ev = fn(plan, 0.6, 0.15)
-        assert sum(ev.per_segment.values()) == pytest.approx(ev.value, abs=1e-12)
-        assert set(ev.per_segment) == {
+        assert sum(ev.terms) == pytest.approx(ev.value, abs=1e-12)
+        assert len(ev.terms) == len(rows) == len(set(rows))
+        assert set(rows) == {
             (k, i) for k, p in enumerate(plan.paths) for i in range(p.segments)
         }
 
@@ -194,10 +198,8 @@ def test_energy_rejects_bad_arguments():
 
 
 def _relative_gradient_gap(analytic, numeric):
-    a = analytic.flatten()
-    n = numeric.flatten()
-    scale = max(np.abs(a).max(), np.abs(n).max(), 1e-12)
-    return np.abs(a - n).max() / scale
+    scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
+    return np.abs(analytic - numeric).max() / scale
 
 
 def test_energy_gradients_match_finite_differences():
@@ -207,9 +209,10 @@ def test_energy_gradients_match_finite_differences():
         targets = half_circle_targets(n)
         plan = build_star_plan(targets, segments_per_path=3)
         # wiggle the free vertices so no segment is axis-aligned
+        layout = Layout.of(plan)
         vec = plan_to_vector(plan)
-        vec = np.where(free_mask(plan), vec + rng.normal(0.0, 0.02, vec.shape), vec)
-        plan = vector_to_plan(vec, plan)
+        vec = np.where(layout.free, vec + rng.normal(0.0, 0.02, vec.shape), vec)
+        plan = vector_to_plan(vec, layout)
         alpha = float(rng.uniform(0.3, 0.9))
         eps = float(rng.uniform(0.15, 0.4))
         for kind in ("bump", "exponential"):
@@ -239,7 +242,9 @@ def test_branch_cost_alpha_one_counts_flux_length():
     # midpoint fluxes 1.5 and 0.5 on unit intervals
     cost = branch_irrigation_cost(plan, 1.0, 0.3)
     assert cost.value == pytest.approx(2.0, abs=1e-12)
-    assert sum(cost.per_segment.values()) == pytest.approx(2.0, abs=1e-12)
+    assert sum(cost.terms) == pytest.approx(2.0, abs=1e-12)
+    table = segment_table(plan)
+    assert len(cost.terms) == len(set(zip(table.owner.tolist(), table.interval.tolist())))
 
 
 def test_floored_power_guards_zero_multiplicity():

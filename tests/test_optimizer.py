@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ramify.gradients import GradientVector, plan_to_vector, vector_to_plan
-from ramify.objective import ObjectiveConfig, ObjectiveValue
+from ramify.gradients import Layout, plan_to_vector, vector_to_plan
+from ramify.mollified import energy_avg_gradient, energy_max_gradient
+from ramify.objective import ObjectiveConfig, ObjectiveValue, tree_objective_gradient
 from ramify.optimizer import (
     TRACE_HEADER,
     DescentConfig,
@@ -28,6 +29,7 @@ from ramify.plan_model import (
     build_fan_branches,
     build_star_plan,
     half_circle_targets,
+    random_branch_plan,
 )
 
 
@@ -41,18 +43,7 @@ def _quadratic_evaluator(target, offset=0.0):
         return ObjectiveValue(total=total, irrigation=total, penalty=0.0, payoff=0.0)
 
     def gradient(plan):
-        v = plan_to_vector(plan)
-        grad = GradientVector.zeros_like(plan)
-        flat = 2.0 * (v - target)
-        # scatter back into the per-branch blocks
-        offset_i = 0
-        for b_idx, b in enumerate(plan.branches):
-            count = len(b.x)
-            grad.dx[b_idx][:] = flat[offset_i : offset_i + count]
-            grad.dy[b_idx][:] = flat[offset_i + count : offset_i + 2 * count]
-            grad.dm[b_idx][:] = flat[offset_i + 2 * count : offset_i + 2 * count + len(b.m)]
-            offset_i += 2 * count + len(b.m)
-        return grad
+        return 2.0 * (plan_to_vector(plan) - target)
 
     return Evaluator(objective=objective, gradient=gradient)
 
@@ -109,10 +100,11 @@ def test_trace_header_and_row_format():
 
 def test_feasibility_projection_restores_pinned_slots():
     plan = build_star_plan(half_circle_targets(3), segments_per_path=2)
+    layout = Layout.of(plan)
     v = plan_to_vector(plan)
     moved = v + 10.0
-    out = feasibility_project(moved, plan)
-    back = vector_to_plan(out, plan)
+    out = feasibility_project(moved, layout)
+    back = vector_to_plan(out, layout)
     for orig, proj in zip(plan.paths, back.paths):
         np.testing.assert_allclose(proj.vertices[0], [0.0, 0.0], atol=0.0)
         np.testing.assert_allclose(proj.vertices[-1], orig.vertices[-1], atol=0.0)
@@ -126,11 +118,71 @@ def test_feasibility_projection_clamps_branch_bounds():
     # layout per branch: x block, y block, m block
     v[3] = -0.2  # tip height
     v[4] = -0.5  # density
-    out = feasibility_project(v, plan)
+    layout = Layout.of(plan)
+    out = feasibility_project(v, layout)
     assert out[3] == 0.0
     assert out[4] == 0.0
     # idempotent
-    np.testing.assert_array_equal(feasibility_project(out, plan), out)
+    np.testing.assert_array_equal(feasibility_project(out, layout), out)
+
+
+def _random_star_plan(rng, terminal_fixed):
+    star = build_star_plan(half_circle_targets(int(rng.integers(1, 5))),
+                           segments_per_path=int(rng.integers(1, 5)))
+    paths = []
+    for p in star.paths:
+        vertices = p.vertices.copy()
+        vertices[1:] += rng.normal(0.0, 0.05, vertices[1:].shape)
+        paths.append(Path(vertices=vertices, mass=p.mass, terminal_fixed=terminal_fixed))
+    return PathPlan(paths=tuple(paths))
+
+
+def _plan_fields(plan):
+    if isinstance(plan, PathPlan):
+        return [(p.vertices, p.mass, p.terminal_fixed) for p in plan.paths]
+    return [(b.x, b.y, b.m) for b in plan.branches]
+
+
+def test_layout_round_trip_projection_and_pinned_gradients():
+    rng = np.random.default_rng(21)
+    obj = ObjectiveConfig(alpha=0.5, eps=0.3, c1=0.5, c2=1.0)
+    for trial in range(18):
+        if trial % 3 == 2:
+            plan = random_branch_plan(rng, max_branches=3, max_segments=4)
+            pinned_per_owner = 2
+            clamped = sum(len(b.y) + len(b.m) for b in plan.branches)
+            grads = [tree_objective_gradient(plan, obj)]
+        else:
+            fixed = trial % 3 == 0
+            plan = _random_star_plan(rng, terminal_fixed=fixed)
+            pinned_per_owner = 4 if fixed else 2
+            clamped = 0
+            grads = [energy_avg_gradient(plan, 0.5, 0.3), energy_max_gradient(plan, 0.5, 0.3)]
+        layout = Layout.of(plan)
+        v = plan_to_vector(plan)
+
+        fields = _plan_fields(plan)
+        again = _plan_fields(vector_to_plan(v, layout))
+        assert len(again) == len(fields)
+        for old, new in zip(fields, again):
+            for a, b in zip(old, new):
+                np.testing.assert_array_equal(a, b)
+
+        pinned = ~layout.free
+        assert pinned.sum() == pinned_per_owner * len(fields)
+        assert len(layout.clamp) == clamped
+        moved = v + rng.normal(0.0, 1.0, v.shape)
+        out = feasibility_project(moved, layout)
+        expected = moved.copy()
+        expected[layout.clamp] = np.maximum(moved[layout.clamp], 0.0)
+        expected[pinned] = v[pinned]
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(feasibility_project(out, layout), out)
+        vector_to_plan(out, layout)  # the projected vector is a valid plan
+
+        for grad in grads:
+            assert grad.shape == v.shape
+            assert np.all(grad[pinned] == 0.0)
 
 
 def test_project_plan_is_identity_on_feasible():
@@ -151,7 +203,9 @@ def test_backtracking_accepts_plain_step():
     value = ev.objective(plan)
     grad = ev.gradient(plan)
     cfg = DescentConfig()
-    cand, cand_value, tau, trials = backtracking_step(plan, value.total, grad, 0.4, ev, cfg)
+    layout = Layout.of(plan)
+    _, cand, cand_value, tau, trials = backtracking_step(
+        layout.base, layout, value.total, grad, 0.4, ev, cfg)
     assert trials == 0
     assert tau == 0.4
     assert cand.branches[0].m[0] == pytest.approx(0.2, abs=1e-15)
@@ -167,8 +221,9 @@ def test_backtracking_shrinks_overshooting_step():
     ev = _quadratic_evaluator(target)
     value = ev.objective(plan)
     grad = ev.gradient(plan)
-    cand, cand_value, tau, trials = backtracking_step(
-        plan, value.total, grad, 8.0, ev, DescentConfig()
+    layout = Layout.of(plan)
+    _, cand, cand_value, tau, trials = backtracking_step(
+        layout.base, layout, value.total, grad, 8.0, ev, DescentConfig()
     )
     assert trials == 4
     assert tau == pytest.approx(0.5)
@@ -182,9 +237,11 @@ def test_backtracking_reports_exhaustion_on_ascent_direction():
     target[-1] = 0.0
     ev = _quadratic_evaluator(target)
     value = ev.objective(plan)
-    ascent = ev.gradient(plan).scaled(-1.0)
+    ascent = -ev.gradient(plan)
     cfg = DescentConfig(backtrack_limit=5)
-    cand, cand_value, tau, trials = backtracking_step(plan, value.total, ascent, 0.4, ev, cfg)
+    layout = Layout.of(plan)
+    _, cand, cand_value, tau, trials = backtracking_step(
+        layout.base, layout, value.total, ascent, 0.4, ev, cfg)
     assert cand is None
     assert cand_value is None
     assert tau == 0.0
