@@ -1,9 +1,11 @@
 """Run configuration: JSON schema, validation, and named presets.
 
 A run config is a JSON object whose sections mirror the library's
-dataclasses. Every key is optional and defaults are filled in, but
-unknown keys anywhere are rejected so typos fail loudly instead of
-silently running with defaults. Presets are plain config dictionaries
+dataclasses: each section's keys, types, defaults and range checks are
+those of its dataclass, which is the one place they are written. Every
+key is optional and defaults are filled in, but unknown keys anywhere
+are rejected so typos fail loudly instead of silently running with
+defaults. Presets are plain config dictionaries
 merged underneath the user's file (the file wins key by key).
 """
 
@@ -11,11 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
-from .kernels import KERNEL_KINDS, KernelSpec
-from .objective import PENALTY_KERNELS, ObjectiveConfig
+from .kernels import KernelSpec
+from .objective import ObjectiveConfig
 from .optimizer import DescentConfig
 
 EXPERIMENTS = ("irrigate", "treeopt", "gamma-table", "counterexample", "gradcheck")
@@ -35,6 +37,14 @@ class MeasureSpec:
     total_mass: float = 1.0
     segments_per_path: int = 16
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if self.radius <= 0.0 or self.total_mass <= 0.0:
+            raise ValueError("radius and total_mass must be positive")
+        if self.segments_per_path < 1:
+            raise ValueError("segments_per_path must be at least 1")
+
 
 @dataclass(frozen=True)
 class FanSpec:
@@ -45,6 +55,16 @@ class FanSpec:
     length0: float = 1.0
     segments: int = 10
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if not 0.0 < self.spread_angle < math.pi:
+            raise ValueError("spread_angle must lie in (0, pi)")
+        if self.length0 <= 0.0:
+            raise ValueError("length0 must be positive")
+        if self.segments < 1:
+            raise ValueError("segments must be at least 1")
+
 
 @dataclass(frozen=True)
 class GammaSpec:
@@ -53,6 +73,14 @@ class GammaSpec:
     eps_values: tuple = (0.2, 0.1, 0.05, 0.02)
     bound_tol: float = 1e-3
     gap_target: float = 0.02
+
+    def __post_init__(self):
+        if any(e <= 0.0 for e in self.eps_values):
+            raise ValueError("eps_values must be positive")
+        if any(b >= a for a, b in zip(self.eps_values, self.eps_values[1:])):
+            raise ValueError("eps_values must be strictly decreasing")
+        if self.bound_tol < 0.0 or self.gap_target <= 0.0:
+            raise ValueError("bound_tol must be nonnegative and gap_target positive")
 
 
 @dataclass(frozen=True)
@@ -66,6 +94,14 @@ class CounterexampleSpec:
     delta: float = 0.1
     alpha: float = 0.5
 
+    def __post_init__(self):
+        if self.m1 <= 0.0 or self.m2 <= 0.0:
+            raise ValueError("masses must be positive")
+        if not 0.0 < self.l2 < self.l2 + self.delta < 1.0 < self.l1:
+            raise ValueError("lengths must satisfy 0 < l2 < l2+delta < 1 < l1")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError("alpha must lie in [0, 1)")
+
 
 @dataclass(frozen=True)
 class GradcheckSpec:
@@ -77,6 +113,14 @@ class GradcheckSpec:
     max_segments: int = 6
     tolerance: float = 1e-5
     step: float = 1e-6
+
+    def __post_init__(self):
+        if self.plans < 1:
+            raise ValueError("plans must be at least 1")
+        if self.max_branches < 1 or self.max_segments < 2:
+            raise ValueError("sizes must allow at least 1 branch of 2 segments")
+        if self.tolerance <= 0.0 or self.step <= 0.0:
+            raise ValueError("tolerance and step must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,240 +141,111 @@ class RunConfig:
     counterexample: CounterexampleSpec = field(default_factory=CounterexampleSpec)
     gradcheck: GradcheckSpec = field(default_factory=GradcheckSpec)
 
+    def __post_init__(self):
+        if self.experiment is not None and self.experiment not in EXPERIMENTS:
+            raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        if self.functional not in FUNCTIONALS:
+            raise ValueError(f"functional must be one of {FUNCTIONALS}, "
+                             f"got {self.functional!r}")
+        if self.quad_points < 1:
+            raise ValueError("quad_points must be at least 1")
+        if self.merge_tol is not None and self.merge_tol < 0.0:
+            raise ValueError("merge_tol must be nonnegative")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError("out_dir must be a string path")
 
-def _require_keys(section: dict, allowed: tuple, where: str):
-    unknown = sorted(set(section) - set(allowed))
+
+def _typed(value, default, where: str):
+    """Check one JSON value against the type of its field's default.
+
+    bool -> true/false, int -> integer, float -> finite number, None ->
+    number or null, tuple -> nonempty list of numbers; anything else
+    (strings) passes through for the dataclass to check.
+    """
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+    elif isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+    elif isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{where} must be a nonempty list of numbers")
+        return tuple(_typed(item, 0.0, f"{where} entries") for item in value)
+    elif isinstance(default, float) or (default is None and value is not None):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite")
+    return value
+
+
+def _defaults(cls) -> dict:
+    instance = cls()
+    return {f.name: getattr(instance, f.name) for f in fields(cls)}
+
+
+def _read(data, where: str, defaults: dict) -> dict:
+    """Type-check the JSON object ``data`` against ``defaults``.
+
+    ``defaults`` maps each allowed key to a value of its type. Only the
+    keys present are returned, so absent ones keep the dataclass default.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}; "
-                          f"allowed: {', '.join(allowed)}")
+                          f"allowed: {', '.join(defaults)}")
+    return {key: _typed(value, defaults[key], f"{where}.{key}") for key, value in data.items()}
 
 
-def _number(section: dict, key: str, where: str, default, *, allow_none=False):
-    value = section.get(key, default)
-    if value is None and allow_none:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key} must be finite")
-    return value
-
-
-def _integer(section: dict, key: str, where: str, default) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-    return value
-
-
-def _boolean(section: dict, key: str, where: str, default) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
-    return value
-
-
-def _choice(section: dict, key: str, where: str, default, options) -> str:
-    value = section.get(key, default)
-    if value not in options:
-        raise ConfigError(f"{where}.{key} must be one of {options}, got {value!r}")
-    return value
-
-
-def _number_list(section: dict, key: str, where: str, default) -> tuple:
-    value = section.get(key, default)
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{where}.{key} must be a nonempty list of numbers")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{where}.{key} entries must be numbers, got {item!r}")
-        out.append(float(item))
-    return tuple(out)
-
-
-def _parse_objective(section: dict) -> ObjectiveConfig:
-    _require_keys(section, ("alpha", "eps", "c1", "c2", "penalty", "f_min",
-                            "penalty_arclength"), "objective")
-    penalty = section.get("penalty", {})
-    if not isinstance(penalty, dict):
-        raise ConfigError("objective.penalty must be an object")
-    _require_keys(penalty, ("kernel", "beta", "gamma"), "objective.penalty")
+def _build(cls, where: str, values: dict):
+    """``cls(**values)``, reporting the class's own checks as a ConfigError."""
     try:
-        return ObjectiveConfig(
-            alpha=_number(section, "alpha", "objective", 0.5),
-            eps=_number(section, "eps", "objective", 0.1),
-            c1=_number(section, "c1", "objective", 0.0),
-            c2=_number(section, "c2", "objective", 0.0),
-            penalty_kernel=_choice(penalty, "kernel", "objective.penalty",
-                                   "gaussian", PENALTY_KERNELS),
-            beta=_number(penalty, "beta", "objective.penalty", 1.0),
-            gamma=_number(penalty, "gamma", "objective.penalty", 0.5),
-            f_min=_number(section, "f_min", "objective", 1e-12),
-            penalty_arclength=_boolean(section, "penalty_arclength", "objective", True),
-        )
+        return cls(**values)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"objective: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_descent(section: dict) -> DescentConfig:
-    _require_keys(section, ("eps_schedule", "tau0", "j_max", "backtrack_factor",
-                            "backtrack_limit", "stop_tol", "stop_patience",
-                            "rediscretize_every", "m_init"), "descent")
-    try:
-        return DescentConfig(
-            eps_schedule=_number_list(section, "eps_schedule", "descent", [0.1]),
-            tau0=_number(section, "tau0", "descent", None, allow_none=True),
-            j_max=_integer(section, "j_max", "descent", 500),
-            backtrack_factor=_number(section, "backtrack_factor", "descent", 0.5),
-            backtrack_limit=_integer(section, "backtrack_limit", "descent", 30),
-            stop_tol=_number(section, "stop_tol", "descent", 1e-7),
-            stop_patience=_integer(section, "stop_patience", "descent", 10),
-            rediscretize_every=_integer(section, "rediscretize_every", "descent", 5),
-            m_init=_number(section, "m_init", "descent", 0.1),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"descent: {exc}") from exc
-
-
-def _parse_measure(section: dict) -> MeasureSpec:
-    _require_keys(section, ("n", "radius", "total_mass", "segments_per_path"), "measure")
-    spec = MeasureSpec(
-        n=_integer(section, "n", "measure", 25),
-        radius=_number(section, "radius", "measure", 1.0),
-        total_mass=_number(section, "total_mass", "measure", 1.0),
-        segments_per_path=_integer(section, "segments_per_path", "measure", 16),
-    )
-    if spec.n < 1:
-        raise ConfigError("measure.n must be at least 1")
-    if spec.radius <= 0.0 or spec.total_mass <= 0.0:
-        raise ConfigError("measure.radius and measure.total_mass must be positive")
-    if spec.segments_per_path < 1:
-        raise ConfigError("measure.segments_per_path must be at least 1")
-    return spec
-
-
-def _parse_fan(section: dict) -> FanSpec:
-    _require_keys(section, ("n", "spread_angle", "length0", "segments"), "fan")
-    spec = FanSpec(
-        n=_integer(section, "n", "fan", 11),
-        spread_angle=_number(section, "spread_angle", "fan", math.pi / 2),
-        length0=_number(section, "length0", "fan", 1.0),
-        segments=_integer(section, "segments", "fan", 10),
-    )
-    if spec.n < 1:
-        raise ConfigError("fan.n must be at least 1")
-    if not 0.0 < spec.spread_angle < math.pi:
-        raise ConfigError("fan.spread_angle must lie in (0, pi)")
-    if spec.length0 <= 0.0:
-        raise ConfigError("fan.length0 must be positive")
-    if spec.segments < 1:
-        raise ConfigError("fan.segments must be at least 1")
-    return spec
-
-
-def _parse_gamma(section: dict) -> GammaSpec:
-    _require_keys(section, ("eps_values", "bound_tol", "gap_target"), "gamma")
-    spec = GammaSpec(
-        eps_values=_number_list(section, "eps_values", "gamma", [0.2, 0.1, 0.05, 0.02]),
-        bound_tol=_number(section, "bound_tol", "gamma", 1e-3),
-        gap_target=_number(section, "gap_target", "gamma", 0.02),
-    )
-    if any(e <= 0.0 for e in spec.eps_values):
-        raise ConfigError("gamma.eps_values must be positive")
-    if any(b >= a for a, b in zip(spec.eps_values, spec.eps_values[1:])):
-        raise ConfigError("gamma.eps_values must be strictly decreasing")
-    if spec.bound_tol < 0.0 or spec.gap_target <= 0.0:
-        raise ConfigError("gamma.bound_tol must be nonnegative and gamma.gap_target positive")
-    return spec
-
-
-def _parse_counterexample(section: dict) -> CounterexampleSpec:
-    _require_keys(section, ("m1", "m2", "l1", "l2", "delta", "alpha"), "counterexample")
-    spec = CounterexampleSpec(
-        m1=_number(section, "m1", "counterexample", 1.0),
-        m2=_number(section, "m2", "counterexample", 1.0),
-        l1=_number(section, "l1", "counterexample", 4.0),
-        l2=_number(section, "l2", "counterexample", 0.1),
-        delta=_number(section, "delta", "counterexample", 0.1),
-        alpha=_number(section, "alpha", "counterexample", 0.5),
-    )
-    if spec.m1 <= 0.0 or spec.m2 <= 0.0:
-        raise ConfigError("counterexample masses must be positive")
-    if not 0.0 < spec.l2 < spec.l2 + spec.delta < 1.0 < spec.l1:
-        raise ConfigError("counterexample lengths must satisfy 0 < l2 < l2+delta < 1 < l1")
-    if not 0.0 <= spec.alpha < 1.0:
-        raise ConfigError("counterexample.alpha must lie in [0, 1)")
-    return spec
-
-
-def _parse_gradcheck(section: dict) -> GradcheckSpec:
-    _require_keys(section, ("plans", "seed", "max_branches", "max_segments",
-                            "tolerance", "step"), "gradcheck")
-    spec = GradcheckSpec(
-        plans=_integer(section, "plans", "gradcheck", 50),
-        seed=_integer(section, "seed", "gradcheck", 0),
-        max_branches=_integer(section, "max_branches", "gradcheck", 4),
-        max_segments=_integer(section, "max_segments", "gradcheck", 6),
-        tolerance=_number(section, "tolerance", "gradcheck", 1e-5),
-        step=_number(section, "step", "gradcheck", 1e-6),
-    )
-    if spec.plans < 1:
-        raise ConfigError("gradcheck.plans must be at least 1")
-    if spec.max_branches < 1 or spec.max_segments < 2:
-        raise ConfigError("gradcheck sizes must allow at least 1 branch of 2 segments")
-    if spec.tolerance <= 0.0 or spec.step <= 0.0:
-        raise ConfigError("gradcheck.tolerance and gradcheck.step must be positive")
-    return spec
-
-
-_TOP_KEYS = ("experiment", "functional", "kernel", "quad_points", "merge_tol",
-             "out_dir", "objective", "descent", "measure", "fan", "gamma",
-             "counterexample", "gradcheck")
+def _objective(data) -> ObjectiveConfig:
+    """ObjectiveConfig's penalty fields sit in the nested object objective.penalty."""
+    keys = _defaults(ObjectiveConfig)
+    penalty_keys = {"kernel": keys.pop("penalty_kernel"), "beta": keys.pop("beta"),
+                    "gamma": keys.pop("gamma")}
+    values = _read(data, "objective", {**keys, "penalty": {}})
+    penalty = _read(values.pop("penalty", {}), "objective.penalty", penalty_keys)
+    if "kernel" in penalty:
+        penalty["penalty_kernel"] = penalty.pop("kernel")
+    return _build(ObjectiveConfig, "objective", {**values, **penalty})
 
 
 def validate_config(data: dict) -> RunConfig:
-    """Validate a raw config dictionary into a :class:`RunConfig`."""
+    """Validate a raw config dictionary into a :class:`RunConfig`.
+
+    Keys, types and defaults are the fields of RunConfig and of each
+    section's dataclass. The special cases: ``experiment`` and
+    ``out_dir`` are strings that RunConfig checks, ``kernel`` is the kind
+    string of a KernelSpec, and ``objective`` nests its penalty fields.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _require_keys(data, _TOP_KEYS, "config")
-    for name in ("objective", "descent", "measure", "fan", "gamma",
-                 "counterexample", "gradcheck"):
-        if name in data and not isinstance(data[name], dict):
-            raise ConfigError(f"config.{name} must be an object")
-    experiment = data.get("experiment")
-    if experiment is not None and experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    out_dir = data.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a string path")
-    quad_points = _integer(data, "quad_points", "config", 32)
-    if quad_points < 1:
-        raise ConfigError("quad_points must be at least 1")
-    merge_tol = _number(data, "merge_tol", "config", None, allow_none=True)
-    if merge_tol is not None and merge_tol < 0.0:
-        raise ConfigError("merge_tol must be nonnegative")
-    kernel_kind = _choice(data, "kernel", "config", "bump", KERNEL_KINDS)
-    return RunConfig(
-        experiment=experiment,
-        functional=_choice(data, "functional", "config", "avg", FUNCTIONALS),
-        kernel=KernelSpec(kind=kernel_kind),
-        quad_points=quad_points,
-        merge_tol=merge_tol,
-        out_dir=out_dir,
-        objective=_parse_objective(data.get("objective", {})),
-        descent=_parse_descent(data.get("descent", {})),
-        measure=_parse_measure(data.get("measure", {})),
-        fan=_parse_fan(data.get("fan", {})),
-        gamma=_parse_gamma(data.get("gamma", {})),
-        counterexample=_parse_counterexample(data.get("counterexample", {})),
-        gradcheck=_parse_gradcheck(data.get("gradcheck", {})),
-    )
+    top = _defaults(RunConfig)
+    top.update(experiment="", out_dir="", kernel=top["kernel"].kind, objective={})
+    values = _read(data, "config", top)
+    for name, value in values.items():
+        if is_dataclass(top[name]):
+            cls = type(top[name])
+            values[name] = _build(cls, name, _read(value, name, _defaults(cls)))
+    if "kernel" in values:
+        values["kernel"] = _build(KernelSpec, "config.kernel", {"kind": values["kernel"]})
+    if "objective" in values:
+        values["objective"] = _objective(values["objective"])
+    return _build(RunConfig, "config", values)
 
 
 def merge_config(base: dict, override: dict) -> dict:

@@ -173,9 +173,20 @@ def bump_segment_integral_grad(a, b, x, eps: float):
     return (val if val.ndim else float(val)), da, db, dx
 
 
-def _gauss_nodes(quad_points: int):
+def _quadrature_setup(a, b, x, eps: float, quad_points: int):
+    """Checked inputs, segment vectors d = b - a, their lengths L, and
+    Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if quad_points < 1:
+        raise ValueError("quad_points must be at least 1")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    x = np.asarray(x, dtype=float)
+    d = b - a
+    L = np.sqrt((d * d).sum(axis=-1))
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    return a, b, x, d, L, 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def kernel_segment_integral(spec: KernelSpec, a, b, x, eps: float, quad_points: int = 32):
@@ -187,16 +198,7 @@ def kernel_segment_integral(spec: KernelSpec, a, b, x, eps: float, quad_points: 
     """
     if spec.kind == "bump":
         return bump_segment_integral(a, b, x, eps)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if quad_points < 1:
-        raise ValueError("quad_points must be at least 1")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    d = b - a
-    L = np.sqrt((d * d).sum(axis=-1))
-    nodes, weights = _gauss_nodes(quad_points)
+    a, b, x, d, L, nodes, weights = _quadrature_setup(a, b, x, eps, quad_points)
     acc = 0.0
     for u, wt in zip(nodes, weights):
         p = a + u * d
@@ -215,16 +217,9 @@ def kernel_segment_integral_grad(spec: KernelSpec, a, b, x, eps: float, quad_poi
     """
     if spec.kind == "bump":
         return bump_segment_integral_grad(a, b, x, eps)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    d = b - a
-    L = np.sqrt((d * d).sum(axis=-1))
+    a, b, x, d, L, nodes, weights = _quadrature_setup(a, b, x, eps, quad_points)
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(L[..., None] > 0.0, d / L[..., None], 0.0)
-    nodes, weights = _gauss_nodes(quad_points)
     acc = 0.0
     da = np.zeros(np.broadcast(a, b, x).shape)
     db = np.zeros_like(da)

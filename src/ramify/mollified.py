@@ -61,17 +61,29 @@ def _path_masses(plan: PathPlan) -> np.ndarray:
     return np.array([p.mass for p in plan.paths])
 
 
-def _as_points(x) -> tuple:
+def _query(field, x, plan: PathPlan, eps: float, *args):
+    """A table-level multiplicity ``field`` at one point (as a float) or
+    at an (N, 2) array of points."""
+    _check_eps(eps)
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    return np.atleast_2d(pts), single
+    points = np.atleast_2d(pts)
+    if plan.paths:
+        values = field(points, segment_table(plan), _path_masses(plan), eps, *args)
+    else:
+        values = np.zeros(len(points))
+    return float(values[0]) if pts.ndim == 1 else values
+
+
+def _nearest(points: np.ndarray, table: SegmentTable):
+    """Projection parameters and distances from every point to every
+    segment, and each point's minimum distance to each path."""
+    t_par, dist = point_segment_projection(points, table.a, table.b)
+    return t_par, dist, np.minimum.reduceat(dist, table.group_starts, axis=1)
 
 
 def _multiplicity_max(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
                       eps: float, spec: KernelSpec) -> np.ndarray:
-    _, dist = point_segment_projection(points, table.a, table.b)
-    min_dist = np.minimum.reduceat(dist, table.group_starts, axis=1)
-    return kernel_eval(spec, min_dist / eps) @ masses
+    return kernel_eval(spec, _nearest(points, table)[2] / eps) @ masses
 
 
 def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec()) :
@@ -81,21 +93,21 @@ def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpe
     distance over all paths. Never falls below the exact multiplicity of
     the plan at the point, and never exceeds the total transported mass.
     """
-    _check_eps(eps)
-    points, single = _as_points(x)
-    if not plan.paths:
-        out = np.zeros(len(points))
-        return float(out[0]) if single else out
-    values = _multiplicity_max(points, segment_table(plan), _path_masses(plan), eps, spec)
-    return float(values[0]) if single else values
+    return _query(_multiplicity_max, x, plan, eps, spec)
+
+
+def _capped(mat: np.ndarray, table: SegmentTable, masses: np.ndarray):
+    """Mass-weighted sum of per-path arc integrals, each capped at 1, and
+    the mask of (point, path) integrals below the cap."""
+    inner = np.add.reduceat(mat, table.group_starts, axis=1)
+    return np.minimum(inner, 1.0) @ masses, inner < 1.0
 
 
 def _multiplicity_avg(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
                       eps: float, spec: KernelSpec, quad_points: int) -> np.ndarray:
     mat = kernel_segment_integral(spec, table.a[None, :, :], table.b[None, :, :],
                                   points[:, None, :], eps, quad_points)
-    inner = np.add.reduceat(mat, table.group_starts, axis=1)
-    return np.minimum(inner, 1.0) @ masses
+    return _capped(mat, table, masses)[0]
 
 
 def multiplicity_avg(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec(),
@@ -106,29 +118,41 @@ def multiplicity_avg(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpe
     scaled kernel along the path}; the cap applies per path before mass
     weighting.
     """
-    _check_eps(eps)
-    points, single = _as_points(x)
-    if not plan.paths:
-        out = np.zeros(len(points))
-        return float(out[0]) if single else out
-    values = _multiplicity_avg(points, segment_table(plan), _path_masses(plan), eps, spec,
-                               quad_points)
-    return float(values[0]) if single else values
+    return _query(_multiplicity_avg, x, plan, eps, spec, quad_points)
 
 
-def _midpoint_energy(table: SegmentTable, multiplicities: np.ndarray, masses_per_seg: np.ndarray,
-                     alpha: float, eps: float, what: str) -> MollifiedEval:
-    active = (masses_per_seg * table.length) > 0.0
-    if np.any(active & (multiplicities <= 0.0)):
-        bad = int(np.flatnonzero(active & (multiplicities <= 0.0))[0])
+def _powers(table: SegmentTable, w: np.ndarray, alpha: float, what: str):
+    """Mask of segments carrying mass and w^(alpha-1) on them.
+
+    A zero multiplicity at the midpoint of a segment that carries mass
+    is an error.
+    """
+    active = (table.flux * table.length) > 0.0
+    if np.any(active & (w <= 0.0)):
+        bad = int(np.flatnonzero(active & (w <= 0.0))[0])
         raise ValueError(
             f"{what}: zero multiplicity at midpoint of segment "
             f"(owner {table.owner[bad]}, interval {table.interval[bad]}) carrying mass"
         )
-    powers = np.zeros_like(multiplicities)
-    np.power(multiplicities, alpha - 1.0, out=powers, where=active)
-    terms = np.where(active, powers * masses_per_seg * table.length, 0.0)
+    powers = np.zeros_like(w)
+    np.power(w, alpha - 1.0, out=powers, where=active)
+    return active, powers
+
+
+def _midpoint_energy(table: SegmentTable, w: np.ndarray, alpha: float, eps: float,
+                     what: str) -> MollifiedEval:
+    active, powers = _powers(table, w, alpha, what)
+    terms = np.where(active, powers * table.flux * table.length, 0.0)
     return MollifiedEval(value=float(terms.sum()), alpha=alpha, eps=eps, terms=terms)
+
+
+def _gradient_weights(table: SegmentTable, w: np.ndarray, alpha: float, what: str):
+    """d(energy)/dw at each midpoint and d(energy)/d(length) of each segment."""
+    active, powers = _powers(table, w, alpha, what)
+    gw = np.zeros_like(w)
+    np.power(w, alpha - 2.0, out=gw, where=active)
+    gw *= (alpha - 1.0) * table.flux * table.length
+    return gw, powers * table.flux
 
 
 def energy_max(plan: PathPlan, alpha: float, eps: float,
@@ -144,7 +168,7 @@ def energy_max(plan: PathPlan, alpha: float, eps: float,
         return MollifiedEval(value=0.0, alpha=alpha, eps=eps, terms=np.zeros(0))
     table = segment_table(plan)
     w = _multiplicity_max(table.midpoint, table, _path_masses(plan), eps, spec)
-    return _midpoint_energy(table, w, table.flux, alpha, eps, "energy_max")
+    return _midpoint_energy(table, w, alpha, eps, "energy_max")
 
 
 def energy_avg(plan: PathPlan, alpha: float, eps: float,
@@ -156,7 +180,7 @@ def energy_avg(plan: PathPlan, alpha: float, eps: float,
         return MollifiedEval(value=0.0, alpha=alpha, eps=eps, terms=np.zeros(0))
     table = segment_table(plan)
     w = _multiplicity_avg(table.midpoint, table, _path_masses(plan), eps, spec, quad_points)
-    return _midpoint_energy(table, w, table.flux, alpha, eps, "energy_avg")
+    return _midpoint_energy(table, w, alpha, eps, "energy_avg")
 
 
 def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
@@ -171,22 +195,11 @@ def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
     _check_eps(eps)
     table = segment_table(plan)
     masses = _path_masses(plan)
-    points = table.midpoint
     mat, d_a, d_b, d_x = kernel_segment_integral_grad(
-        spec, table.a[None, :, :], table.b[None, :, :], points[:, None, :], eps, quad_points)
-    inner = np.add.reduceat(mat, table.group_starts, axis=1)
-    uncapped = inner < 1.0
-    w = np.minimum(inner, 1.0) @ masses
-
-    active = (table.flux * table.length) > 0.0
-    if np.any(active & (w <= 0.0)):
-        raise ValueError("energy_avg gradient: zero multiplicity under transported mass")
-    g_pow = np.zeros_like(w)
-    gw = np.zeros_like(w)
-    np.power(w, alpha - 1.0, out=g_pow, where=active)
-    np.power(w, alpha - 2.0, out=gw, where=active)
-    gw *= (alpha - 1.0) * table.flux * table.length
-    g_len = g_pow * table.flux
+        spec, table.a[None, :, :], table.b[None, :, :], table.midpoint[:, None, :], eps,
+        quad_points)
+    w, uncapped = _capped(mat, table, masses)
+    gw, g_len = _gradient_weights(table, w, alpha, "energy_avg_gradient")
 
     # Weight of each (midpoint, source segment) pairing in the chain rule.
     weight = gw[:, None] * (masses[table.owner][None, :] * uncapped[:, table.owner])
@@ -209,19 +222,9 @@ def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
     table = segment_table(plan)
     masses = _path_masses(plan)
     points = table.midpoint
-    t_par, dist = point_segment_projection(points, table.a, table.b)
-    min_dist = np.minimum.reduceat(dist, table.group_starts, axis=1)
+    t_par, dist, min_dist = _nearest(points, table)
     w = kernel_eval(spec, min_dist / eps) @ masses
-
-    active = (table.flux * table.length) > 0.0
-    if np.any(active & (w <= 0.0)):
-        raise ValueError("energy_max gradient: zero multiplicity under transported mass")
-    g_pow = np.zeros_like(w)
-    gw = np.zeros_like(w)
-    np.power(w, alpha - 1.0, out=g_pow, where=active)
-    np.power(w, alpha - 2.0, out=gw, where=active)
-    gw *= (alpha - 1.0) * table.flux * table.length
-    g_len = g_pow * table.flux
+    gw, g_len = _gradient_weights(table, w, alpha, "energy_max_gradient")
 
     size = table.size
     ga = np.zeros((size, 2))
@@ -230,10 +233,8 @@ def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
     rows = np.arange(size)
     for j, start in enumerate(table.group_starts):
         stop = table.group_starts[j + 1] if j + 1 < len(table.group_starts) else size
-        block = dist[:, start:stop]
-        local = np.argmin(block, axis=1)
-        seg = start + local
-        dval = block[rows, local]
+        seg = start + np.argmin(dist[:, start:stop], axis=1)
+        dval = min_dist[:, j]
         coeff = gw * masses[j] * kernel_derivative(spec, dval / eps) / eps
         positive = dval > 0.0
         if not np.any(positive):

@@ -74,6 +74,8 @@ class ObjectiveValue:
 
 def _branch_arrays(plan: BranchPlan):
     """Segment table plus per-segment density and parameter weights."""
+    if not isinstance(plan, BranchPlan):
+        raise TypeError("tree objective is defined on branch plans")
     table = segment_table(plan)
     density = np.concatenate([br.m for br in plan.branches])
     du = np.concatenate([np.full(len(br.m), 1.0 / len(br.m)) for br in plan.branches])
@@ -161,8 +163,6 @@ def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig) -> np.ndarra
     Returns sensitivities for every interior vertex coordinate and every
     density entry; the root vertex is pinned to zero by the free mask.
     """
-    if not isinstance(plan, BranchPlan):
-        raise TypeError("tree objective is defined on branch plans")
     table, density, du = _branch_arrays(plan)
     size = table.size
     mids = table.midpoint

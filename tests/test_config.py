@@ -7,6 +7,7 @@ import pytest
 from ramify.config import (
     PRESETS,
     ConfigError,
+    RunConfig,
     load_config_file,
     merge_config,
     resolve_config,
@@ -22,6 +23,7 @@ def test_empty_config_gets_defaults():
     assert cfg.descent.eps_schedule == (0.1,)
     assert cfg.experiment is None
     assert cfg.merge_tol is None
+    assert cfg == RunConfig()
 
 
 def test_unknown_top_level_key_rejected():
@@ -47,6 +49,8 @@ def test_type_errors_are_reported_with_location():
         validate_config({"objective": {"alpha": "big"}})
     with pytest.raises(ConfigError, match="descent.j_max"):
         validate_config({"descent": {"j_max": 1.5}})
+    with pytest.raises(ConfigError, match="objective.eps must be finite"):
+        validate_config({"objective": {"eps": 10 ** 400}})
     with pytest.raises(ConfigError, match="must be true or false"):
         validate_config({"objective": {"penalty_arclength": 1}})
     with pytest.raises(ConfigError):
@@ -68,6 +72,14 @@ def test_value_range_checks():
         validate_config({"functional": "mean"})
     with pytest.raises(ConfigError):
         validate_config({"experiment": "irrigation"})
+    with pytest.raises(ConfigError, match="measure"):
+        validate_config({"measure": {"n": 0}})
+    with pytest.raises(ConfigError, match="fan"):
+        validate_config({"fan": {"spread_angle": 3.5}})
+    with pytest.raises(ConfigError, match="counterexample"):
+        validate_config({"counterexample": {"l2": 0.95}})
+    with pytest.raises(ConfigError, match="gradcheck"):
+        validate_config({"gradcheck": {"max_segments": 1}})
 
 
 def test_all_presets_validate():

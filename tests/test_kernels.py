@@ -48,6 +48,10 @@ def test_unknown_kernel_kind_rejected():
 def test_negative_radius_rejected():
     with pytest.raises(ValueError):
         kernel_eval(KernelSpec("bump"), np.array([-0.1]))
+    a, b, x = np.zeros(2), np.array([1.0, 0.0]), np.array([0.5, 0.1])
+    for integral in (kernel_segment_integral, kernel_segment_integral_grad):
+        with pytest.raises(ValueError, match="quad_points must be at least 1"):
+            integral(KernelSpec("exponential"), a, b, x, 0.3, quad_points=0)
 
 
 def test_kernel_derivative_matches_finite_differences():

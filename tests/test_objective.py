@@ -12,7 +12,14 @@ from ramify.objective import (
     tree_objective,
     tree_objective_gradient,
 )
-from ramify.plan_model import Branch, BranchPlan, build_fan_branches, random_branch_plan
+from ramify.plan_model import (
+    Branch,
+    BranchPlan,
+    Path,
+    PathPlan,
+    build_fan_branches,
+    random_branch_plan,
+)
 
 
 def _two_branch_plan():
@@ -41,6 +48,16 @@ def test_config_validation():
     cfg = ObjectiveConfig(alpha=0.5, eps=0.2)
     assert cfg.with_eps(0.05).eps == 0.05
     assert cfg.with_eps(0.05).alpha == 0.5
+
+
+def test_path_plans_are_rejected_with_type_error():
+    path = Path(vertices=np.array([[0.0, 0.0], [1.0, 0.0]]), mass=1.0)
+    plan = PathPlan(paths=(path,))
+    cfg = ObjectiveConfig(alpha=0.5, eps=0.3, c1=1.0)
+    for entry in (leaf_payoff, lambda p: crowding_penalty(p, cfg),
+                  lambda p: tree_objective(p, cfg), lambda p: tree_objective_gradient(p, cfg)):
+        with pytest.raises(TypeError, match="branch plans"):
+            entry(plan)
 
 
 def test_leaf_payoff_hand_sum():
