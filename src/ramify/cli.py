@@ -20,6 +20,10 @@ import sys
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
+# Run-config settings that only some commands read; any other command
+# rejects a non-default value instead of silently ignoring it.
+_READ_BY = {"kernel": ("irrigate", "gamma-table"), "functional": ("irrigate",)}
+
 
 class NumericalCheckError(RuntimeError):
     """A numerical assertion of a command failed."""
@@ -64,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--preset", metavar="NAME",
                          help="named preset layered under the config file")
         cmd.add_argument("--out", metavar="DIR", help="output directory")
-        cmd.add_argument("--functional", choices=("avg", "max"),
-                         help="mollified energy form for path plans")
+        if name == "irrigate":
+            cmd.add_argument("--functional", choices=("avg", "max"),
+                             help="mollified energy form for path plans")
         if name == "gradcheck":
             cmd.add_argument("--corrupt-gradient", action="store_true",
                              help="test mode: corrupt one component to force failure")
@@ -406,18 +411,23 @@ def main(argv=None) -> int:
         print(f"configuration error: {env_error}", file=sys.stderr)
         return 2
 
-    from .config import ConfigError, load_config_file, resolve_config, validate_config
+    from .config import (ConfigError, RunConfig, load_config_file, resolve_config,
+                         validate_config)
 
     try:
         file_data = load_config_file(args.config) if args.config else None
         raw = resolve_config(file_data, args.preset)
-        if args.functional:
+        if getattr(args, "functional", None):
             raw["functional"] = args.functional
         run_cfg = validate_config(raw)
         if run_cfg.experiment is not None and run_cfg.experiment != args.command:
             raise ConfigError(
                 f"config is for experiment {run_cfg.experiment!r} "
                 f"but the {args.command!r} command was invoked")
+        for key, readers in _READ_BY.items():
+            if args.command not in readers and getattr(run_cfg, key) != getattr(RunConfig(), key):
+                raise ConfigError(f"the {args.command!r} command does not read {key!r}; "
+                                  f"only {', '.join(readers)} do")
         out_dir = args.out or run_cfg.out_dir or os.path.join("runs", args.command)
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "irrigate":

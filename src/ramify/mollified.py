@@ -10,7 +10,9 @@ form minimized by the irrigation experiments and is not lower
 semicontinuous, which the saturated two-path closed forms below witness.
 
 Branch plans use a mollified downstream flux built from the same segment
-integrals; its concave power discounts crowded regions of the tree.
+integrals; its concave power discounts crowded regions of the tree. Every
+kernel consumer pairs points with segments only through :func:`_pairs`
+and chain-rules the pair derivatives only through :func:`_pair_pulls`.
 
 Energies discretize the outer arc-length integral with the midpoint rule
 on the plan's own intervals. Inner segment integrals are exact for the
@@ -28,7 +30,6 @@ from .geometry import point_segment_projection
 from .gradients import scatter_segment_gradients
 from .kernels import (
     KernelSpec,
-    bump_segment_integral,
     kernel_derivative,
     kernel_eval,
     kernel_segment_integral,
@@ -42,8 +43,6 @@ class MollifiedEval:
     """Energy value with its per-segment midpoint-rule terms."""
 
     value: float
-    alpha: float
-    eps: float
     terms: np.ndarray  # (S,) contribution of each segment table row
 
 
@@ -58,6 +57,8 @@ def _check_eps(eps: float):
 
 
 def _path_masses(plan: PathPlan) -> np.ndarray:
+    if not isinstance(plan, PathPlan):
+        raise TypeError("mollified multiplicities and energies are defined on path plans")
     return np.array([p.mass for p in plan.paths])
 
 
@@ -66,11 +67,8 @@ def _query(field, x, plan: PathPlan, eps: float, *args):
     at an (N, 2) array of points."""
     _check_eps(eps)
     pts = np.asarray(x, dtype=float)
-    points = np.atleast_2d(pts)
-    if plan.paths:
-        values = field(points, segment_table(plan), _path_masses(plan), eps, *args)
-    else:
-        values = np.zeros(len(points))
+    masses = _path_masses(plan)
+    values = field(np.atleast_2d(pts), segment_table(plan), masses, eps, *args)
     return float(values[0]) if pts.ndim == 1 else values
 
 
@@ -103,11 +101,25 @@ def _capped(mat: np.ndarray, table: SegmentTable, masses: np.ndarray):
     return np.minimum(inner, 1.0) @ masses, inner < 1.0
 
 
+def _pairs(table: SegmentTable, points: np.ndarray, eps: float,
+           spec: KernelSpec = KernelSpec(), quad_points: int = 32, grad: bool = False):
+    """(T, S) kernel segment integrals of all (point, segment) pairs; with
+    ``grad`` also their (T, S, 2) derivatives in segment start, end and point."""
+    integral = kernel_segment_integral_grad if grad else kernel_segment_integral
+    return integral(spec, table.a[None, :, :], table.b[None, :, :], points[:, None, :],
+                    eps, quad_points)
+
+
+def _pair_pulls(weight: np.ndarray, d_a: np.ndarray, d_b: np.ndarray, d_x: np.ndarray):
+    """Chain rule through the pair integrals: a (T, S) weight on the pair
+    values gives (S, 2) segment start and end pulls and (T, 2) point pulls."""
+    return (np.einsum("ts,tsk->sk", weight, d_a), np.einsum("ts,tsk->sk", weight, d_b),
+            np.einsum("ts,tsk->tk", weight, d_x))
+
+
 def _multiplicity_avg(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
                       eps: float, spec: KernelSpec, quad_points: int) -> np.ndarray:
-    mat = kernel_segment_integral(spec, table.a[None, :, :], table.b[None, :, :],
-                                  points[:, None, :], eps, quad_points)
-    return _capped(mat, table, masses)[0]
+    return _capped(_pairs(table, points, eps, spec, quad_points), table, masses)[0]
 
 
 def multiplicity_avg(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec(),
@@ -139,11 +151,11 @@ def _powers(table: SegmentTable, w: np.ndarray, alpha: float, what: str):
     return active, powers
 
 
-def _midpoint_energy(table: SegmentTable, w: np.ndarray, alpha: float, eps: float,
+def _midpoint_energy(table: SegmentTable, w: np.ndarray, alpha: float,
                      what: str) -> MollifiedEval:
     active, powers = _powers(table, w, alpha, what)
     terms = np.where(active, powers * table.flux * table.length, 0.0)
-    return MollifiedEval(value=float(terms.sum()), alpha=alpha, eps=eps, terms=terms)
+    return MollifiedEval(value=float(terms.sum()), terms=terms)
 
 
 def _gradient_weights(table: SegmentTable, w: np.ndarray, alpha: float, what: str):
@@ -164,11 +176,10 @@ def energy_max(plan: PathPlan, alpha: float, eps: float,
     """
     _check_alpha(alpha)
     _check_eps(eps)
-    if not plan.paths:
-        return MollifiedEval(value=0.0, alpha=alpha, eps=eps, terms=np.zeros(0))
+    masses = _path_masses(plan)
     table = segment_table(plan)
-    w = _multiplicity_max(table.midpoint, table, _path_masses(plan), eps, spec)
-    return _midpoint_energy(table, w, alpha, eps, "energy_max")
+    w = _multiplicity_max(table.midpoint, table, masses, eps, spec)
+    return _midpoint_energy(table, w, alpha, "energy_max")
 
 
 def energy_avg(plan: PathPlan, alpha: float, eps: float,
@@ -176,11 +187,10 @@ def energy_avg(plan: PathPlan, alpha: float, eps: float,
     """Midpoint-rule energy built on the integral-average multiplicity."""
     _check_alpha(alpha)
     _check_eps(eps)
-    if not plan.paths:
-        return MollifiedEval(value=0.0, alpha=alpha, eps=eps, terms=np.zeros(0))
+    masses = _path_masses(plan)
     table = segment_table(plan)
-    w = _multiplicity_avg(table.midpoint, table, _path_masses(plan), eps, spec, quad_points)
-    return _midpoint_energy(table, w, alpha, eps, "energy_avg")
+    w = _multiplicity_avg(table.midpoint, table, masses, eps, spec, quad_points)
+    return _midpoint_energy(table, w, alpha, "energy_avg")
 
 
 def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
@@ -193,19 +203,15 @@ def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
     """
     _check_alpha(alpha)
     _check_eps(eps)
-    table = segment_table(plan)
     masses = _path_masses(plan)
-    mat, d_a, d_b, d_x = kernel_segment_integral_grad(
-        spec, table.a[None, :, :], table.b[None, :, :], table.midpoint[:, None, :], eps,
-        quad_points)
+    table = segment_table(plan)
+    mat, *pair_grads = _pairs(table, table.midpoint, eps, spec, quad_points, grad=True)
     w, uncapped = _capped(mat, table, masses)
     gw, g_len = _gradient_weights(table, w, alpha, "energy_avg_gradient")
 
     # Weight of each (midpoint, source segment) pairing in the chain rule.
     weight = gw[:, None] * (masses[table.owner][None, :] * uncapped[:, table.owner])
-    ga = np.einsum("ts,tsk->sk", weight, d_a)
-    gb = np.einsum("ts,tsk->sk", weight, d_b)
-    gx = np.einsum("ts,tsk->tk", weight, d_x)
+    ga, gb, gx = _pair_pulls(weight, *pair_grads)
     return scatter_segment_gradients(plan, table, ga, gb, gx, g_len)
 
 
@@ -219,8 +225,8 @@ def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
     """
     _check_alpha(alpha)
     _check_eps(eps)
-    table = segment_table(plan)
     masses = _path_masses(plan)
+    table = segment_table(plan)
     points = table.midpoint
     t_par, dist, min_dist = _nearest(points, table)
     w = kernel_eval(spec, min_dist / eps) @ masses
@@ -262,9 +268,7 @@ def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
 
 
 def _mollified_flux(table: SegmentTable, eps: float) -> np.ndarray:
-    mat = bump_segment_integral(table.a[None, :, :], table.b[None, :, :],
-                                table.midpoint[:, None, :], eps)
-    return mat @ table.flux
+    return _pairs(table, table.midpoint, eps) @ table.flux
 
 
 def floored_power(multiplicity: np.ndarray, transported: np.ndarray,
@@ -299,13 +303,68 @@ def branch_irrigation_cost(plan: BranchPlan, alpha: float, eps: float,
     if f_min < 0.0:
         raise ValueError("f_min must be nonnegative")
     terms = _branch_cost_terms(segment_table(plan), alpha, eps, f_min)
-    return MollifiedEval(value=float(terms.sum()), alpha=alpha, eps=eps, terms=terms)
+    return MollifiedEval(value=float(terms.sum()), terms=terms)
 
 
 def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float,
                        f_min: float) -> np.ndarray:
     transported = table.flux * table.length
     return floored_power(_mollified_flux(table, eps), transported, alpha, f_min) * transported
+
+
+def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: float):
+    """Gradient of the branch irrigation cost (F = B @ flux at the midpoints):
+    pulls ga, gb, gx, direct length sensitivity g_len, and g_cell, the
+    sensitivity to each segment's own mass through the downstream flux."""
+    mat, *pair_grads = _pairs(table, table.midpoint, eps, grad=True)
+    flux_mol = mat @ table.flux
+    transported = table.flux * table.length
+    active = transported > 0.0
+    powers = floored_power(flux_mol, transported, alpha, f_min)
+    if f_min > 0.0 and not np.all(active):
+        # Zero-flux cells still pay the floored rate the instant density
+        # rises, so the one-sided derivative there needs the power term;
+        # leaving it at zero lets descent step into the density cusp.
+        idle = ~active
+        powers[idle] = np.power(np.maximum(flux_mol[idle], f_min), alpha - 1.0)
+    slope = np.zeros(table.size)
+    if f_min > 0.0:
+        unfloored = active & (flux_mol > f_min)
+    else:
+        unfloored = active
+    np.power(np.maximum(flux_mol, f_min), alpha - 2.0, out=slope, where=unfloored)
+    slope *= (alpha - 1.0)
+
+    g_flux_mol = slope * transported
+    g_flux = mat.T @ g_flux_mol + powers * table.length
+    ga, gb, gx = _pair_pulls(g_flux_mol[:, None] * table.flux[None, :], *pair_grads)
+    return ga, gb, gx, powers * table.flux, _downstream_flux_adjoint(table, g_flux)
+
+
+def _downstream_flux_adjoint(table: SegmentTable, g_flux: np.ndarray) -> np.ndarray:
+    """Adjoint of the per-segment downstream flux in each segment's mass.
+
+    Downstream flux is half the local mass plus everything beyond it on
+    the same branch, so the adjoint is half the local pull plus the
+    pulls of every earlier segment of the branch.
+    """
+    g_cell = np.zeros_like(g_flux)
+    bounds = list(table.group_starts) + [table.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = g_flux[start:stop]
+        prefix = np.zeros_like(block)
+        np.cumsum(block[:-1], out=prefix[1:])
+        g_cell[start:stop] = 0.5 * block + prefix
+    return g_cell
+
+
+def _check_saturated(m1: float, m2: float, l1: float, l2: float, alpha: float):
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if m1 <= 0.0 or m2 <= 0.0:
+        raise ValueError("masses must be positive")
+    if not 0.0 < l2 < 1.0 < l1:
+        raise ValueError("need 0 < l2 < 1 < l1 for the saturated regime")
 
 
 def saturated_two_path_cost(m1: float, m2: float, l1: float, l2: float, alpha: float) -> float:
@@ -318,23 +377,13 @@ def saturated_two_path_cost(m1: float, m2: float, l1: float, l2: float, alpha: f
     out naive minimization of the average form. At alpha = 1 the value is
     plain weighted length and lengthening always costs more.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if m1 <= 0.0 or m2 <= 0.0:
-        raise ValueError("masses must be positive")
-    if not 0.0 < l2 < 1.0 < l1:
-        raise ValueError("need 0 < l2 < 1 < l1 for the saturated regime")
+    _check_saturated(m1, m2, l1, l2, alpha)
     return (m1 + m2 * l2) ** (alpha - 1.0) * (m1 * l1 + m2 * l2)
 
 
 def saturated_two_path_cost_dl2(m1: float, m2: float, l1: float, l2: float, alpha: float) -> float:
     """Derivative of :func:`saturated_two_path_cost` in the short length l2."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if m1 <= 0.0 or m2 <= 0.0:
-        raise ValueError("masses must be positive")
-    if not 0.0 < l2 < 1.0 < l1:
-        raise ValueError("need 0 < l2 < 1 < l1 for the saturated regime")
+    _check_saturated(m1, m2, l1, l2, alpha)
     bundle = m1 + m2 * l2
     total = m1 * l1 + m2 * l2
     return bundle ** (alpha - 1.0) * m2 * (1.0 - (1.0 - alpha) * total / bundle)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gradients import central_difference, scatter_segment_gradients
-from .kernels import bump_segment_integral_grad
-from .mollified import _branch_cost_terms, floored_power
+from .mollified import _branch_cost_gradient, _branch_cost_terms
 from .plan_model import BranchPlan, segment_table
 
 PENALTY_KERNELS = ("gaussian", "powerlaw")
@@ -140,23 +139,6 @@ def tree_objective(plan: BranchPlan, cfg: ObjectiveConfig) -> ObjectiveValue:
     return ObjectiveValue(total=total, irrigation=irrigation, penalty=penalty, payoff=payoff)
 
 
-def _downstream_flux_adjoint(table, g_flux: np.ndarray) -> np.ndarray:
-    """Adjoint of the per-segment downstream flux in each segment's mass.
-
-    Downstream flux is half the local mass plus everything beyond it on
-    the same branch, so the adjoint is half the local pull plus the
-    pulls of every earlier segment of the branch.
-    """
-    g_cell = np.zeros_like(g_flux)
-    bounds = list(table.group_starts) + [table.size]
-    for start, stop in zip(bounds, bounds[1:]):
-        block = g_flux[start:stop]
-        prefix = np.zeros_like(block)
-        np.cumsum(block[:-1], out=prefix[1:])
-        g_cell[start:stop] = 0.5 * block + prefix
-    return g_cell
-
-
 def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig) -> np.ndarray:
     """Exact gradient of :func:`tree_objective` in free coordinates.
 
@@ -164,41 +146,8 @@ def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig) -> np.ndarra
     density entry; the root vertex is pinned to zero by the free mask.
     """
     table, density, du = _branch_arrays(plan)
-    size = table.size
     mids = table.midpoint
-
-    # Irrigation term: F = B @ flux at the segment midpoints.
-    mat, d_a, d_b, d_x = bump_segment_integral_grad(
-        table.a[None, :, :], table.b[None, :, :], mids[:, None, :], cfg.eps)
-    flux_mol = mat @ table.flux
-    transported = table.flux * table.length
-    active = transported > 0.0
-    powers = floored_power(flux_mol, transported, cfg.alpha, cfg.f_min)
-    if cfg.f_min > 0.0 and not np.all(active):
-        # Zero-flux cells still pay the floored rate the instant density
-        # rises, so the one-sided derivative there needs the power term;
-        # leaving it at zero lets descent step into the density cusp.
-        idle = ~active
-        powers[idle] = np.power(np.maximum(flux_mol[idle], cfg.f_min),
-                                cfg.alpha - 1.0)
-    slope = np.zeros(size)
-    if cfg.f_min > 0.0:
-        unfloored = active & (flux_mol > cfg.f_min)
-    else:
-        unfloored = active
-    np.power(np.maximum(flux_mol, cfg.f_min), cfg.alpha - 2.0, out=slope, where=unfloored)
-    slope *= (cfg.alpha - 1.0)
-
-    g_flux_mol = slope * transported
-    g_flux = mat.T @ g_flux_mol + powers * table.length
-    g_len = powers * table.flux
-
-    pair_weight = g_flux_mol[:, None] * table.flux[None, :]
-    ga = np.einsum("ts,tsk->sk", pair_weight, d_a)
-    gb = np.einsum("ts,tsk->sk", pair_weight, d_b)
-    gx = np.einsum("ts,tsk->tk", pair_weight, d_x)
-
-    g_cell = _downstream_flux_adjoint(table, g_flux)
+    ga, gb, gx, g_len, g_cell = _branch_cost_gradient(table, cfg.alpha, cfg.eps, cfg.f_min)
     g_density = g_cell * table.length
     g_len = g_len + g_cell * density
 

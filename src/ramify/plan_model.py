@@ -204,9 +204,6 @@ class SegmentTable:
     def size(self) -> int:
         return len(self.length)
 
-    def owner_count(self) -> int:
-        return len(self.group_starts)
-
 
 def segment_table(plan) -> SegmentTable:
     """Build the flattened segment table for a path or branch plan."""

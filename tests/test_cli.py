@@ -181,6 +181,19 @@ def test_config_errors_exit_two(tmp_path):
     bad = _write_config(tmp_path, {"objective": {"alfa": 0.5}})
     assert main(["irrigate", "--config", bad, "--out", str(tmp_path / "x")]) == 2
     assert main(["irrigate", "--preset", "fig9", "--out", str(tmp_path / "y")]) == 2
+    # kernel is read only by irrigate and gamma-table, functional only by irrigate
+    for command, setting in (("treeopt", {"kernel": "exponential"}),
+                             ("treeopt", {"functional": "max"}),
+                             ("gradcheck", {"kernel": "rational"}),
+                             ("counterexample", {"kernel": "triangular"}),
+                             ("gamma-table", {"functional": "max"})):
+        unread = _write_config(tmp_path, setting, name=f"{command}-unread.json")
+        out = str(tmp_path / f"{command}-unread")
+        assert main([command, "--config", unread, "--out", out]) == 2
+        assert not os.path.exists(out)
+    with pytest.raises(SystemExit) as info:
+        main(["treeopt", "--functional", "max", "--out", str(tmp_path / "z")])
+    assert info.value.code == 2
 
 
 def test_experiment_subcommand_mismatch_exits_two(tmp_path):

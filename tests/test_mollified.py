@@ -24,6 +24,7 @@ from ramify.plan_model import (
     BranchPlan,
     Path,
     PathPlan,
+    build_fan_branches,
     build_star_plan,
     half_circle_targets,
     segment_table,
@@ -195,6 +196,33 @@ def test_energy_rejects_bad_arguments():
         energy_avg(plan, 0.5, 0.0)
     with pytest.raises(ValueError):
         energy_max(plan, 0.5, -1.0)
+
+
+def test_branch_plans_are_rejected_with_type_error():
+    plan = build_fan_branches(3)
+    for entry in (lambda p: energy_avg(p, 0.5, 0.1), lambda p: energy_max(p, 0.5, 0.1),
+                  lambda p: energy_avg_gradient(p, 0.5, 0.1),
+                  lambda p: energy_max_gradient(p, 0.5, 0.1),
+                  lambda p: multiplicity_avg([0.0, 0.5], p, 0.1),
+                  lambda p: multiplicity_max([0.0, 0.5], p, 0.1)):
+        with pytest.raises(TypeError, match="path plans"):
+            entry(plan)
+
+
+def test_empty_path_plan_has_zero_energy_gradient_and_multiplicity():
+    plan = PathPlan(paths=())
+    probes = np.array([[0.0, 0.0], [0.3, 0.4]])
+    for kind in ("bump", "exponential"):
+        spec = KernelSpec(kind)
+        for fn in (energy_avg, energy_max):
+            ev = fn(plan, 0.5, 0.1, spec=spec)
+            assert ev.value == 0.0
+            assert ev.terms.shape == (0,)
+        for gfn in (energy_avg_gradient, energy_max_gradient):
+            assert gfn(plan, 0.5, 0.1, spec=spec).shape == (0,)
+        for mult in (multiplicity_avg, multiplicity_max):
+            assert mult([0.3, 0.4], plan, 0.1, spec=spec) == 0.0
+            assert np.array_equal(mult(probes, plan, 0.1, spec=spec), np.zeros(2))
 
 
 def _relative_gradient_gap(analytic, numeric):
