@@ -22,7 +22,19 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 # Run-config settings that only some commands read; any other command
 # rejects a non-default value instead of silently ignoring it.
-_READ_BY = {"kernel": ("irrigate", "gamma-table"), "functional": ("irrigate",)}
+_READ_BY = {
+    "kernel": ("irrigate", "gamma-table"),
+    "functional": ("irrigate",),
+    "quad_points": ("irrigate", "gamma-table", "counterexample"),
+    "merge_tol": ("irrigate",),
+    "measure": ("irrigate", "gamma-table"),
+    "fan": ("treeopt",),
+    "descent": ("irrigate", "treeopt"),
+    "gamma": ("gamma-table",),
+    "counterexample": ("counterexample",),
+    "gradcheck": ("gradcheck",),
+    "objective": ("irrigate", "treeopt", "gamma-table", "gradcheck"),
+}
 
 
 class NumericalCheckError(RuntimeError):

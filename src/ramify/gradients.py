@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plan_model import Branch, BranchPlan, Path, PathPlan
+from .plan_model import _owners
 
 
 def _int_slots(blocks: list) -> np.ndarray:
@@ -48,20 +48,15 @@ class Layout:
         terminals are pinned when the path's ``terminal_fixed`` flag is
         set. Densities are always free; the projection clamps them.
         """
-        if isinstance(plan, PathPlan):
-            owners = [(p.vertices.shape[0], 0, p.terminal_fixed) for p in plan.paths]
-        elif isinstance(plan, BranchPlan):
-            owners = [(len(b.x), len(b.m), False) for b in plan.branches]
-        else:
-            raise TypeError("expected a PathPlan or BranchPlan")
         base = plan_to_vector(plan)
         free = np.ones(len(base), dtype=bool)
         offsets, counts, clamp, starts, m_slots = [], [], [], [], []
         offset = 0
-        for count, densities, terminal_fixed in owners:
+        for owner in _owners(plan):
+            count, densities = len(owner.vertices), len(owner.densities)
             x0, y0, m0 = offset, offset + count, offset + 2 * count
             free[[x0, y0]] = False
-            if terminal_fixed:
+            if owner.terminal_fixed:
                 free[[y0 - 1, m0 - 1]] = False
             starts.append(np.column_stack([np.arange(x0, y0 - 1), np.arange(y0, m0 - 1)]))
             if densities:
@@ -80,14 +75,9 @@ class Layout:
 def plan_to_vector(plan) -> np.ndarray:
     """Flatten a plan's coordinates (and densities) into the fixed layout."""
     blocks = []
-    if isinstance(plan, PathPlan):
-        for p in plan.paths:
-            blocks.extend([p.vertices[:, 0], p.vertices[:, 1], np.zeros(0)])
-    elif isinstance(plan, BranchPlan):
-        for b in plan.branches:
-            blocks.extend([b.x, b.y, b.m])
-    else:
-        raise TypeError("expected a PathPlan or BranchPlan")
+    for owner in _owners(plan):
+        vertices = owner.vertices
+        blocks.extend([vertices[:, 0], vertices[:, 1], owner.densities])
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
@@ -97,12 +87,8 @@ def vector_to_plan(vector: np.ndarray, layout: Layout):
     pieces = [(vector[lo:lo + count], vector[lo + count:lo + 2 * count], vector[lo + 2 * count:hi])
               for lo, hi, count in zip(layout.offsets, layout.offsets[1:], layout.counts)]
     template = layout.template
-    if isinstance(template, PathPlan):
-        return PathPlan(paths=tuple(
-            Path(vertices=np.column_stack([xs, ys]), mass=p.mass,
-                 terminal_fixed=p.terminal_fixed)
-            for p, (xs, ys, _) in zip(template.paths, pieces)))
-    return BranchPlan(branches=tuple(Branch(x=xs, y=ys, m=ms) for xs, ys, ms in pieces))
+    return type(template)(tuple(owner.rebuilt(*piece)
+                                for owner, piece in zip(_owners(template), pieces)))
 
 
 def scatter_segment_gradients(plan, table, ga, gb, gx, g_len, g_density=None) -> np.ndarray:

@@ -22,12 +22,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import cumulative_arclength, resample_polyline, segment_lengths
 from .gradients import Layout, plan_to_vector, vector_to_plan
 from .kernels import KernelSpec
 from .mollified import energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
 from .objective import ObjectiveConfig, ObjectiveValue, tree_objective, tree_objective_gradient
-from .plan_model import Branch, BranchPlan, Path, PathPlan
+from .plan_model import _owners
 
 TRACE_FIELDS = ("iter", "eps", "J", "I", "P", "H", "tau", "gnorm", "backtracks")
 TRACE_HEADER = ",".join(TRACE_FIELDS)
@@ -167,48 +166,13 @@ def project_plan(plan):
     return vector_to_plan(feasibility_project(layout.base, layout), layout)
 
 
-def _rediscretize_branch(branch: Branch) -> Branch:
-    vertices = branch.vertices
-    arcs = cumulative_arclength(vertices)
-    total = float(arcs[-1])
-    if total == 0.0:
-        return branch
-    count = len(branch.m)
-    new_vertices, new_arcs = resample_polyline(vertices, count + 1)
-    new_lengths = segment_lengths(new_vertices)
-    new_m = np.zeros(count)
-    for p in range(count):
-        lo, hi = new_arcs[p], new_arcs[p + 1]
-        acc = 0.0
-        for q in range(count):
-            overlap = min(hi, arcs[q + 1]) - max(lo, arcs[q])
-            if overlap > 0.0:
-                acc += branch.m[q] * overlap
-        new_m[p] = acc / new_lengths[p] if new_lengths[p] > 0.0 else 0.0
-    old_mass = float((branch.m * segment_lengths(vertices)).sum())
-    new_mass = float((new_m * new_lengths).sum())
-    if abs(new_mass - old_mass) > 1e-9 * max(1.0, old_mass):
-        return branch
-    return Branch(x=new_vertices[:, 0], y=new_vertices[:, 1], m=new_m)
-
-
 def rediscretize_plan(plan):
     """Re-sample every path or branch to equal arc length between knots.
 
-    Knot counts are unchanged and endpoints are preserved exactly.
-    Branch densities are remapped conservatively: the transported mass
-    of each new interval equals the mass of the arc span it covers, so
-    the total leaf mass is unchanged.
+    Knot counts, endpoints and leaf mass are unchanged; see ``Path.resampled``
+    and ``Branch.resampled``.
     """
-    if isinstance(plan, PathPlan):
-        paths = []
-        for p in plan.paths:
-            verts, _ = resample_polyline(p.vertices, p.vertices.shape[0])
-            paths.append(Path(vertices=verts, mass=p.mass, terminal_fixed=p.terminal_fixed))
-        return PathPlan(paths=tuple(paths))
-    if isinstance(plan, BranchPlan):
-        return BranchPlan(branches=tuple(_rediscretize_branch(b) for b in plan.branches))
-    raise TypeError("expected a PathPlan or BranchPlan")
+    return type(plan)(tuple(owner.resampled() for owner in _owners(plan)))
 
 
 def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad: np.ndarray,

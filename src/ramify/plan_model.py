@@ -6,6 +6,9 @@ the source at the origin to the atom position. A branch plan carries
 polylines with a piecewise-constant leaf density along each branch, so
 mass is shed continuously instead of delivered at terminals.
 
+A plan's ``owners`` (its paths or branches) answer every question in
+which the flavors differ, so code that handles both loops over owners.
+
 All value objects freeze their arrays after validation; operations that
 modify a plan build a new one.
 """
@@ -14,10 +17,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .geometry import bounding_box_diameter, segment_lengths
+from .geometry import (bounding_box_diameter, cumulative_arclength, resample_polyline,
+                       segment_lengths)
 
 
 class TopologyError(ValueError):
@@ -75,6 +80,7 @@ class Path:
     vertices: np.ndarray
     mass: float
     terminal_fixed: bool = True
+    densities: ClassVar[np.ndarray] = _freeze(np.zeros(0))  # a path sheds no mass
 
     def __post_init__(self):
         v = _freeze(self.vertices)
@@ -91,12 +97,47 @@ class Path:
     def segments(self) -> int:
         return self.vertices.shape[0] - 1
 
+    def segment_flux(self, lengths: np.ndarray) -> np.ndarray:
+        """Flux of each interval: the path's full mass."""
+        return np.full(len(lengths), self.mass)
+
+    def rebuilt(self, xs: np.ndarray, ys: np.ndarray, densities: np.ndarray) -> "Path":
+        """This path moved to new coordinates; mass and terminal flag carry over."""
+        return Path(vertices=np.column_stack([xs, ys]), mass=self.mass,
+                    terminal_fixed=self.terminal_fixed)
+
+    def resampled(self) -> "Path":
+        """The same curve with its knots at equal arc length."""
+        verts, _ = resample_polyline(self.vertices, self.vertices.shape[0])
+        return self.rebuilt(verts[:, 0], verts[:, 1], self.densities)
+
+    def to_dict(self) -> dict:
+        return {"mass": float(self.mass), "terminal_fixed": bool(self.terminal_fixed),
+                "vertices": [[float(x), float(y)] for x, y in self.vertices]}
+
+
+class _Plan:
+    """The view both plan kinds share over their owners, paths or branches."""
+
+    json_key: ClassVar[str]  # names both the owners' field and their JSON key
+
+    @property
+    def owners(self) -> tuple:
+        return getattr(self, self.json_key)
+
+    def all_vertices(self) -> np.ndarray:
+        return np.concatenate([o.vertices for o in self.owners] or [np.zeros((0, 2))], axis=0)
+
+    def diameter(self) -> float:
+        return bounding_box_diameter(self.all_vertices())
+
 
 @dataclass(frozen=True)
-class PathPlan:
+class PathPlan(_Plan):
     """A bundle of transport paths from a common source at the origin."""
 
     paths: tuple
+    json_key: ClassVar[str] = "paths"
 
     def __post_init__(self):
         paths = tuple(self.paths)
@@ -107,14 +148,6 @@ class PathPlan:
     @property
     def total_mass(self) -> float:
         return float(sum(p.mass for p in self.paths))
-
-    def all_vertices(self) -> np.ndarray:
-        if not self.paths:
-            return np.zeros((0, 2))
-        return np.concatenate([p.vertices for p in self.paths], axis=0)
-
-    def diameter(self) -> float:
-        return bounding_box_diameter(self.all_vertices())
 
 
 @dataclass(frozen=True)
@@ -128,6 +161,7 @@ class Branch:
     x: np.ndarray
     y: np.ndarray
     m: np.ndarray
+    terminal_fixed: ClassVar[bool] = False
 
     def __post_init__(self):
         x = _freeze(self.x).reshape(-1)
@@ -156,12 +190,56 @@ class Branch:
     def vertices(self) -> np.ndarray:
         return np.column_stack([self.x, self.y])
 
+    @property
+    def densities(self) -> np.ndarray:
+        return self.m
+
+    def segment_flux(self, lengths: np.ndarray) -> np.ndarray:
+        """Downstream leaf mass at each midpoint: m[p] L[p] / 2 + sum_{q > p} m[q] L[q]."""
+        m_l = self.m * lengths
+        tail = np.concatenate([np.cumsum(m_l[::-1])[::-1][1:], [0.0]])
+        return 0.5 * m_l + tail
+
+    def rebuilt(self, xs: np.ndarray, ys: np.ndarray, densities: np.ndarray) -> "Branch":
+        return Branch(x=xs, y=ys, m=densities)
+
+    def resampled(self) -> "Branch":
+        """The same curve with its knots at equal arc length.
+
+        The mass of each new interval is the mass of the old arc span it
+        covers. A zero-length branch, or one whose remapped leaf mass
+        drifts by more than 1e-9 relative, comes back unchanged.
+        """
+        vertices = self.vertices
+        arcs = cumulative_arclength(vertices)
+        if float(arcs[-1]) == 0.0:
+            return self
+        count = len(self.m)
+        new_vertices, new_arcs = resample_polyline(vertices, count + 1)
+        new_lengths = segment_lengths(new_vertices)
+        # overlap[q, p]: arc length shared by old interval q and new interval p.
+        overlap = (np.minimum(new_arcs[None, 1:], arcs[1:, None])
+                   - np.maximum(new_arcs[None, :-1], arcs[:-1, None]))
+        # Reducing along axis 0 adds the old intervals in order, one row at
+        # a time; a pairwise sum would change the last bits of the result.
+        acc = np.where(overlap > 0.0, self.m[:, None] * overlap, 0.0).sum(axis=0)
+        new_m = np.divide(acc, new_lengths, out=np.zeros(count), where=new_lengths > 0.0)
+        old_mass = float((self.m * segment_lengths(vertices)).sum())
+        new_mass = float((new_m * new_lengths).sum())
+        if abs(new_mass - old_mass) > 1e-9 * max(1.0, old_mass):
+            return self
+        return Branch(x=new_vertices[:, 0], y=new_vertices[:, 1], m=new_m)
+
+    def to_dict(self) -> dict:
+        return {key: [float(v) for v in getattr(self, key)] for key in ("x", "y", "m")}
+
 
 @dataclass(frozen=True)
-class BranchPlan:
+class BranchPlan(_Plan):
     """A bundle of density-carrying branches rooted at the origin."""
 
     branches: tuple
+    json_key: ClassVar[str] = "branches"
 
     def __post_init__(self):
         branches = tuple(self.branches)
@@ -170,12 +248,6 @@ class BranchPlan:
         if not all(isinstance(b, Branch) for b in branches):
             raise ValueError("a branch plan holds Branch entries")
         object.__setattr__(self, "branches", branches)
-
-    def all_vertices(self) -> np.ndarray:
-        return np.concatenate([b.vertices for b in self.branches], axis=0)
-
-    def diameter(self) -> float:
-        return bounding_box_diameter(self.all_vertices())
 
     def total_leaf_mass(self) -> float:
         return float(sum((b.m * segment_lengths(b.vertices)).sum() for b in self.branches))
@@ -205,37 +277,33 @@ class SegmentTable:
         return len(self.length)
 
 
+def _owners(plan) -> tuple:
+    """A plan's paths or branches; ``type(plan)(owners)`` rebuilds the plan."""
+    if isinstance(plan, _Plan):
+        return plan.owners
+    raise TypeError("expected a PathPlan or BranchPlan")
+
+
 def segment_table(plan) -> SegmentTable:
     """Build the flattened segment table for a path or branch plan."""
-    owners, intervals, starts, ends, fluxes = [], [], [], [], []
+    owner_ids, intervals, starts, ends, fluxes = [], [], [], [], []
     group_starts = []
     row = 0
-    if isinstance(plan, PathPlan):
-        items = [(p.vertices, None, p.mass) for p in plan.paths]
-    elif isinstance(plan, BranchPlan):
-        items = [(b.vertices, b.m, None) for b in plan.branches]
-    else:
-        raise TypeError("expected a PathPlan or BranchPlan")
-    for k, (verts, density, mass) in enumerate(items):
+    for k, owner in enumerate(_owners(plan)):
         group_starts.append(row)
+        verts = owner.vertices
         lengths = segment_lengths(verts)
         count = len(lengths)
-        if density is None:
-            flux = np.full(count, mass)
-        else:
-            m_l = density * lengths
-            tail = np.concatenate([np.cumsum(m_l[::-1])[::-1][1:], [0.0]])
-            flux = 0.5 * m_l + tail
-        owners.append(np.full(count, k, dtype=int))
+        owner_ids.append(np.full(count, k, dtype=int))
         intervals.append(np.arange(count))
         starts.append(verts[:-1])
         ends.append(verts[1:])
-        fluxes.append(flux)
+        fluxes.append(owner.segment_flux(lengths))
         row += count
     a = np.concatenate(starts) if starts else np.zeros((0, 2))
     b = np.concatenate(ends) if ends else np.zeros((0, 2))
     return SegmentTable(
-        owner=np.concatenate(owners) if owners else np.zeros(0, dtype=int),
+        owner=np.concatenate(owner_ids) if owner_ids else np.zeros(0, dtype=int),
         interval=np.concatenate(intervals) if intervals else np.zeros(0, dtype=int),
         a=a,
         b=b,
@@ -544,29 +612,8 @@ def _first_radius_crossing(vertices: np.ndarray, radius: float):
 
 
 def plan_to_dict(plan) -> dict:
-    if isinstance(plan, PathPlan):
-        return {
-            "paths": [
-                {
-                    "mass": float(p.mass),
-                    "terminal_fixed": bool(p.terminal_fixed),
-                    "vertices": [[float(x), float(y)] for x, y in p.vertices],
-                }
-                for p in plan.paths
-            ]
-        }
-    if isinstance(plan, BranchPlan):
-        return {
-            "branches": [
-                {
-                    "x": [float(v) for v in b.x],
-                    "y": [float(v) for v in b.y],
-                    "m": [float(v) for v in b.m],
-                }
-                for b in plan.branches
-            ]
-        }
-    raise TypeError("expected a PathPlan or BranchPlan")
+    owners = _owners(plan)
+    return {plan.json_key: [owner.to_dict() for owner in owners]}
 
 
 def plan_from_dict(data: dict):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .plan_model import BranchPlan, PathPlan, segment_table
+from .plan_model import segment_table
 
 LINE_COLOR = "#1f4e79"
 ATOM_COLOR = "#b22222"
@@ -49,8 +49,7 @@ def render_svg(plan, alpha: float = 0.5, targets=None, pixel_width: int = 640) -
     ``targets`` optionally draws the atoms of a target measure. ``alpha``
     sets the flux exponent used for stroke widths.
     """
-    if not isinstance(plan, (PathPlan, BranchPlan)):
-        raise TypeError("expected a PathPlan or BranchPlan")
+    table = segment_table(plan)
     lo, hi = _bounds(plan, targets)
     span = hi - lo
     scale = float(max(span[0], span[1]))
@@ -67,7 +66,6 @@ def render_svg(plan, alpha: float = 0.5, targets=None, pixel_width: int = 640) -
         f'<rect x="{_fmt(lo[0])}" y="{_fmt(lo[1])}" width="{_fmt(span[0])}" '
         f'height="{_fmt(span[1])}" fill="{BACKGROUND}"/>',
     ]
-    table = segment_table(plan)
     for i in range(table.size):
         ax, ay = pt(table.a[i])
         bx, by = pt(table.b[i])

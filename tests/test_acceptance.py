@@ -257,6 +257,7 @@ def test_descent_contracts_hold_exactly():
             assert new.x[-1] == old.x[-1] and new.y[-1] == old.y[-1]
 
 
+@pytest.mark.slow
 def test_irrigation_presets_merge_branches_into_fewer_trunks(tmp_path):
     for preset in ("fig2", "fig3"):
         summary, _, elapsed = _run_preset(
@@ -269,6 +270,7 @@ def test_irrigation_presets_merge_branches_into_fewer_trunks(tmp_path):
             f"{preset} never merged: clusters {counts}")
 
 
+@pytest.mark.slow
 def test_growth_presets_keep_leaf_mass_and_reduce_objective(tmp_path):
     for preset in ("fig4", "fig5"):
         summary, out, elapsed = _run_preset(

@@ -181,14 +181,25 @@ def test_config_errors_exit_two(tmp_path):
     bad = _write_config(tmp_path, {"objective": {"alfa": 0.5}})
     assert main(["irrigate", "--config", bad, "--out", str(tmp_path / "x")]) == 2
     assert main(["irrigate", "--preset", "fig9", "--out", str(tmp_path / "y")]) == 2
-    # kernel is read only by irrigate and gamma-table, functional only by irrigate
-    for command, setting in (("treeopt", {"kernel": "exponential"}),
-                             ("treeopt", {"functional": "max"}),
-                             ("gradcheck", {"kernel": "rational"}),
-                             ("counterexample", {"kernel": "triangular"}),
-                             ("gamma-table", {"functional": "max"})):
-        unread = _write_config(tmp_path, setting, name=f"{command}-unread.json")
-        out = str(tmp_path / f"{command}-unread")
+    # A command rejects every setting it does not read (cli._READ_BY).
+    for index, (command, setting) in enumerate((
+            ("treeopt", {"kernel": "exponential"}),
+            ("treeopt", {"functional": "max"}),
+            ("gradcheck", {"kernel": "rational"}),
+            ("counterexample", {"kernel": "triangular"}),
+            ("gamma-table", {"functional": "max"}),
+            ("treeopt", {"quad_points": 2}),
+            ("treeopt", {"merge_tol": 0.3}),
+            ("treeopt", {"measure": {"n": 7}}),
+            ("treeopt", {"gamma": {"gap_target": 0.5}}),
+            ("gamma-table", {"descent": {"j_max": 3}}),
+            ("gamma-table", {"fan": {"n": 3}}),
+            ("counterexample", {"objective": {"alpha": 0.7}}),
+            ("irrigate", {"counterexample": {"alpha": 0.7}}),
+            ("gradcheck", {"descent": {"j_max": 3}}),
+            ("treeopt", {"gradcheck": {"plans": 2}}))):
+        unread = _write_config(tmp_path, setting, name=f"unread-{index}.json")
+        out = str(tmp_path / f"unread-{index}")
         assert main([command, "--config", unread, "--out", out]) == 2
         assert not os.path.exists(out)
     with pytest.raises(SystemExit) as info:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ramify.geometry import cumulative_arclength, resample_polyline, segment_lengths
 from ramify.gradients import Layout, plan_to_vector, vector_to_plan
 from ramify.mollified import energy_avg_gradient, energy_max_gradient
 from ramify.objective import ObjectiveConfig, ObjectiveValue, tree_objective_gradient
@@ -329,6 +330,51 @@ def test_rediscretize_branch_conserves_leaf_mass():
         b = out.branches[0]
         assert b.x[-1] == pytest.approx(x[-1], abs=1e-12)
         assert b.y[-1] == pytest.approx(y[-1], abs=1e-12)
+
+
+def _reference_branch_remap(branch):
+    """The remap as a double loop over new and old intervals, for comparison."""
+    vertices = branch.vertices
+    arcs = cumulative_arclength(vertices)
+    if float(arcs[-1]) == 0.0:
+        return branch
+    count = len(branch.m)
+    new_vertices, new_arcs = resample_polyline(vertices, count + 1)
+    new_lengths = segment_lengths(new_vertices)
+    new_m = np.zeros(count)
+    for p in range(count):
+        lo, hi = new_arcs[p], new_arcs[p + 1]
+        acc = 0.0
+        for q in range(count):
+            overlap = min(hi, arcs[q + 1]) - max(lo, arcs[q])
+            if overlap > 0.0:
+                acc += branch.m[q] * overlap
+        new_m[p] = acc / new_lengths[p] if new_lengths[p] > 0.0 else 0.0
+    old_mass = float((branch.m * segment_lengths(vertices)).sum())
+    new_mass = float((new_m * new_lengths).sum())
+    if abs(new_mass - old_mass) > 1e-9 * max(1.0, old_mass):
+        return branch
+    return Branch(x=new_vertices[:, 0], y=new_vertices[:, 1], m=new_m)
+
+
+def test_rediscretize_branch_matches_the_interval_loop_bit_for_bit():
+    # Up to 30 intervals: below 8 terms numpy's pairwise sum is sequential,
+    # so only longer branches tell an ordered sum from a pairwise one.
+    rng = np.random.default_rng(11)
+    plans = [random_branch_plan(rng, max_segments=30) for _ in range(150)]
+    collapsed = Branch(x=[0.0, 0.3, 0.3, 0.8, 1.1], y=[0.0, 0.4, 0.4, 0.5, 0.9],
+                       m=[0.5, 0.7, 0.2, 0.9])
+    zero_length = Branch(x=np.zeros(4), y=np.zeros(4), m=[0.3, 0.6, 0.1])
+    plans.append(BranchPlan(branches=(collapsed, zero_length)))
+    for plan in plans:
+        out = rediscretize_plan(plan)
+        for old, new in zip(plan.branches, out.branches):
+            expected = _reference_branch_remap(old)
+            np.testing.assert_array_equal(new.x, expected.x)
+            np.testing.assert_array_equal(new.y, expected.y)
+            np.testing.assert_array_equal(new.m, expected.m)
+        assert abs(out.total_leaf_mass() - plan.total_leaf_mass()) <= 1e-12
+    assert rediscretize_plan(plans[-1]).branches[1] is zero_length
 
 
 def test_eps_continuation_stages_and_numbering():

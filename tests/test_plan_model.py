@@ -213,6 +213,18 @@ def test_plan_to_dict_is_json_serializable():
     assert "paths" in text
 
 
+def test_plan_kind_consumers_reject_a_non_plan():
+    from ramify.gradients import Layout, plan_to_vector
+    from ramify.optimizer import rediscretize_plan
+    from ramify.svg import render_svg
+
+    not_a_plan = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    for consumer in (segment_table, plan_to_dict, Layout.of, plan_to_vector,
+                     rediscretize_plan, render_svg):
+        with pytest.raises(TypeError, match="expected a PathPlan or BranchPlan"):
+            consumer(not_a_plan)
+
+
 def test_saturated_pair_plans_lengths_and_eps():
     l1, l2, delta, width = 4.0, 0.1, 0.1, 0.1
     short, long_detour, eps = saturated_pair_plans(l1=l1, l2=l2, delta=delta, width=width)
