@@ -13,6 +13,7 @@ RAMIFY_THREADS cap can be applied to the BLAS thread pools first.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,8 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
 # Run-config settings that only some commands read; any other command
-# rejects a non-default value instead of silently ignoring it.
+# rejects a non-default value instead of silently ignoring it. A dotted
+# key is one field of a section that not every reader of the section reads.
 _READ_BY = {
     "kernel": ("irrigate", "gamma-table"),
     "functional": ("irrigate",),
@@ -34,7 +36,12 @@ _READ_BY = {
     "counterexample": ("counterexample",),
     "gradcheck": ("gradcheck",),
     "objective": ("irrigate", "treeopt", "gamma-table", "gradcheck"),
+    "objective.eps": ("gradcheck",),  # treeopt takes eps from its schedule
+    "descent.m_init": ("treeopt",),
 }
+# Path energies read objective.alpha only; the branch objective reads every field.
+_READ_BY.update({f"objective.{key}": ("treeopt", "gradcheck") for key in (
+    "c1", "c2", "penalty_kernel", "beta", "gamma", "f_min", "penalty_arclength")})
 
 
 class NumericalCheckError(RuntimeError):
@@ -415,6 +422,20 @@ def cmd_gradcheck(run_cfg, out_dir: str, corrupt: bool = False) -> dict:
     return report
 
 
+def _check_read(run_cfg, command: str):
+    """Raise a ConfigError naming the first setting of ``run_cfg`` that
+    ``command`` does not read and that differs from its default."""
+    from .config import ConfigError, RunConfig
+
+    default = RunConfig()
+    for key, readers in _READ_BY.items():
+        path = key.split(".")
+        if command not in readers and (functools.reduce(getattr, path, run_cfg)
+                                       != functools.reduce(getattr, path, default)):
+            raise ConfigError(f"the {command!r} command does not read {key!r}; "
+                              f"only {', '.join(readers)} do")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -423,8 +444,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {env_error}", file=sys.stderr)
         return 2
 
-    from .config import (ConfigError, RunConfig, load_config_file, resolve_config,
-                         validate_config)
+    from .config import ConfigError, load_config_file, resolve_config, validate_config
 
     try:
         file_data = load_config_file(args.config) if args.config else None
@@ -436,10 +456,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config is for experiment {run_cfg.experiment!r} "
                 f"but the {args.command!r} command was invoked")
-        for key, readers in _READ_BY.items():
-            if args.command not in readers and getattr(run_cfg, key) != getattr(RunConfig(), key):
-                raise ConfigError(f"the {args.command!r} command does not read {key!r}; "
-                                  f"only {', '.join(readers)} do")
+        _check_read(run_cfg, args.command)
         out_dir = args.out or run_cfg.out_dir or os.path.join("runs", args.command)
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "irrigate":

@@ -77,15 +77,28 @@ def point_segment_projection(points: np.ndarray, a: np.ndarray, b: np.ndarray):
     x = np.asarray(points, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    return pair_projection(x[:, None, :], a[None, :, :], b[None, :, :])
+
+
+def pair_projection(points: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Closest-point parameters and distances of paired points and segments.
+
+    Point k pairs with segment (a[k], b[k]); the arrays broadcast against
+    each other over every axis but the trailing coordinate axis, which the
+    results drop. Each pair's arithmetic is the same whatever the shape.
+    """
+    x = np.asarray(points, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     d = b - a
-    den = np.einsum("sk,sk->s", d, d)
-    w = x[:, None, :] - a[None, :, :]
-    num = np.einsum("tsk,sk->ts", w, d)
+    den = np.einsum("...k,...k->...", d, d)
+    w = x - a
+    num = np.einsum("...k,...k->...", w, d)
     with np.errstate(invalid="ignore", divide="ignore"):
         t = np.where(den > 0.0, num / den, 0.0)
     np.clip(t, 0.0, 1.0, out=t)
-    diff = w - t[:, :, None] * d[None, :, :]
-    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
+    diff = w - t[..., None] * d
+    dist = np.hypot(diff[..., 0], diff[..., 1])
     return t, dist
 
 

@@ -11,8 +11,12 @@ semicontinuous, which the saturated two-path closed forms below witness.
 
 Branch plans use a mollified downstream flux built from the same segment
 integrals; its concave power discounts crowded regions of the tree. Every
-kernel consumer pairs points with segments only through :func:`_pairs`
+kernel consumer pairs points with segments only through one pair list,
+:func:`_pair_list`, evaluates kernels on it only through :func:`_pairs`
 and chain-rules the pair derivatives only through :func:`_pair_pulls`.
+For a compact kernel the list holds only the pairs a cell list finds
+near each other, so no (T, S) array is formed; every per-point, per-path
+or per-segment sum is a ``np.bincount`` over the pairs.
 
 Energies discretize the outer arc-length integral with the midpoint rule
 on the plan's own intervals. Inner segment integrals are exact for the
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import point_segment_projection
+from .geometry import pair_projection
 from .gradients import scatter_segment_gradients
 from .kernels import (
     KernelSpec,
@@ -67,21 +71,98 @@ def _query(field, x, plan: PathPlan, eps: float, *args):
     at an (N, 2) array of points."""
     _check_eps(eps)
     pts = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("query points must be finite")
     masses = _path_masses(plan)
     values = field(np.atleast_2d(pts), segment_table(plan), masses, eps, *args)
     return float(values[0]) if pts.ndim == 1 else values
 
 
-def _nearest(points: np.ndarray, table: SegmentTable):
-    """Projection parameters and distances from every point to every
-    segment, and each point's minimum distance to each path."""
-    t_par, dist = point_segment_projection(points, table.a, table.b)
-    return t_par, dist, np.minimum.reduceat(dist, table.group_starts, axis=1)
+def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
+               spec: KernelSpec):
+    """Point and segment indices (i, j) of every pair the kernel can reach,
+    sorted by point and then by segment.
+
+    A point within eps of a segment lies within eps plus half the segment's
+    length of its midpoint. For a compact kernel a uniform grid of cells
+    that wide (a cell list) yields the midpoints in the 3 x 3 block of cells
+    around each point, and the bounding-circle test keeps a superset of the
+    pairs closer than eps without forming all T x S of them. Non-compact
+    kernels reach every segment, so their list holds all T * S pairs.
+    """
+    count, size = len(points), table.size
+    if not spec.compact_support or count == 0 or size == 0:
+        return np.repeat(np.arange(count), size), np.tile(np.arange(size), count)
+    reach = (eps + 0.5 * table.length) * (1.0 + 1e-9)  # slack for rounding
+    mids = table.midpoint
+    origin = mids.min(axis=0)
+    span = mids.max(axis=0) - origin
+    width = max(reach.max(), span.max() / 2.0 ** 20)  # at most 2^20 cells a side
+    shape = (span // width).astype(int) + 1
+    cell = ((mids - origin) // width).astype(int)
+    keys = cell[:, 0] * shape[1] + cell[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # A column of three cells is one run of keys, so each point reads three runs.
+    home = np.clip((points - origin) // width, -2, shape + 1).astype(int)
+    column = home[:, :1] + np.arange(-1, 2)
+    low = np.maximum(home[:, 1:] - 1, 0)
+    high = np.minimum(home[:, 1:] + 1, shape[1] - 1)
+    first = np.searchsorted(keys, column * shape[1] + low, "left")
+    last = np.searchsorted(keys, column * shape[1] + high, "right")
+    hits = np.where((column >= 0) & (column < shape[0]) & (low <= high),
+                    last - first, 0).ravel()
+    ends = np.cumsum(hits)
+    i = np.repeat(np.arange(count), hits.reshape(count, 3).sum(axis=1))
+    j = order[np.repeat(first.ravel() - ends + hits, hits) + np.arange(ends[-1])]
+    gap = _rows(points, i)
+    gap -= _rows(mids, j)
+    gap *= gap
+    near = gap[:, 0] + gap[:, 1] <= np.take(reach * reach, j)
+    pair = np.sort(i[near] * size + j[near])
+    return pair // size, pair % size
+
+
+def _rows(array: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``array[index]`` for an (N, 2) array; ``np.take`` gathers rows several
+    times faster than fancy indexing."""
+    return np.take(array, index, axis=0)
+
+
+def _sum_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums of the (P,) or (P, 2) pair ``values`` in ``size`` bins of ``index``,
+    each bin adding its pairs in list order (as floats even with no pairs,
+    where ``np.bincount`` returns integer zeros)."""
+    if values.ndim == 2:
+        return np.stack([_sum_by(index, v, size) for v in values.T], axis=1)
+    return np.bincount(index, values, minlength=size).astype(float, copy=False)
+
+
+def _nearest(points: np.ndarray, table: SegmentTable, eps: float, spec: KernelSpec):
+    """Each point's minimum distance to each path, as a (T, n) array, and
+    the nearest pair of every (point, path) with pairs on the list.
+
+    The nearest pair is given as its point, segment, projection parameter
+    and distance; ties go to the lowest segment index, as ``argmin`` takes
+    them. A path with no pair on the list is at infinite distance, where
+    the compact kernel that left it off is 0.
+    """
+    i, j = _pair_list(table, points, eps, spec)
+    t_par, dist = pair_projection(_rows(points, i), _rows(table.a, j), _rows(table.b, j))
+    paths = len(table.group_starts)
+    run = i * paths + table.owner[j]
+    starts = np.flatnonzero(np.diff(run, prepend=-1))
+    low = np.minimum.reduceat(dist, starts)
+    at_low = dist == np.repeat(low, np.diff(starts, append=len(dist)))
+    rows = np.minimum.reduceat(np.where(at_low, np.arange(len(dist)), len(dist)), starts)
+    min_dist = np.full((len(points), paths), np.inf)
+    min_dist.flat[run[starts]] = low
+    return min_dist, (i[rows], j[rows], t_par[rows], low)
 
 
 def _multiplicity_max(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
                       eps: float, spec: KernelSpec) -> np.ndarray:
-    return kernel_eval(spec, _nearest(points, table)[2] / eps) @ masses
+    return kernel_eval(spec, _nearest(points, table, eps, spec)[0] / eps) @ masses
 
 
 def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec()) :
@@ -94,32 +175,41 @@ def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpe
     return _query(_multiplicity_max, x, plan, eps, spec)
 
 
-def _capped(mat: np.ndarray, table: SegmentTable, masses: np.ndarray):
-    """Mass-weighted sum of per-path arc integrals, each capped at 1, and
-    the mask of (point, path) integrals below the cap."""
-    inner = np.add.reduceat(mat, table.group_starts, axis=1)
+def _capped(i: np.ndarray, j: np.ndarray, value: np.ndarray, table: SegmentTable,
+            masses: np.ndarray, count: int):
+    """Mass-weighted sum of per-path arc integrals at ``count`` points, each
+    capped at 1, and the (T, n) mask of (point, path) integrals below the cap."""
+    paths = len(masses)
+    inner = _sum_by(i * paths + table.owner[j], value, count * paths).reshape(count, paths)
     return np.minimum(inner, 1.0) @ masses, inner < 1.0
 
 
 def _pairs(table: SegmentTable, points: np.ndarray, eps: float,
            spec: KernelSpec = KernelSpec(), quad_points: int = 32, grad: bool = False):
-    """(T, S) kernel segment integrals of all (point, segment) pairs; with
-    ``grad`` also their (T, S, 2) derivatives in segment start, end and point."""
+    """Indices i and j and kernel segment integrals of the pairs on the pair
+    list; with ``grad`` also their (P, 2) derivatives in segment start, end
+    and point."""
+    i, j = _pair_list(table, points, eps, spec)
     integral = kernel_segment_integral_grad if grad else kernel_segment_integral
-    return integral(spec, table.a[None, :, :], table.b[None, :, :], points[:, None, :],
-                    eps, quad_points)
+    out = integral(spec, _rows(table.a, j), _rows(table.b, j), _rows(points, i), eps,
+                   quad_points)
+    return (i, j) + (out if grad else (out,))
 
 
-def _pair_pulls(weight: np.ndarray, d_a: np.ndarray, d_b: np.ndarray, d_x: np.ndarray):
-    """Chain rule through the pair integrals: a (T, S) weight on the pair
-    values gives (S, 2) segment start and end pulls and (T, 2) point pulls."""
-    return (np.einsum("ts,tsk->sk", weight, d_a), np.einsum("ts,tsk->sk", weight, d_b),
-            np.einsum("ts,tsk->tk", weight, d_x))
+def _pair_pulls(table: SegmentTable, i: np.ndarray, j: np.ndarray, weight: np.ndarray,
+                d_a: np.ndarray, d_b: np.ndarray, d_x: np.ndarray):
+    """Chain rule through the pair integrals at the segment midpoints: a
+    weight on each pair's value gives (S, 2) segment start and end pulls
+    and (S, 2) midpoint pulls."""
+    return (_sum_by(j, weight[:, None] * d_a, table.size),
+            _sum_by(j, weight[:, None] * d_b, table.size),
+            _sum_by(i, weight[:, None] * d_x, table.size))
 
 
 def _multiplicity_avg(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
                       eps: float, spec: KernelSpec, quad_points: int) -> np.ndarray:
-    return _capped(_pairs(table, points, eps, spec, quad_points), table, masses)[0]
+    return _capped(*_pairs(table, points, eps, spec, quad_points), table, masses,
+                   len(points))[0]
 
 
 def multiplicity_avg(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec(),
@@ -205,13 +295,15 @@ def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
     _check_eps(eps)
     masses = _path_masses(plan)
     table = segment_table(plan)
-    mat, *pair_grads = _pairs(table, table.midpoint, eps, spec, quad_points, grad=True)
-    w, uncapped = _capped(mat, table, masses)
+    i, j, value, *pair_grads = _pairs(table, table.midpoint, eps, spec, quad_points,
+                                      grad=True)
+    w, uncapped = _capped(i, j, value, table, masses, table.size)
     gw, g_len = _gradient_weights(table, w, alpha, "energy_avg_gradient")
 
     # Weight of each (midpoint, source segment) pairing in the chain rule.
-    weight = gw[:, None] * (masses[table.owner][None, :] * uncapped[:, table.owner])
-    ga, gb, gx = _pair_pulls(weight, *pair_grads)
+    owner = table.owner[j]
+    weight = gw[i] * (masses[owner] * uncapped[i, owner])
+    ga, gb, gx = _pair_pulls(table, i, j, weight, *pair_grads)
     return scatter_segment_gradients(plan, table, ga, gb, gx, g_len)
 
 
@@ -228,32 +320,21 @@ def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
     masses = _path_masses(plan)
     table = segment_table(plan)
     points = table.midpoint
-    t_par, dist, min_dist = _nearest(points, table)
+    min_dist, (point, seg, tp, dval) = _nearest(points, table, eps, spec)
     w = kernel_eval(spec, min_dist / eps) @ masses
     gw, g_len = _gradient_weights(table, w, alpha, "energy_max_gradient")
 
-    size = table.size
-    ga = np.zeros((size, 2))
-    gb = np.zeros((size, 2))
-    gx = np.zeros((size, 2))
-    rows = np.arange(size)
-    for j, start in enumerate(table.group_starts):
-        stop = table.group_starts[j + 1] if j + 1 < len(table.group_starts) else size
-        seg = start + np.argmin(dist[:, start:stop], axis=1)
-        dval = min_dist[:, j]
-        coeff = gw * masses[j] * kernel_derivative(spec, dval / eps) / eps
-        positive = dval > 0.0
-        if not np.any(positive):
-            continue
-        tp = t_par[rows, seg]
-        proj = table.a[seg] + tp[:, None] * (table.b[seg] - table.a[seg])
-        normal = np.zeros((size, 2))
-        normal[positive] = (points[positive] - proj[positive]) / dval[positive, None]
-        pull = coeff[:, None] * normal
-        gx += pull
-        np.add.at(ga, seg[positive], -(1.0 - tp[positive, None]) * pull[positive])
-        np.add.at(gb, seg[positive], -tp[positive, None] * pull[positive])
-    return scatter_segment_gradients(plan, table, ga, gb, gx, g_len)
+    # One pull per (point, path) run, through the nearest segment of the path.
+    coeff = gw[point] * masses[table.owner[seg]] * kernel_derivative(spec, dval / eps) / eps
+    positive = dval > 0.0
+    proj = table.a[seg] + tp[:, None] * (table.b[seg] - table.a[seg])
+    normal = np.zeros((len(seg), 2))
+    normal[positive] = (points[point[positive]] - proj[positive]) / dval[positive, None]
+    pull = coeff[:, None] * normal
+    ga = _sum_by(seg, -(1.0 - tp[:, None]) * pull, table.size)
+    gb = _sum_by(seg, -tp[:, None] * pull, table.size)
+    return scatter_segment_gradients(plan, table, ga, gb, _sum_by(point, pull, table.size),
+                                     g_len)
 
 
 def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
@@ -268,7 +349,8 @@ def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
 
 
 def _mollified_flux(table: SegmentTable, eps: float) -> np.ndarray:
-    return _pairs(table, table.midpoint, eps) @ table.flux
+    i, j, value = _pairs(table, table.midpoint, eps)
+    return _sum_by(i, value * table.flux[j], table.size)
 
 
 def floored_power(multiplicity: np.ndarray, transported: np.ndarray,
@@ -313,11 +395,11 @@ def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float,
 
 
 def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: float):
-    """Gradient of the branch irrigation cost (F = B @ flux at the midpoints):
+    """Gradient of the branch irrigation cost (F = sum of value * flux over pairs):
     pulls ga, gb, gx, direct length sensitivity g_len, and g_cell, the
     sensitivity to each segment's own mass through the downstream flux."""
-    mat, *pair_grads = _pairs(table, table.midpoint, eps, grad=True)
-    flux_mol = mat @ table.flux
+    i, j, value, *pair_grads = _pairs(table, table.midpoint, eps, grad=True)
+    flux_mol = _sum_by(i, value * table.flux[j], table.size)
     transported = table.flux * table.length
     active = transported > 0.0
     powers = floored_power(flux_mol, transported, alpha, f_min)
@@ -336,8 +418,8 @@ def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: 
     slope *= (alpha - 1.0)
 
     g_flux_mol = slope * transported
-    g_flux = mat.T @ g_flux_mol + powers * table.length
-    ga, gb, gx = _pair_pulls(g_flux_mol[:, None] * table.flux[None, :], *pair_grads)
+    g_flux = _sum_by(j, value * g_flux_mol[i], table.size) + powers * table.length
+    ga, gb, gx = _pair_pulls(table, i, j, g_flux_mol[i] * table.flux[j], *pair_grads)
     return ga, gb, gx, powers * table.flux, _downstream_flux_adjoint(table, g_flux)
 
 

@@ -197,7 +197,15 @@ def test_config_errors_exit_two(tmp_path):
             ("counterexample", {"objective": {"alpha": 0.7}}),
             ("irrigate", {"counterexample": {"alpha": 0.7}}),
             ("gradcheck", {"descent": {"j_max": 3}}),
-            ("treeopt", {"gradcheck": {"plans": 2}}))):
+            ("treeopt", {"gradcheck": {"plans": 2}}),
+            # ...and every field it ignores inside a section it reads.
+            ("treeopt", {"objective": {"eps": 0.03}}),
+            ("irrigate", {"objective": {"eps": 0.7}}),
+            ("irrigate", {"objective": {"c1": 2.0}}),
+            ("irrigate", {"objective": {"penalty": {"kernel": "powerlaw"}}}),
+            ("gamma-table", {"objective": {"f_min": 0.0}}),
+            ("gamma-table", {"objective": {"penalty": {"beta": 2.0}}}),
+            ("irrigate", {"descent": {"m_init": 0.9}}))):
         unread = _write_config(tmp_path, setting, name=f"unread-{index}.json")
         out = str(tmp_path / f"unread-{index}")
         assert main([command, "--config", unread, "--out", out]) == 2

@@ -3,10 +3,29 @@
 import numpy as np
 import pytest
 
+import ramify.objective as objective_module
 from ramify.exact_cost import exact_multiplicity, exact_plan_cost
-from ramify.gradients import Layout, central_difference, plan_to_vector, vector_to_plan
-from ramify.kernels import KERNEL_KINDS, KernelSpec
+from ramify.geometry import point_segment_distance, point_segment_projection
+from ramify.gradients import (
+    Layout,
+    central_difference,
+    plan_to_vector,
+    scatter_segment_gradients,
+    vector_to_plan,
+)
+from ramify.kernels import (
+    KERNEL_KINDS,
+    KernelSpec,
+    kernel_derivative,
+    kernel_eval,
+    kernel_segment_integral,
+    kernel_segment_integral_grad,
+)
 from ramify.mollified import (
+    _downstream_flux_adjoint,
+    _gradient_weights,
+    _midpoint_energy,
+    _pair_list,
     branch_irrigation_cost,
     energy_avg,
     energy_avg_gradient,
@@ -19,6 +38,7 @@ from ramify.mollified import (
     saturated_two_path_cost,
     saturated_two_path_cost_dl2,
 )
+from ramify.objective import ObjectiveConfig, tree_objective_gradient
 from ramify.plan_model import (
     Branch,
     BranchPlan,
@@ -27,6 +47,7 @@ from ramify.plan_model import (
     build_fan_branches,
     build_star_plan,
     half_circle_targets,
+    random_branch_plan,
     segment_table,
 )
 
@@ -81,6 +102,14 @@ def test_multiplicity_avg_never_exceeds_total_mass():
         w = multiplicity_avg(probes, plan, 0.4, spec=KernelSpec(kind))
         assert np.all(w <= plan.total_mass + 1e-12)
         assert np.all(w >= 0.0)
+
+
+def test_multiplicities_reject_non_finite_query_points():
+    plan = _single_path_plan()
+    for mult in (multiplicity_max, multiplicity_avg):
+        for bad in ([np.nan, 0.0], [[0.5, 0.0], [np.inf, 0.1]]):
+            with pytest.raises(ValueError, match="query points must be finite"):
+                mult(bad, plan, 0.1)
 
 
 def test_multiplicity_max_dominates_exact_multiplicity():
@@ -317,3 +346,178 @@ def test_saturated_two_path_cost_validates_geometry():
         saturated_two_path_cost(-1.0, 1.0, 4.0, 0.1, 0.5)
     with pytest.raises(ValueError):
         saturated_two_path_cost(1.0, 1.0, 4.0, 0.1, 1.5)
+
+
+# Dense oracle: every (point, segment) pair on a (T, S) grid, as the pair
+# list's consumers computed it before the list replaced the grid.
+
+def _dense_pairs(table, points, eps, spec=KernelSpec(), grad=False):
+    integral = kernel_segment_integral_grad if grad else kernel_segment_integral
+    return integral(spec, table.a[None, :, :], table.b[None, :, :], points[:, None, :], eps)
+
+
+def _dense_pulls(weight, d_a, d_b, d_x):
+    return (np.einsum("ts,tsk->sk", weight, d_a), np.einsum("ts,tsk->sk", weight, d_b),
+            np.einsum("ts,tsk->tk", weight, d_x))
+
+
+def _dense_capped(mat, table, masses):
+    inner = np.add.reduceat(mat, table.group_starts, axis=1)
+    return np.minimum(inner, 1.0) @ masses, inner < 1.0
+
+
+def _dense_nearest(points, table):
+    t_par, dist = point_segment_projection(points, table.a, table.b)
+    return t_par, dist, np.minimum.reduceat(dist, table.group_starts, axis=1)
+
+
+def _dense_multiplicity_max(points, table, masses, eps, spec):
+    return kernel_eval(spec, _dense_nearest(points, table)[2] / eps) @ masses
+
+
+def _dense_energy_avg_gradient(plan, alpha, eps, spec):
+    table = segment_table(plan)
+    masses = np.array([p.mass for p in plan.paths])
+    mat, *pair_grads = _dense_pairs(table, table.midpoint, eps, spec, grad=True)
+    w, uncapped = _dense_capped(mat, table, masses)
+    gw, g_len = _gradient_weights(table, w, alpha, "oracle")
+    weight = gw[:, None] * (masses[table.owner][None, :] * uncapped[:, table.owner])
+    return scatter_segment_gradients(plan, table, *_dense_pulls(weight, *pair_grads), g_len)
+
+
+def _dense_energy_max_gradient(plan, alpha, eps, spec):
+    table = segment_table(plan)
+    masses = np.array([p.mass for p in plan.paths])
+    points = table.midpoint
+    t_par, dist, min_dist = _dense_nearest(points, table)
+    gw, g_len = _gradient_weights(table, kernel_eval(spec, min_dist / eps) @ masses, alpha,
+                                  "oracle")
+    size = table.size
+    ga, gb, gx = np.zeros((size, 2)), np.zeros((size, 2)), np.zeros((size, 2))
+    rows = np.arange(size)
+    for j, start in enumerate(table.group_starts):
+        stop = table.group_starts[j + 1] if j + 1 < len(table.group_starts) else size
+        seg = start + np.argmin(dist[:, start:stop], axis=1)
+        dval = min_dist[:, j]
+        coeff = gw * masses[j] * kernel_derivative(spec, dval / eps) / eps
+        positive = dval > 0.0
+        tp = t_par[rows, seg]
+        proj = table.a[seg] + tp[:, None] * (table.b[seg] - table.a[seg])
+        normal = np.zeros((size, 2))
+        normal[positive] = (points[positive] - proj[positive]) / dval[positive, None]
+        pull = coeff[:, None] * normal
+        gx += pull
+        np.add.at(ga, seg[positive], -(1.0 - tp[positive, None]) * pull[positive])
+        np.add.at(gb, seg[positive], -tp[positive, None] * pull[positive])
+    return scatter_segment_gradients(plan, table, ga, gb, gx, g_len)
+
+
+def _dense_branch_cost_gradient(table, alpha, eps, f_min):
+    mat, *pair_grads = _dense_pairs(table, table.midpoint, eps, grad=True)
+    flux_mol = mat @ table.flux
+    transported = table.flux * table.length
+    active = transported > 0.0
+    powers = floored_power(flux_mol, transported, alpha, f_min)
+    if f_min > 0.0 and not np.all(active):
+        idle = ~active
+        powers[idle] = np.power(np.maximum(flux_mol[idle], f_min), alpha - 1.0)
+    slope = np.zeros(table.size)
+    unfloored = active & (flux_mol > f_min) if f_min > 0.0 else active
+    np.power(np.maximum(flux_mol, f_min), alpha - 2.0, out=slope, where=unfloored)
+    slope *= (alpha - 1.0)
+    g_flux_mol = slope * transported
+    g_flux = mat.T @ g_flux_mol + powers * table.length
+    ga, gb, gx = _dense_pulls(g_flux_mol[:, None] * table.flux[None, :], *pair_grads)
+    return ga, gb, gx, powers * table.flux, _downstream_flux_adjoint(table, g_flux)
+
+
+def _jittered_star(rng, atoms):
+    """Star plan with every free vertex moved off its straight path.
+
+    On a straight path the triangular kernel's own-path integral is exactly
+    1, so whether it sits under the cap depends on summation order; the
+    jitter keeps these agreement checks off that tie instead of leaving
+    pairs out.
+    """
+    plan = build_star_plan(half_circle_targets(atoms), segments_per_path=int(rng.integers(4, 17)))
+    layout = Layout.of(plan)
+    vec = plan_to_vector(plan)
+    return vector_to_plan(np.where(layout.free, vec + rng.normal(0.0, 0.01, vec.shape), vec),
+                          layout)
+
+
+def _assert_close(value, reference):
+    scale = max(np.abs(reference).max(initial=0.0), 1e-300)
+    assert np.abs(np.asarray(value) - reference).max(initial=0.0) <= 1e-12 * scale
+
+
+PAIR_EPS = (0.25, 0.1, 0.05, 0.01)
+
+
+def test_pair_list_holds_every_pair_within_eps():
+    rng = np.random.default_rng(11)
+    for trial in range(12):
+        plan = _jittered_star(rng, int(rng.integers(2, 14))) if trial % 2 else \
+            random_branch_plan(rng, max_branches=6, max_segments=12)
+        table = segment_table(plan)
+        probes = rng.uniform(-1.3, 1.3, (200, 2))
+        for points in (table.midpoint, probes):
+            dist = point_segment_distance(points, table.a, table.b)
+            for eps in PAIR_EPS:
+                for kind in ("bump", "triangular"):
+                    i, j = _pair_list(table, points, eps, KernelSpec(kind))
+                    listed = i * table.size + j
+                    assert np.all(np.diff(listed) > 0)  # sorted by point, then segment
+                    t_near, s_near = np.nonzero(dist < eps)
+                    assert np.all(np.isin(t_near * table.size + s_near, listed))
+                i, j = _pair_list(table, points, eps, KernelSpec("exponential"))
+                assert np.array_equal(i * table.size + j, np.arange(dist.size))
+
+
+def test_pair_list_consumers_match_the_dense_grid():
+    rng = np.random.default_rng(12)
+    for trial in range(4):
+        plan = _jittered_star(rng, int(rng.integers(2, 14)))
+        table = segment_table(plan)
+        masses = np.array([p.mass for p in plan.paths])
+        probes = np.vstack([rng.uniform(-1.3, 1.3, (60, 2)), table.a[::3] + 0.003])
+        alpha = float(rng.uniform(0.3, 0.9))
+        for kind in ("bump", "triangular", "exponential"):
+            spec = KernelSpec(kind)
+            for eps in PAIR_EPS:
+                w_max = _dense_multiplicity_max(probes, table, masses, eps, spec)
+                assert np.array_equal(multiplicity_max(probes, plan, eps, spec), w_max)
+                w_mid = _dense_multiplicity_max(table.midpoint, table, masses, eps, spec)
+                e_max = _midpoint_energy(table, w_mid, alpha, "oracle").terms
+                assert np.array_equal(energy_max(plan, alpha, eps, spec).terms, e_max)
+                _assert_close(energy_max_gradient(plan, alpha, eps, spec),
+                              _dense_energy_max_gradient(plan, alpha, eps, spec))
+
+                w_avg = _dense_capped(_dense_pairs(table, probes, eps, spec), table, masses)[0]
+                _assert_close(multiplicity_avg(probes, plan, eps, spec), w_avg)
+                mat = _dense_pairs(table, table.midpoint, eps, spec)
+                w_mid = _dense_capped(mat, table, masses)[0]
+                _assert_close(energy_avg(plan, alpha, eps, spec).terms,
+                              _midpoint_energy(table, w_mid, alpha, "oracle").terms)
+                _assert_close(energy_avg_gradient(plan, alpha, eps, spec),
+                              _dense_energy_avg_gradient(plan, alpha, eps, spec))
+
+
+def test_pair_list_branch_consumers_match_the_dense_grid(monkeypatch):
+    rng = np.random.default_rng(13)
+    plans = [random_branch_plan(rng, max_branches=6, max_segments=12) for _ in range(4)]
+    plans.append(build_fan_branches(15))
+    for plan in plans:
+        table = segment_table(plan)
+        transported = table.flux * table.length
+        for eps in PAIR_EPS:
+            flux_mol = _dense_pairs(table, table.midpoint, eps) @ table.flux
+            _assert_close(mollified_flux(plan, eps), flux_mol)
+            terms = floored_power(flux_mol, transported, 0.5, 1e-12) * transported
+            _assert_close(branch_irrigation_cost(plan, 0.5, eps, 1e-12).terms, terms)
+            cfg = ObjectiveConfig(alpha=0.5, eps=eps, c1=0.2, c2=1.0)
+            sparse = tree_objective_gradient(plan, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(objective_module, "_branch_cost_gradient",
+                              _dense_branch_cost_gradient)
+                _assert_close(sparse, tree_objective_gradient(plan, cfg))
