@@ -26,7 +26,8 @@ differentiate exactly what the energies compute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -42,12 +43,32 @@ from .kernels import (
 from .plan_model import BranchPlan, PathPlan, SegmentTable, segment_table
 
 
+@dataclass(frozen=True, eq=False)
+class _Evaluation:
+    """The plan, settings and data (segment table first, then pair data) of
+    one evaluation, kept on its result for the gradient of the same plan."""
+
+    plan: object
+    settings: tuple
+    data: tuple
+
+
+def _reused(value, plan, settings: tuple) -> Optional[tuple]:
+    """The data of ``value``'s evaluation if it was computed on this very
+    plan object with equal settings, else None."""
+    record = None if value is None else value._evaluation
+    if record is None or record.plan is not plan or record.settings != settings:
+        return None
+    return record.data
+
+
 @dataclass(frozen=True)
 class MollifiedEval:
     """Energy value with its per-segment midpoint-rule terms."""
 
     value: float
     terms: np.ndarray  # (S,) contribution of each segment table row
+    _evaluation: Optional[_Evaluation] = field(default=None, compare=False, repr=False)
 
 
 def _check_alpha(alpha: float):
@@ -184,12 +205,12 @@ def _capped(i: np.ndarray, j: np.ndarray, value: np.ndarray, table: SegmentTable
     return np.minimum(inner, 1.0) @ masses, inner < 1.0
 
 
-def _pairs(table: SegmentTable, points: np.ndarray, eps: float,
+def _pairs(table: SegmentTable, points: np.ndarray, pairs: tuple, eps: float,
            spec: KernelSpec = KernelSpec(), quad_points: int = 32, grad: bool = False):
-    """Indices i and j and kernel segment integrals of the pairs on the pair
-    list; with ``grad`` also their (P, 2) derivatives in segment start, end
-    and point."""
-    i, j = _pair_list(table, points, eps, spec)
+    """Indices i and j of ``pairs``, the :func:`_pair_list` of ``points``,
+    and the kernel segment integrals of its pairs; with ``grad`` also their
+    (P, 2) derivatives in segment start, end and point."""
+    i, j = pairs
     integral = kernel_segment_integral_grad if grad else kernel_segment_integral
     out = integral(spec, _rows(table.a, j), _rows(table.b, j), _rows(points, i), eps,
                    quad_points)
@@ -208,7 +229,8 @@ def _pair_pulls(table: SegmentTable, i: np.ndarray, j: np.ndarray, weight: np.nd
 
 def _multiplicity_avg(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
                       eps: float, spec: KernelSpec, quad_points: int) -> np.ndarray:
-    return _capped(*_pairs(table, points, eps, spec, quad_points), table, masses,
+    pairs = _pair_list(table, points, eps, spec)
+    return _capped(*_pairs(table, points, pairs, eps, spec, quad_points), table, masses,
                    len(points))[0]
 
 
@@ -241,11 +263,11 @@ def _powers(table: SegmentTable, w: np.ndarray, alpha: float, what: str):
     return active, powers
 
 
-def _midpoint_energy(table: SegmentTable, w: np.ndarray, alpha: float,
-                     what: str) -> MollifiedEval:
+def _midpoint_energy(table: SegmentTable, w: np.ndarray, alpha: float, what: str,
+                     evaluation: Optional[_Evaluation] = None) -> MollifiedEval:
     active, powers = _powers(table, w, alpha, what)
     terms = np.where(active, powers * table.flux * table.length, 0.0)
-    return MollifiedEval(value=float(terms.sum()), terms=terms)
+    return MollifiedEval(value=float(terms.sum()), terms=terms, _evaluation=evaluation)
 
 
 def _gradient_weights(table: SegmentTable, w: np.ndarray, alpha: float, what: str):
@@ -262,42 +284,60 @@ def energy_max(plan: PathPlan, alpha: float, eps: float,
     """Midpoint-rule energy built on the max-form multiplicity.
 
     Sum over segments of w(mid)^(alpha-1) * mass * length, where w is
-    :func:`multiplicity_max`. Bounded above by the exact plan cost.
+    :func:`multiplicity_max`. Bounded above by the exact plan cost. The
+    result carries the segment table and nearest pairs for
+    :func:`energy_max_gradient` of the same plan.
     """
     _check_alpha(alpha)
     _check_eps(eps)
     masses = _path_masses(plan)
     table = segment_table(plan)
-    w = _multiplicity_max(table.midpoint, table, masses, eps, spec)
-    return _midpoint_energy(table, w, alpha, "energy_max")
+    nearest = _nearest(table.midpoint, table, eps, spec)
+    w = kernel_eval(spec, nearest[0] / eps) @ masses
+    return _midpoint_energy(table, w, alpha, "energy_max",
+                            _Evaluation(plan, ("max", alpha, eps, spec), (table, nearest)))
 
 
 def energy_avg(plan: PathPlan, alpha: float, eps: float,
                spec: KernelSpec = KernelSpec(), quad_points: int = 32) -> MollifiedEval:
-    """Midpoint-rule energy built on the integral-average multiplicity."""
-    _check_alpha(alpha)
-    _check_eps(eps)
-    masses = _path_masses(plan)
-    table = segment_table(plan)
-    w = _multiplicity_avg(table.midpoint, table, masses, eps, spec, quad_points)
-    return _midpoint_energy(table, w, alpha, "energy_avg")
+    """Midpoint-rule energy built on the integral-average multiplicity.
 
-
-def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
-                        spec: KernelSpec = KernelSpec(), quad_points: int = 32) -> np.ndarray:
-    """Exact gradient of :func:`energy_avg` in the free vertex coordinates.
-
-    Chain rules through segment lengths, midpoints, and the segment
-    integrals; capped paths contribute no multiplicity derivative. Taken
-    one-sidedly at cap and support boundaries.
+    The result carries the segment table and pair list for
+    :func:`energy_avg_gradient` of the same plan.
     """
     _check_alpha(alpha)
     _check_eps(eps)
     masses = _path_masses(plan)
     table = segment_table(plan)
-    i, j, value, *pair_grads = _pairs(table, table.midpoint, eps, spec, quad_points,
-                                      grad=True)
-    w, uncapped = _capped(i, j, value, table, masses, table.size)
+    pairs = _pair_list(table, table.midpoint, eps, spec)
+    w = _capped(*_pairs(table, table.midpoint, pairs, eps, spec, quad_points), table, masses,
+                table.size)[0]
+    return _midpoint_energy(table, w, alpha, "energy_avg", _Evaluation(
+        plan, ("avg", alpha, eps, spec, quad_points), (table, pairs)))
+
+
+def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
+                        spec: KernelSpec = KernelSpec(), quad_points: int = 32,
+                        value: Optional[MollifiedEval] = None) -> np.ndarray:
+    """Exact gradient of :func:`energy_avg` in the free vertex coordinates.
+
+    Chain rules through segment lengths, midpoints, and the segment
+    integrals; capped paths contribute no multiplicity derivative. Taken
+    one-sidedly at cap and support boundaries. ``value``, the result of
+    :func:`energy_avg` on this plan with the same settings, lends its
+    segment table and pair list; any other value is ignored.
+    """
+    _check_alpha(alpha)
+    _check_eps(eps)
+    masses = _path_masses(plan)
+    reused = _reused(value, plan, ("avg", alpha, eps, spec, quad_points))
+    if reused is None:
+        table = segment_table(plan)
+        reused = table, _pair_list(table, table.midpoint, eps, spec)
+    table, pairs = reused
+    i, j, integral, *pair_grads = _pairs(table, table.midpoint, pairs, eps, spec,
+                                         quad_points, grad=True)
+    w, uncapped = _capped(i, j, integral, table, masses, table.size)
     gw, g_len = _gradient_weights(table, w, alpha, "energy_avg_gradient")
 
     # Weight of each (midpoint, source segment) pairing in the chain rule.
@@ -308,19 +348,26 @@ def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
 
 
 def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
-                        spec: KernelSpec = KernelSpec()) -> np.ndarray:
+                        spec: KernelSpec = KernelSpec(),
+                        value: Optional[MollifiedEval] = None) -> np.ndarray:
     """Gradient of :func:`energy_max` in the free vertex coordinates.
 
     The minimum distance to each path is differentiated through its
     nearest segment; points lying on a path contribute no distance
     derivative there, which matches the flat own-path direction.
+    ``value``, the result of :func:`energy_max` on this plan with the same
+    settings, lends its segment table and nearest pairs; any other value
+    is ignored.
     """
     _check_alpha(alpha)
     _check_eps(eps)
     masses = _path_masses(plan)
-    table = segment_table(plan)
+    reused = _reused(value, plan, ("max", alpha, eps, spec))
+    if reused is None:
+        table = segment_table(plan)
+        reused = table, _nearest(table.midpoint, table, eps, spec)
+    table, (min_dist, (point, seg, tp, dval)) = reused
     points = table.midpoint
-    min_dist, (point, seg, tp, dval) = _nearest(points, table, eps, spec)
     w = kernel_eval(spec, min_dist / eps) @ masses
     gw, g_len = _gradient_weights(table, w, alpha, "energy_max_gradient")
 
@@ -345,11 +392,18 @@ def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
     Returns one value per segment table row.
     """
     _check_eps(eps)
-    return _mollified_flux(segment_table(plan), eps)
+    table = segment_table(plan)
+    return _mollified_flux(table, eps, _branch_pairs(table, eps))
 
 
-def _mollified_flux(table: SegmentTable, eps: float) -> np.ndarray:
-    i, j, value = _pairs(table, table.midpoint, eps)
+def _branch_pairs(table: SegmentTable, eps: float) -> tuple:
+    """Pair list of the mollified flux: midpoints against segments under
+    the bump kernel."""
+    return _pair_list(table, table.midpoint, eps, KernelSpec())
+
+
+def _mollified_flux(table: SegmentTable, eps: float, pairs: tuple) -> np.ndarray:
+    i, j, value = _pairs(table, table.midpoint, pairs, eps)
     return _sum_by(i, value * table.flux[j], table.size)
 
 
@@ -384,21 +438,25 @@ def branch_irrigation_cost(plan: BranchPlan, alpha: float, eps: float,
     _check_eps(eps)
     if f_min < 0.0:
         raise ValueError("f_min must be nonnegative")
-    terms = _branch_cost_terms(segment_table(plan), alpha, eps, f_min)
+    table = segment_table(plan)
+    terms = _branch_cost_terms(table, alpha, eps, f_min, _branch_pairs(table, eps))
     return MollifiedEval(value=float(terms.sum()), terms=terms)
 
 
-def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float,
-                       f_min: float) -> np.ndarray:
+def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float, f_min: float,
+                       pairs: tuple) -> np.ndarray:
     transported = table.flux * table.length
-    return floored_power(_mollified_flux(table, eps), transported, alpha, f_min) * transported
+    return floored_power(_mollified_flux(table, eps, pairs), transported, alpha,
+                         f_min) * transported
 
 
-def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: float):
-    """Gradient of the branch irrigation cost (F = sum of value * flux over pairs):
-    pulls ga, gb, gx, direct length sensitivity g_len, and g_cell, the
-    sensitivity to each segment's own mass through the downstream flux."""
-    i, j, value, *pair_grads = _pairs(table, table.midpoint, eps, grad=True)
+def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: float,
+                          pairs: tuple):
+    """Gradient of the branch irrigation cost (F = sum of value * flux over
+    the pairs of :func:`_branch_pairs`): pulls ga, gb, gx, direct length
+    sensitivity g_len, and g_cell, the sensitivity to each segment's own
+    mass through the downstream flux."""
+    i, j, value, *pair_grads = _pairs(table, table.midpoint, pairs, eps, grad=True)
     flux_mol = _sum_by(i, value * table.flux[j], table.size)
     transported = table.flux * table.length
     active = transported > 0.0

@@ -16,12 +16,19 @@ choice is made so projected descent with a small floor stays stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
 from .gradients import central_difference, scatter_segment_gradients
-from .mollified import _branch_cost_gradient, _branch_cost_terms
+from .mollified import (
+    _branch_cost_gradient,
+    _branch_cost_terms,
+    _branch_pairs,
+    _Evaluation,
+    _reused,
+)
 from .plan_model import BranchPlan, segment_table
 
 PENALTY_KERNELS = ("gaussian", "powerlaw")
@@ -63,12 +70,17 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """Objective total together with its three components."""
+    """Objective total together with its three components.
+
+    ``_evaluation`` holds the data the evaluation computed, for the
+    gradient of the same plan; it takes no part in comparisons.
+    """
 
     total: float
     irrigation: float
     penalty: float
     payoff: float
+    _evaluation: Optional[_Evaluation] = field(default=None, compare=False, repr=False)
 
 
 def _branch_arrays(plan: BranchPlan):
@@ -87,74 +99,104 @@ def leaf_payoff(plan: BranchPlan) -> float:
     return float((density * table.length).sum())
 
 
-def _penalty_matrices(midpoints: np.ndarray, weights: np.ndarray, cfg: ObjectiveConfig):
-    """Interaction matrix M and its radial-derivative companion N.
+def _square_distances(midpoints: np.ndarray) -> np.ndarray:
+    """(S, S) squared distances between midpoints, the x part plus the y
+    part: the order of a sum over the coordinate axis, without its cost."""
+    dx = midpoints[:, 0, None] - midpoints[None, :, 0]
+    dy = midpoints[:, 1, None] - midpoints[None, :, 1]
+    return dx * dx + dy * dy
 
-    P = w @ M @ w, and the midpoint gradient of each pair is
-    2 w_s w_t N_st (mid_s - mid_t). Gaussian pairs include the diagonal;
-    the power-law kernel is singular at zero distance so the diagonal is
-    excluded and coincident weighted midpoints are an error.
+
+def _penalty_matrix(midpoints: np.ndarray, weights: np.ndarray,
+                    cfg: ObjectiveConfig) -> np.ndarray:
+    """Interaction matrix M with P = w @ M @ w.
+
+    Gaussian pairs include the diagonal; the power-law kernel is singular
+    at zero distance so the diagonal is excluded and coincident weighted
+    midpoints are an error.
     """
-    diff = midpoints[:, None, :] - midpoints[None, :, :]
-    sq = (diff * diff).sum(axis=-1)
+    sq = _square_distances(midpoints)
     if cfg.penalty_kernel == "gaussian":
-        m_mat = np.exp(-cfg.beta * sq)
-        n_mat = -2.0 * cfg.beta * m_mat
-        return m_mat, n_mat
+        return np.exp(-cfg.beta * sq)
     off = ~np.eye(len(midpoints), dtype=bool)
-    coincident = off & (sq == 0.0)
-    if np.any(coincident & (np.outer(weights, weights) > 0.0)):
+    if np.any(off & (sq == 0.0) & (np.outer(weights, weights) > 0.0)):
         raise ValueError("power-law crowding penalty: coincident weighted midpoints")
-    valid = off & (sq > 0.0)
     m_mat = np.zeros_like(sq)
+    np.power(sq, -0.5 * cfg.gamma, out=m_mat, where=off & (sq > 0.0))
+    return m_mat
+
+
+def _penalty_slopes(midpoints: np.ndarray, m_mat: np.ndarray,
+                    cfg: ObjectiveConfig) -> np.ndarray:
+    """Radial-derivative companion N of the matrix M of the same midpoints:
+    the midpoint gradient of each pair is 2 w_s w_t N_st (mid_s - mid_t)."""
+    if cfg.penalty_kernel == "gaussian":
+        return -2.0 * cfg.beta * m_mat
+    sq = _square_distances(midpoints)
     n_mat = np.zeros_like(sq)
-    np.power(sq, -0.5 * cfg.gamma, out=m_mat, where=valid)
-    np.power(sq, -0.5 * cfg.gamma - 1.0, out=n_mat, where=valid)
+    # M is positive on exactly the pairs the power law counts.
+    np.power(sq, -0.5 * cfg.gamma - 1.0, out=n_mat, where=m_mat > 0.0)
     n_mat *= -cfg.gamma
-    return m_mat, n_mat
+    return n_mat
 
 
-def _penalty_weights(table, density, du, cfg: ObjectiveConfig) -> np.ndarray:
-    return density * (table.length if cfg.penalty_arclength else du)
+def _crowding(table, density, du, cfg: ObjectiveConfig):
+    """Penalty weights w and interaction matrix M of the crowding penalty."""
+    weights = density * (table.length if cfg.penalty_arclength else du)
+    return weights, _penalty_matrix(table.midpoint, weights, cfg)
 
 
 def crowding_penalty(plan: BranchPlan, cfg: ObjectiveConfig) -> float:
     """Pairwise repulsion between segment midpoints, weighted by mass."""
-    return _crowding_penalty(*_branch_arrays(plan), cfg)
-
-
-def _crowding_penalty(table, density, du, cfg: ObjectiveConfig) -> float:
-    weights = _penalty_weights(table, density, du, cfg)
-    m_mat, _ = _penalty_matrices(table.midpoint, weights, cfg)
+    weights, m_mat = _crowding(*_branch_arrays(plan), cfg)
     return float(weights @ m_mat @ weights)
 
 
 def tree_objective(plan: BranchPlan, cfg: ObjectiveConfig) -> ObjectiveValue:
-    """Evaluate J = I + c1 * P - c2 * H on a branch plan."""
+    """Evaluate J = I + c1 * P - c2 * H on a branch plan.
+
+    The result carries the segment table, densities, pair list and
+    crowding matrix for :func:`tree_objective_gradient` of the same plan.
+    """
     table, density, du = _branch_arrays(plan)
-    irrigation = float(_branch_cost_terms(table, cfg.alpha, cfg.eps, cfg.f_min).sum())
-    penalty = _crowding_penalty(table, density, du, cfg) if cfg.c1 != 0.0 else 0.0
+    pairs = _branch_pairs(table, cfg.eps)
+    irrigation = float(_branch_cost_terms(table, cfg.alpha, cfg.eps, cfg.f_min, pairs).sum())
+    crowding, penalty = None, 0.0
+    if cfg.c1 != 0.0:
+        weights, m_mat = crowding = _crowding(table, density, du, cfg)
+        penalty = float(weights @ m_mat @ weights)
     payoff = float((density * table.length).sum())
     total = irrigation + cfg.c1 * penalty - cfg.c2 * payoff
-    return ObjectiveValue(total=total, irrigation=irrigation, penalty=penalty, payoff=payoff)
+    return ObjectiveValue(total=total, irrigation=irrigation, penalty=penalty, payoff=payoff,
+                          _evaluation=_Evaluation(plan, ("tree", cfg),
+                                                  (table, density, du, pairs, crowding)))
 
 
-def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig) -> np.ndarray:
+def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig,
+                            value: Optional[ObjectiveValue] = None) -> np.ndarray:
     """Exact gradient of :func:`tree_objective` in free coordinates.
 
     Returns sensitivities for every interior vertex coordinate and every
     density entry; the root vertex is pinned to zero by the free mask.
+    ``value``, the result of :func:`tree_objective` on this plan with the
+    same config, lends its segment table, densities, pair list and
+    crowding matrix; any other value is ignored.
     """
-    table, density, du = _branch_arrays(plan)
+    reused = _reused(value, plan, ("tree", cfg))
+    if reused is None:
+        table, density, du = _branch_arrays(plan)
+        reused = table, density, du, _branch_pairs(table, cfg.eps), None
+    table, density, du, pairs, crowding = reused
     mids = table.midpoint
-    ga, gb, gx, g_len, g_cell = _branch_cost_gradient(table, cfg.alpha, cfg.eps, cfg.f_min)
+    ga, gb, gx, g_len, g_cell = _branch_cost_gradient(table, cfg.alpha, cfg.eps, cfg.f_min,
+                                                      pairs)
     g_density = g_cell * table.length
     g_len = g_len + g_cell * density
 
     # Crowding penalty.
     if cfg.c1 != 0.0:
-        weights = _penalty_weights(table, density, du, cfg)
-        m_mat, n_mat = _penalty_matrices(mids, weights, cfg)
+        weights, m_mat = crowding or _crowding(table, density, du, cfg)
+        n_mat = _penalty_slopes(mids, m_mat, cfg)
         g_weights = 2.0 * (m_mat @ weights)
         pulled = n_mat @ (weights[:, None] * mids)
         g_mid_pen = 2.0 * weights[:, None] * ((n_mat @ weights)[:, None] * mids - pulled)

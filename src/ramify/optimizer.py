@@ -111,10 +111,21 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class Evaluator:
-    """Objective and gradient callables over one plan type."""
+    """Objective and gradient callables over one plan type.
+
+    ``objective(plan)`` returns an :class:`ObjectiveValue`;
+    ``gradient(plan, value=None)`` returns the flat gradient and reuses
+    what ``value``, the objective of that same plan, computed.
+    """
 
     objective: Callable
     gradient: Callable
+
+
+def _energy_value(energy) -> ObjectiveValue:
+    """An energy as an objective value, carrying the energy's evaluation."""
+    return ObjectiveValue(total=energy.value, irrigation=energy.value, penalty=0.0,
+                          payoff=0.0, _evaluation=energy._evaluation)
 
 
 def path_evaluator(alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
@@ -122,18 +133,16 @@ def path_evaluator(alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
     """Evaluator minimizing a mollified irrigation energy over path plans."""
     if functional == "avg":
         def objective(plan):
-            v = energy_avg(plan, alpha, eps, spec, quad_points).value
-            return ObjectiveValue(total=v, irrigation=v, penalty=0.0, payoff=0.0)
+            return _energy_value(energy_avg(plan, alpha, eps, spec, quad_points))
 
-        def gradient(plan):
-            return energy_avg_gradient(plan, alpha, eps, spec, quad_points)
+        def gradient(plan, value=None):
+            return energy_avg_gradient(plan, alpha, eps, spec, quad_points, value)
     elif functional == "max":
         def objective(plan):
-            v = energy_max(plan, alpha, eps, spec).value
-            return ObjectiveValue(total=v, irrigation=v, penalty=0.0, payoff=0.0)
+            return _energy_value(energy_max(plan, alpha, eps, spec))
 
-        def gradient(plan):
-            return energy_max_gradient(plan, alpha, eps, spec)
+        def gradient(plan, value=None):
+            return energy_max_gradient(plan, alpha, eps, spec, value)
     else:
         raise ValueError("functional must be 'avg' or 'max'")
     return Evaluator(objective=objective, gradient=gradient)
@@ -144,7 +153,7 @@ def branch_evaluator(obj_cfg: ObjectiveConfig, eps: float) -> Evaluator:
     cfg = obj_cfg.with_eps(eps)
     return Evaluator(
         objective=lambda plan: tree_objective(plan, cfg),
-        gradient=lambda plan: tree_objective_gradient(plan, cfg),
+        gradient=lambda plan, value=None: tree_objective_gradient(plan, cfg, value),
     )
 
 
@@ -203,7 +212,9 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     any decreasing step, or at the iteration cap. Returns the final
     plan, its objective value, the accepted-iteration rows, and the stop
     reason. The iterate is carried as a flat vector in the layout of the
-    starting plan; plans are rebuilt only to evaluate them.
+    starting plan; plans are rebuilt only to evaluate them. Each gradient
+    is handed the objective value of the plan it differentiates, so it
+    reuses that evaluation.
     """
     layout = Layout.of(plan)
     x = feasibility_project(layout.base, layout)
@@ -215,7 +226,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     quiet = 0
     reason = "iteration_cap"
     for it in range(1, cfg.j_max + 1):
-        grad = evaluator.gradient(plan)
+        grad = evaluator.gradient(plan, value)
         trial, candidate, cand_value, tau, trials = backtracking_step(
             x, layout, value.total, grad, tau0, evaluator, cfg)
         if candidate is None:
@@ -227,6 +238,8 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
             resampled_value = evaluator.objective(resampled)
             if resampled_value.total <= new_value.total:
                 x, plan, new_value = plan_to_vector(resampled), resampled, resampled_value
+            # A rejected resample's evaluation would otherwise be held until the next one.
+            del resampled, resampled_value
         row = TraceRow(
             iteration=start_iteration + it,
             eps=eps,

@@ -191,3 +191,140 @@ def test_segment_grad_zero_length_is_finite():
     assert np.all(np.isfinite(ga))
     assert np.all(np.isfinite(gb))
     assert np.all(np.isfinite(gx))
+
+
+# Oracles: the kernels as first written, every dot product a sum over the
+# trailing coordinate axis. The per-coordinate kernels must match them bit
+# for bit.
+
+def _oracle_bump_closed_form(a, b, x, eps):
+    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
+    d = b - a
+    w = a - x
+    A = (d * d).sum(axis=-1)
+    B = 2.0 * (w * d).sum(axis=-1)
+    C = (w * w).sum(axis=-1)
+    L = np.sqrt(A)
+    disc = B * B - 4.0 * A * (C - eps * eps)
+    pos = (A > 0.0) & (disc > 0.0)
+    sq = np.sqrt(np.where(pos, disc, 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u1 = np.where(pos, (-B - sq) / (2.0 * A), 0.0)
+        u2 = np.where(pos, (-B + sq) / (2.0 * A), 0.0)
+    lo = np.maximum(u1, 0.0)
+    hi = np.minimum(u2, 1.0)
+    active = pos & (lo < hi)
+    lo = np.where(active, lo, 0.0)
+    hi = np.where(active, hi, 0.0)
+    s0 = hi - lo
+    s1 = 0.5 * (hi * hi - lo * lo)
+    s2 = (hi * hi * hi - lo * lo * lo) / 3.0
+    inv2 = 1.0 / (eps * eps)
+    inner = (1.0 - C * inv2) * s0 - B * inv2 * s1 - A * inv2 * s2
+    val = np.where(active, np.maximum((L / eps) * inner, 0.0), 0.0)
+    return a, x, d, L, active, (s0, s1, s2), inner, val
+
+
+def _oracle_bump_grad(a, b, x, eps):
+    a, x, d, L, active, (s0, s1, s2), inner, val = _oracle_bump_closed_form(a, b, x, eps)
+    w = a - x
+    inv2 = 1.0 / (eps * eps)
+    gA = np.where(active, -(L / eps) * inv2 * s2, 0.0)[..., None]
+    gB = np.where(active, -(L / eps) * inv2 * s1, 0.0)[..., None]
+    gC = np.where(active, -(L / eps) * inv2 * s0, 0.0)[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gL = np.where(active & (L > 0.0), inner / eps, 0.0)[..., None]
+        unit = np.where(L[..., None] > 0.0, d / L[..., None], 0.0)
+    da = gA * (-2.0 * d) + gB * 2.0 * (d - w) + gC * 2.0 * w + gL * (-unit)
+    db = gA * (2.0 * d) + gB * 2.0 * w + gL * unit
+    dx = gB * (-2.0 * d) + gC * (-2.0 * w)
+    return val, da, db, dx
+
+
+def _oracle_quadrature(spec, a, b, x, eps, quad_points):
+    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
+    d = b - a
+    L = np.sqrt((d * d).sum(axis=-1))
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    acc = 0.0
+    for u, wt in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        r = np.sqrt(((a + u * d - x) ** 2).sum(axis=-1))
+        acc = acc + wt * kernel_eval(spec, r / eps)
+    return acc * L / eps
+
+
+def _oracle_quadrature_grad(spec, a, b, x, eps, quad_points):
+    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
+    d = b - a
+    L = np.sqrt((d * d).sum(axis=-1))
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(L[..., None] > 0.0, d / L[..., None], 0.0)
+    acc = 0.0
+    da = np.zeros(np.broadcast(a, b, x).shape)
+    db = np.zeros_like(da)
+    dx = np.zeros_like(da)
+    for u, wt in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        diff = a + u * d - x
+        r = np.sqrt((diff * diff).sum(axis=-1))
+        jv = kernel_eval(spec, r / eps)
+        jd = kernel_derivative(spec, r / eps)
+        acc = acc + wt * jv
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rdir = np.where(r[..., None] > 0.0, diff / r[..., None], 0.0)
+        core = (wt * jd * L / (eps * eps))[..., None] * rdir
+        da += core * (1.0 - u)
+        db += core * u
+        dx += -core
+    da += (acc / eps)[..., None] * (-unit)
+    db += (acc / eps)[..., None] * unit
+    return acc * L / eps, da, db, dx
+
+
+def _oracle_inputs(seed):
+    """Segment and point arrays of several shapes: flat (P, 2) pairs with
+    zero-length segments and points on the support edge, broadcast
+    (T, 1, 2) x (1, S, 2) grids, and a single (2,) triple."""
+    rng = np.random.default_rng(seed)
+    eps = 0.5
+    a = rng.uniform(-1.0, 1.0, (400, 2))
+    b = a + rng.uniform(-0.6, 0.6, (400, 2))
+    b[::7] = a[::7]  # zero-length segments
+    x = a + rng.uniform(-0.8, 0.8, (400, 2))
+    # On the support edge: eps above a segment's interior and eps beyond its end.
+    edge_a, edge_b = np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])
+    edge_x = np.array([[0.5, eps], [1.0 + eps, 0.0]])
+    grid_a = rng.uniform(-1.0, 1.0, (1, 30, 2))
+    grid_b = grid_a + rng.uniform(-0.4, 0.4, (1, 30, 2))
+    grid_x = rng.uniform(-1.2, 1.2, (25, 1, 2))
+    return eps, [(a, b, x), (edge_a, edge_b, edge_x), (grid_a, grid_b, grid_x),
+                 (a[:, None], b[:, None], x[None, :50]), (a[3], b[3], x[3])]
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w)
+
+
+def test_bump_kernels_match_the_axis_sum_oracle_bit_for_bit():
+    eps, cases = _oracle_inputs(31)
+    for a, b, x in cases:
+        for scale in (1.0, 0.3):
+            want = _oracle_bump_grad(a, b, x, scale * eps)
+            _assert_same_bits([bump_segment_integral(a, b, x, scale * eps)], want[:1])
+            _assert_same_bits(bump_segment_integral_grad(a, b, x, scale * eps), want)
+
+
+def test_quadrature_kernels_match_the_axis_sum_oracle_bit_for_bit():
+    eps, cases = _oracle_inputs(32)
+    for kind in ("exponential", "rational", "triangular"):
+        spec = KernelSpec(kind)
+        for a, b, x in cases:
+            for quad_points in (1, 5, 32):
+                want = _oracle_quadrature_grad(spec, a, b, x, eps, quad_points)
+                value = kernel_segment_integral(spec, a, b, x, eps, quad_points)
+                _assert_same_bits([value], [_oracle_quadrature(spec, a, b, x, eps, quad_points)])
+                _assert_same_bits([value], want[:1])
+                _assert_same_bits(kernel_segment_integral_grad(spec, a, b, x, eps, quad_points),
+                                  want)

@@ -26,6 +26,7 @@ from ramify.mollified import (
     _gradient_weights,
     _midpoint_energy,
     _pair_list,
+    _reused,
     branch_irrigation_cost,
     energy_avg,
     energy_avg_gradient,
@@ -412,7 +413,7 @@ def _dense_energy_max_gradient(plan, alpha, eps, spec):
     return scatter_segment_gradients(plan, table, ga, gb, gx, g_len)
 
 
-def _dense_branch_cost_gradient(table, alpha, eps, f_min):
+def _dense_branch_cost_gradient(table, alpha, eps, f_min, pairs):
     mat, *pair_grads = _dense_pairs(table, table.midpoint, eps, grad=True)
     flux_mol = mat @ table.flux
     transported = table.flux * table.length
@@ -521,3 +522,44 @@ def test_pair_list_branch_consumers_match_the_dense_grid(monkeypatch):
                 patch.setattr(objective_module, "_branch_cost_gradient",
                               _dense_branch_cost_gradient)
                 _assert_close(sparse, tree_objective_gradient(plan, cfg))
+
+
+def _energy_forms(alpha, eps, spec):
+    """(settings, energy, gradient) of the two path energies."""
+    return [(("avg", alpha, eps, spec, 32), lambda p: energy_avg(p, alpha, eps, spec),
+             lambda p, v=None: energy_avg_gradient(p, alpha, eps, spec, 32, v)),
+            (("max", alpha, eps, spec), lambda p: energy_max(p, alpha, eps, spec),
+             lambda p, v=None: energy_max_gradient(p, alpha, eps, spec, v))]
+
+
+def test_energy_gradients_reuse_their_value_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for trial in range(4):
+        plan = _jittered_star(rng, int(rng.integers(2, 12)))
+        for kind in ("bump", "triangular", "exponential"):
+            for eps in (0.25, 0.05):
+                for settings, energy, gradient in _energy_forms(0.45, eps, KernelSpec(kind)):
+                    value = energy(plan)
+                    assert _reused(value, plan, settings) is not None
+                    assert np.array_equal(gradient(plan, value), gradient(plan))
+
+
+def test_energy_gradients_ignore_a_value_of_another_plan_eps_or_kernel():
+    rng = np.random.default_rng(15)
+    plans = [_jittered_star(rng, int(rng.integers(3, 10))) for _ in range(3)]
+    spec = KernelSpec("bump")
+    for plan, other in zip(plans, plans[1:] + plans[:1]):
+        twin = PathPlan(paths=plan.paths)  # equal, but another object
+        forms = zip(_energy_forms(0.45, 0.25, spec), _energy_forms(0.45, 0.05, spec),
+                    _energy_forms(0.45, 0.25, KernelSpec("triangular")),
+                    _energy_forms(0.6, 0.25, spec))
+        for (settings, energy, gradient), smaller, triangular, alpha in forms:
+            fresh = gradient(plan)
+            for value in (energy(other), energy(twin), smaller[1](plan), triangular[1](plan),
+                          alpha[1](plan)):
+                assert _reused(value, plan, settings) is None
+                assert np.array_equal(gradient(plan, value), fresh)
+        # An energy of the other form is not reused either.
+        (avg_settings, avg, _), (max_settings, _, max_gradient) = _energy_forms(0.45, 0.25, spec)
+        assert _reused(avg(plan), plan, max_settings) is None
+        assert np.array_equal(max_gradient(plan, avg(plan)), max_gradient(plan))

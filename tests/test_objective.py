@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from ramify.gradients import Layout
+from ramify.mollified import _reused
 from ramify.objective import (
     ObjectiveConfig,
+    _penalty_matrix,
+    _penalty_slopes,
     crowding_penalty,
     fd_gradient,
     leaf_payoff,
@@ -248,3 +251,85 @@ def test_fan_objective_is_finite_and_descendable():
     grad = tree_objective_gradient(plan, cfg)
     assert np.isfinite(val.total)
     assert np.sqrt((grad * grad).sum()) > 0.0
+
+
+def _oracle_penalty_matrices(midpoints, weights, cfg):
+    """M and N as first written: squared distances as a sum over the
+    trailing coordinate axis of an (S, S, 2) difference array."""
+    diff = midpoints[:, None, :] - midpoints[None, :, :]
+    sq = (diff * diff).sum(axis=-1)
+    if cfg.penalty_kernel == "gaussian":
+        m_mat = np.exp(-cfg.beta * sq)
+        return m_mat, -2.0 * cfg.beta * m_mat
+    off = ~np.eye(len(midpoints), dtype=bool)
+    if np.any(off & (sq == 0.0) & (np.outer(weights, weights) > 0.0)):
+        raise ValueError("power-law crowding penalty: coincident weighted midpoints")
+    valid = off & (sq > 0.0)
+    m_mat = np.zeros_like(sq)
+    n_mat = np.zeros_like(sq)
+    np.power(sq, -0.5 * cfg.gamma, out=m_mat, where=valid)
+    np.power(sq, -0.5 * cfg.gamma - 1.0, out=n_mat, where=valid)
+    n_mat *= -cfg.gamma
+    return m_mat, n_mat
+
+
+def test_penalty_matrices_match_the_axis_sum_oracle_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for trial in range(8):
+        mids = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 160)), 2))
+        mids[1::9] = mids[::9][:len(mids[1::9])]  # coincident midpoints
+        weights = rng.uniform(0.0, 2.0, len(mids))
+        weights[1::9] = 0.0  # ... of which one carries no weight
+        for kernel in ("gaussian", "powerlaw"):
+            cfg = ObjectiveConfig(penalty_kernel=kernel, beta=float(rng.uniform(0.2, 3.0)),
+                                  gamma=float(rng.uniform(0.1, 0.9)))
+            m_mat = _penalty_matrix(mids, weights, cfg)
+            want_m, want_n = _oracle_penalty_matrices(mids, weights, cfg)
+            assert np.array_equal(m_mat, want_m)
+            assert np.array_equal(_penalty_slopes(mids, m_mat, cfg), want_n)
+            if kernel == "powerlaw":
+                assert np.all(np.diag(m_mat) == 0.0)
+                assert np.all(np.diag(_penalty_slopes(mids, m_mat, cfg)) == 0.0)
+
+
+def test_penalty_matrix_rejects_coincident_weighted_midpoints_like_the_oracle():
+    rng = np.random.default_rng(22)
+    mids = rng.uniform(-1.0, 1.0, (12, 2))
+    mids[7] = mids[2]
+    weights = rng.uniform(0.5, 1.0, 12)
+    cfg = ObjectiveConfig(penalty_kernel="powerlaw")
+    for call in (_oracle_penalty_matrices, _penalty_matrix):
+        with pytest.raises(ValueError, match="coincident"):
+            call(mids, weights, cfg)
+
+
+def _reuse_plans(seed):
+    rng = np.random.default_rng(seed)
+    plans = [random_branch_plan(rng, max_branches=5, max_segments=8) for _ in range(6)]
+    return plans + [build_fan_branches(7, segments=6, m_init=0.1)]
+
+
+def test_tree_gradient_reuses_its_value_bit_for_bit():
+    for plan in _reuse_plans(23):
+        for cfg in (ObjectiveConfig(alpha=0.5, eps=0.3, c1=0.4, c2=1.2),
+                    ObjectiveConfig(alpha=0.4, eps=0.15, c1=0.3, c2=0.8, penalty_kernel="powerlaw",
+                                    penalty_arclength=False),
+                    ObjectiveConfig(alpha=0.6, eps=0.5, c1=0.0, c2=1.0)):
+            value = tree_objective(plan, cfg)
+            assert _reused(value, plan, ("tree", cfg)) is not None
+            assert np.array_equal(tree_objective_gradient(plan, cfg, value),
+                                  tree_objective_gradient(plan, cfg))
+
+
+def test_tree_gradient_ignores_a_value_of_another_plan_eps_or_config():
+    plans = _reuse_plans(24)
+    cfg = ObjectiveConfig(alpha=0.5, eps=0.3, c1=0.4, c2=1.2)
+    for plan, other in zip(plans, plans[1:] + plans[:1]):
+        fresh = tree_objective_gradient(plan, cfg)
+        twin = BranchPlan(branches=plan.branches)  # equal, but another object
+        for value in (tree_objective(other, cfg), tree_objective(twin, cfg),
+                      tree_objective(plan, cfg.with_eps(0.1)),
+                      tree_objective(plan, ObjectiveConfig(alpha=0.5, eps=0.3, c1=0.4, c2=1.2,
+                                                           beta=3.0))):
+            assert _reused(value, plan, ("tree", cfg)) is None
+            assert np.array_equal(tree_objective_gradient(plan, cfg, value), fresh)

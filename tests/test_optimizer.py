@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ramify.optimizer as optimizer_module
 from ramify.geometry import cumulative_arclength, resample_polyline, segment_lengths
 from ramify.gradients import Layout, plan_to_vector, vector_to_plan
 from ramify.mollified import energy_avg_gradient, energy_max_gradient
@@ -43,7 +44,7 @@ def _quadratic_evaluator(target, offset=0.0):
         total = offset + ((v - target) ** 2).sum()
         return ObjectiveValue(total=total, irrigation=total, penalty=0.0, payoff=0.0)
 
-    def gradient(plan):
+    def gradient(plan, value=None):
         return 2.0 * (plan_to_vector(plan) - target)
 
     return Evaluator(objective=objective, gradient=gradient)
@@ -407,3 +408,46 @@ def test_eps_continuation_improves_fan_objective():
     first_stage = [r.total for r in trace.rows if r.eps == 0.5]
     assert first_stage[-1] < first_stage[0]
     assert trace.rows[-1].total < trace.rows[0].total
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (build_star_plan(half_circle_targets(4), segments_per_path=5),
+             path_evaluator(0.5, 0.3)),
+    lambda: (build_star_plan(half_circle_targets(4), segments_per_path=5),
+             path_evaluator(0.5, 0.3, functional="max")),
+    lambda: (build_fan_branches(4, segments=4, m_init=0.1),
+             branch_evaluator(ObjectiveConfig(alpha=0.5, eps=0.5, c1=0.5, c2=1.5), eps=0.5)),
+], ids=["avg", "max", "tree"])
+def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make):
+    plan, inner = make()
+    values, handed, resamples = {}, [], []
+
+    def objective(current):
+        value = inner.objective(current)
+        values[id(current)] = (current, value)  # the plan is kept, so its id stays unique
+        return value
+
+    def gradient(current, value=None):
+        handed.append((current, value))
+        return inner.gradient(current, value)
+
+    def resample(current):
+        # Alternately an equal copy, whose objective ties and is accepted,
+        # and the starting plan, whose objective is higher and is rejected.
+        out = type(current)(current.owners) if len(resamples) % 2 == 0 else plan
+        resamples.append(out)
+        return out
+
+    monkeypatch.setattr(optimizer_module, "rediscretize_plan", resample)
+    cfg = DescentConfig(j_max=8, rediscretize_every=2)
+    _, _, rows, _ = run_descent(plan, Evaluator(objective, gradient), cfg, eps=0.3, tau0=0.02)
+    assert len(rows) == 8 and len(resamples) == 4
+    assert len(handed) == 8
+    for current, value in handed:
+        assert value is values[id(current)][1]
+        assert value._evaluation.plan is current
+    differentiated = [id(current) for current, _ in handed]
+    # Each accepted copy is the plan of the next gradient; the rejected
+    # start plan is never differentiated.
+    assert [differentiated.index(id(copy)) for copy in resamples[::2]] == [2, 6]
+    assert id(plan) not in differentiated

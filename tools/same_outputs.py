@@ -11,9 +11,10 @@ exits 1 if any file differs or an exit code changed, 0 otherwise.
 The run set: the first seed-1 input of the irrigate-star, treeopt-fan and
 irrigate-wide benchmark workloads (configs from ``perfbench/workloads.py``,
 read only), ``treeopt --preset fig4``, ``irrigate --functional max`` on the
-irrigate-star config, and ``gradcheck``, ``gamma-table`` and
-``counterexample`` with their default configs. Runs go one at a time;
-irrigate-wide peaks at about 550 MB.
+irrigate-star config, ``gradcheck``, ``gamma-table`` and ``counterexample``
+with their default configs, and three short runs of the kernels and
+penalties no other run reaches (``SHORT_RUNS``). Runs go one at a time;
+irrigate-wide peaks at about 75 MB.
 """
 
 from __future__ import annotations
@@ -30,6 +31,24 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _irrigate_config(kernel: str) -> dict:
+    return {"experiment": "irrigate", "functional": "avg", "kernel": kernel,
+            "measure": {"n": 9, "segments_per_path": 10}, "objective": {"alpha": 0.5},
+            "descent": {"eps_schedule": [0.3, 0.1], "j_max": 40}}
+
+
+# Run name -> (command, config): the quadrature kernels in the averaged
+# energy and the power-law crowding penalty, one to two seconds each.
+SHORT_RUNS = {
+    "irrigate-triangular": ("irrigate", _irrigate_config("triangular")),
+    "irrigate-exponential": ("irrigate", _irrigate_config("exponential")),
+    "treeopt-powerlaw": ("treeopt", {
+        "experiment": "treeopt", "fan": {"n": 4, "segments": 6},
+        "objective": {"alpha": 0.5, "c1": 0.5, "c2": 1.5, "penalty": {"kernel": "powerlaw"}},
+        "descent": {"eps_schedule": [0.5, 0.2], "j_max": 60}}),
+}
+
+
 def _workload_inputs():
     """First seed-1 input of each benchmark workload."""
     path = os.path.join(ROOT, "perfbench", "workloads.py")
@@ -43,12 +62,16 @@ def _workload_inputs():
 def run_set(config_dir: str) -> dict:
     """Run name -> CLI arguments (without ``--out``); writes the configs."""
     runs = {}
-    for name, item in _workload_inputs().items():
+    configs = {name: (item["command"], item["config"], item["preset"])
+               for name, item in _workload_inputs().items()}
+    configs.update((name, (command, config, None))
+                   for name, (command, config) in SHORT_RUNS.items())
+    for name, (command, config, preset) in configs.items():
         cfg_path = os.path.join(config_dir, f"{name}.json")
         with open(cfg_path, "w", encoding="utf-8") as handle:
-            json.dump(item["config"], handle)
-        argv = [item["command"], "--config", cfg_path]
-        runs[name] = argv + (["--preset", item["preset"]] if item["preset"] else [])
+            json.dump(config, handle)
+        argv = [command, "--config", cfg_path]
+        runs[name] = argv + (["--preset", preset] if preset else [])
     runs["treeopt-fig4"] = ["treeopt", "--preset", "fig4"]
     runs["irrigate-star-max"] = runs["irrigate-star"] + ["--functional", "max"]
     for command in ("gradcheck", "gamma-table", "counterexample"):
