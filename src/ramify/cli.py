@@ -109,41 +109,37 @@ def _resolved_merge_tol(run_cfg, plan) -> float:
     return 1e-6 * diameter if diameter > 0.0 else 0.0
 
 
-class _TraceStream:
-    """Streams accepted iterations to trace.csv as they happen."""
-
-    def __init__(self, path: str):
-        from .optimizer import TRACE_HEADER
-
-        self.handle = open(path, "w", encoding="utf-8")
-        self.handle.write(TRACE_HEADER + "\n")
-        self.handle.flush()
-
-    def __call__(self, row, plan):
-        self.handle.write(row.as_csv() + "\n")
-        self.handle.flush()
-
-    def close(self):
-        self.handle.close()
-
-
 def _run_continuation(initial_plan, factory, run_cfg, out_dir, svg_alpha, targets):
     """Shared driver: continuation, streamed trace, stage snapshots."""
-    from .optimizer import eps_continuation
+    from .optimizer import TRACE_HEADER, eps_continuation
     from .plan_model import save_plan
     from .svg import save_svg
 
-    stream = _TraceStream(os.path.join(out_dir, "trace.csv"))
-    try:
+    with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as trace_file:
+        def stream(row, plan):
+            trace_file.write(row.as_csv() + "\n")
+            trace_file.flush()
+
+        trace_file.write(TRACE_HEADER + "\n")
+        trace_file.flush()
         final_plan, trace = eps_continuation(
             initial_plan, factory, run_cfg.descent, on_iteration=stream)
-    finally:
-        stream.close()
     for i, plan in enumerate(trace.stage_plans):
         save_plan(plan, os.path.join(out_dir, f"plan_stage_{i}.json"))
         save_svg(plan, os.path.join(out_dir, f"stage_{i}.svg"),
                  alpha=svg_alpha, targets=targets)
     return final_plan, trace
+
+
+def _write_summary(out_dir: str, summary: dict, trace) -> dict:
+    """Write summary.json, then fail if a stage stopped on a non-finite value."""
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    if "nonfinite" in trace.stage_reasons:
+        stage = trace.stage_reasons.index("nonfinite")
+        raise NumericalCheckError(
+            f"stage {stage + 1} (eps={trace.metadata['eps_schedule'][stage]}) stopped on a "
+            "non-finite objective or gradient")
+    return summary
 
 
 def _kernel_payload(spec) -> dict:
@@ -197,8 +193,7 @@ def cmd_irrigate(run_cfg, out_dir: str) -> dict:
         "cluster_counts": clusters,
         "atoms": measure.n,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return summary
+    return _write_summary(out_dir, summary, trace)
 
 
 def cmd_treeopt(run_cfg, out_dir: str) -> dict:
@@ -229,8 +224,7 @@ def cmd_treeopt(run_cfg, out_dir: str) -> dict:
         "iterations": len(trace.rows),
         "final": final,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return summary
+    return _write_summary(out_dir, summary, trace)
 
 
 def cmd_gamma_table(run_cfg, out_dir: str) -> dict:

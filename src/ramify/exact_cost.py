@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import pair_projection
 from .plan_model import PathPlan, TreeTopology, extract_topology
 
 
@@ -43,14 +44,12 @@ def exact_multiplicity(plan: PathPlan, x, tol: float = 1e-12) -> float:
     with their full mass when their polyline touches the point, and not
     at all otherwise.
     """
-    from .geometry import point_segment_projection
-
     point = np.asarray(x, dtype=float).reshape(1, 2)
     total = 0.0
     for path in plan.paths:
         a = path.vertices[:-1]
         b = path.vertices[1:]
-        _, dist = point_segment_projection(point, a, b)
+        _, dist = pair_projection(point, a, b)
         if float(dist.min()) <= tol:
             total += path.mass
     return total

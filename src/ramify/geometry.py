@@ -33,10 +33,6 @@ def cumulative_arclength(vertices: np.ndarray) -> np.ndarray:
     return out
 
 
-def polyline_length(vertices: np.ndarray) -> float:
-    return float(segment_lengths(vertices).sum())
-
-
 def resample_polyline(vertices: np.ndarray, num_vertices: int):
     """Redistribute a polyline's vertices at equal arc-length spacing.
 
@@ -62,24 +58,6 @@ def resample_polyline(vertices: np.ndarray, num_vertices: int):
     return new, knot_arcs
 
 
-def point_segment_projection(points: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Closest-point parameters and distances from points to segments.
-
-    Parameters
-    ----------
-    points : (T, 2) array
-    a, b : (S, 2) arrays of segment endpoints
-    Returns
-    -------
-    t : (T, S) clamped projection parameters in [0, 1]
-    dist : (T, S) Euclidean distances to the closest segment point
-    """
-    x = np.asarray(points, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return pair_projection(x[:, None, :], a[None, :, :], b[None, :, :])
-
-
 def pair_projection(points: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Closest-point parameters and distances of paired points and segments.
 
@@ -100,11 +78,6 @@ def pair_projection(points: np.ndarray, a: np.ndarray, b: np.ndarray):
     diff = w - t[..., None] * d
     dist = np.hypot(diff[..., 0], diff[..., 1])
     return t, dist
-
-
-def point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points (T, 2) to segments (S, 2): returns (T, S)."""
-    return point_segment_projection(points, a, b)[1]
 
 
 def bounding_box_diameter(points: np.ndarray) -> float:

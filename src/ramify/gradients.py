@@ -14,11 +14,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plan_model import _owners
+from .plan_model import SegmentTable, _owners, segment_table
 
 
-def _int_slots(blocks: list) -> np.ndarray:
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=int)
+def _slots(table: SegmentTable) -> tuple:
+    """The flat layout of the plan behind a segment table.
+
+    An owner of K segments holds K + 1 x slots, K + 1 y slots and, when
+    the table has densities, K density slots. Returns each owner's first
+    slot followed by the total size, each owner's vertex count, the x and
+    y slots of each segment's start vertex (its end vertex's are one
+    further on), each segment's density slot and the free mask.
+    """
+    counts = table.segments + 1
+    shed = len(table.density) > 0
+    offsets = np.concatenate([[0], np.cumsum((2 + shed) * counts - shed)])
+    first, count = offsets[:-1], counts[table.owner]
+    x = first[table.owner] + table.interval
+    free = np.ones(offsets[-1], dtype=bool)
+    free[first] = free[first + counts] = False
+    fixed = table.terminal_fixed
+    free[(first + counts - 1)[fixed]] = free[(first + 2 * counts - 1)[fixed]] = False
+    # A path table has no densities, so the slice leaves no density slots.
+    m_slots = (x + 2 * count)[:len(table.density)]
+    return offsets, counts, np.column_stack([x, x + count]), m_slots, free
+
+
+def _vector(table: SegmentTable, slots: tuple) -> np.ndarray:
+    """The flat vector of the plan behind a segment table."""
+    offsets, _, start_slots, m_slots, _ = slots
+    vector = np.zeros(offsets[-1])
+    vector[start_slots] = table.a
+    vector[start_slots + 1] = table.b
+    vector[m_slots] = table.density
+    return vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +65,6 @@ class Layout:
     free: np.ndarray         # (N,) False on pinned slots
     base: np.ndarray         # (N,)
     clamp: np.ndarray        # slots kept nonnegative: branch heights and densities
-    start_slots: np.ndarray  # (S, 2) x and y slots of each segment's start vertex
-    end_slots: np.ndarray    # (S, 2) x and y slots of each segment's end vertex
     m_slots: np.ndarray      # (S,) density slot of each segment; empty for path plans
 
     @classmethod
@@ -48,37 +75,20 @@ class Layout:
         terminals are pinned when the path's ``terminal_fixed`` flag is
         set. Densities are always free; the projection clamps them.
         """
-        base = plan_to_vector(plan)
-        free = np.ones(len(base), dtype=bool)
-        offsets, counts, clamp, starts, m_slots = [], [], [], [], []
-        offset = 0
-        for owner in _owners(plan):
-            count, densities = len(owner.vertices), len(owner.densities)
-            x0, y0, m0 = offset, offset + count, offset + 2 * count
-            free[[x0, y0]] = False
-            if owner.terminal_fixed:
-                free[[y0 - 1, m0 - 1]] = False
-            starts.append(np.column_stack([np.arange(x0, y0 - 1), np.arange(y0, m0 - 1)]))
-            if densities:
-                clamp.append(np.arange(y0, m0 + densities))
-                m_slots.append(np.arange(m0, m0 + densities))
-            offsets.append(offset)
-            counts.append(count)
-            offset = m0 + densities
-        offsets.append(offset)
-        start_slots = np.concatenate(starts) if starts else np.zeros((0, 2), dtype=int)
-        return cls(template=plan, offsets=tuple(offsets), counts=tuple(counts), free=free,
-                   base=base, clamp=_int_slots(clamp), start_slots=start_slots,
-                   end_slots=start_slots + 1, m_slots=_int_slots(m_slots))
+        table = segment_table(plan)
+        slots = offsets, counts, start_slots, m_slots, free = _slots(table)
+        clamp = np.zeros(len(free), dtype=bool)
+        if len(m_slots):  # branch heights and densities
+            clamp[start_slots[:, 1]] = clamp[start_slots[:, 1] + 1] = clamp[m_slots] = True
+        return cls(template=plan, offsets=tuple(offsets.tolist()), counts=tuple(counts.tolist()),
+                   free=free, base=_vector(table, slots), clamp=np.flatnonzero(clamp),
+                   m_slots=m_slots)
 
 
 def plan_to_vector(plan) -> np.ndarray:
     """Flatten a plan's coordinates (and densities) into the fixed layout."""
-    blocks = []
-    for owner in _owners(plan):
-        vertices = owner.vertices
-        blocks.extend([vertices[:, 0], vertices[:, 1], owner.densities])
-    return np.concatenate(blocks) if blocks else np.zeros(0)
+    table = segment_table(plan)
+    return _vector(table, _slots(table))
 
 
 def vector_to_plan(vector: np.ndarray, layout: Layout):
@@ -91,7 +101,7 @@ def vector_to_plan(vector: np.ndarray, layout: Layout):
                                 for owner, piece in zip(_owners(template), pieces)))
 
 
-def scatter_segment_gradients(plan, table, ga, gb, gx, g_len, g_density=None) -> np.ndarray:
+def scatter_segment_gradients(table, ga, gb, gx, g_len, g_density=None) -> np.ndarray:
     """Flat gradient of a plan from per-segment sensitivities.
 
     ``table`` is the plan's segment table. ga, gb pull on the segment
@@ -100,21 +110,21 @@ def scatter_segment_gradients(plan, table, ga, gb, gx, g_len, g_density=None) ->
     is the sensitivity to each segment's density. Pinned slots are
     exactly zero.
     """
-    layout = Layout.of(plan)
+    _, _, start_slots, m_slots, free = _slots(table)
     d = table.b - table.a
     # A collapsed interval has no tangent; zero is a valid subgradient of
     # the length there, so its direct length pull is dropped. Descent can
     # then pass through states where consecutive knots coincide.
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(table.length[:, None] > 0.0, d / table.length[:, None], 0.0)
-    grad = np.zeros(len(layout.base))
+    grad = np.zeros(len(free))
     # Each vertex starts at most one segment and ends at most one, so
     # the slots of each scatter are distinct.
-    grad[layout.start_slots] += ga + 0.5 * gx - unit * g_len[:, None]
-    grad[layout.end_slots] += gb + 0.5 * gx + unit * g_len[:, None]
+    grad[start_slots] += ga + 0.5 * gx - unit * g_len[:, None]
+    grad[start_slots + 1] += gb + 0.5 * gx + unit * g_len[:, None]
     if g_density is not None:
-        grad[layout.m_slots] = g_density
-    grad[~layout.free] = 0.0
+        grad[m_slots] = g_density
+    grad[~free] = 0.0
     return grad
 
 

@@ -344,7 +344,7 @@ def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
     owner = table.owner[j]
     weight = gw[i] * (masses[owner] * uncapped[i, owner])
     ga, gb, gx = _pair_pulls(table, i, j, weight, *pair_grads)
-    return scatter_segment_gradients(plan, table, ga, gb, gx, g_len)
+    return scatter_segment_gradients(table, ga, gb, gx, g_len)
 
 
 def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
@@ -380,7 +380,7 @@ def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
     pull = coeff[:, None] * normal
     ga = _sum_by(seg, -(1.0 - tp[:, None]) * pull, table.size)
     gb = _sum_by(seg, -tp[:, None] * pull, table.size)
-    return scatter_segment_gradients(plan, table, ga, gb, _sum_by(point, pull, table.size),
+    return scatter_segment_gradients(table, ga, gb, _sum_by(point, pull, table.size),
                                      g_len)
 
 

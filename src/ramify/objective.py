@@ -88,9 +88,7 @@ def _branch_arrays(plan: BranchPlan):
     if not isinstance(plan, BranchPlan):
         raise TypeError("tree objective is defined on branch plans")
     table = segment_table(plan)
-    density = np.concatenate([br.m for br in plan.branches])
-    du = np.concatenate([np.full(len(br.m), 1.0 / len(br.m)) for br in plan.branches])
-    return table, density, du
+    return table, table.density, (1.0 / table.segments)[table.owner]
 
 
 def leaf_payoff(plan: BranchPlan) -> float:
@@ -211,7 +209,7 @@ def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig,
     g_density = g_density - cfg.c2 * table.length
     g_len = g_len - cfg.c2 * density
 
-    return scatter_segment_gradients(plan, table, ga, gb, gx, g_len, g_density)
+    return scatter_segment_gradients(table, ga, gb, gx, g_len, g_density)
 
 
 def fd_gradient(plan: BranchPlan, cfg: ObjectiveConfig, step: float = 1e-6) -> np.ndarray:

@@ -17,7 +17,7 @@ smaller radii sharpen the geometry toward the unsmoothed cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,10 +88,8 @@ class TraceRow:
     backtracks: int
 
     def as_csv(self) -> str:
-        values = (self.iteration, self.eps, self.total, self.irrigation,
-                  self.penalty, self.payoff, self.tau, self.grad_norm, self.backtracks)
         return ",".join(format(v, ".17g") if isinstance(v, float) else str(v)
-                        for v in values)
+                        for v in astuple(self))
 
 
 @dataclass
@@ -102,11 +100,6 @@ class RunTrace:
     stage_plans: list = field(default_factory=list)
     stage_reasons: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-    def to_csv(self) -> str:
-        lines = [TRACE_HEADER]
-        lines.extend(row.as_csv() for row in self.rows)
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -190,14 +183,16 @@ def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad:
 
     Returns (x, plan, value, tau, trials) on success, where trials counts
     the rejected shrinks before acceptance, or (None, None, None, 0.0,
-    limit) when every trial step fails to decrease the objective.
+    limit) when every trial step fails to decrease the objective. A trial
+    whose objective is not finite ends the search in the same way as a
+    success; the caller tells the two apart by the value.
     """
     tau = tau0
     for j in range(cfg.backtrack_limit):
         trial = feasibility_project(x - tau * grad, layout)
         candidate = vector_to_plan(trial, layout)
         value = evaluator.objective(candidate)
-        if value.total < current_total:
+        if value.total < current_total or not np.isfinite(value.total):
             return trial, candidate, value, tau, j
         tau *= cfg.backtrack_factor
     return None, None, None, 0.0, cfg.backtrack_limit
@@ -209,8 +204,10 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
 
     Stops after ``stop_patience`` consecutive iterations whose relative
     decrease falls below ``stop_tol``, when the line search cannot find
-    any decreasing step, or at the iteration cap. Returns the final
-    plan, its objective value, the accepted-iteration rows, and the stop
+    any decreasing step, or at the iteration cap. A gradient entry, trial
+    objective or resample objective that is not finite stops the stage
+    with reason ``"nonfinite"``. Returns the last finite accepted plan,
+    its objective value, the accepted-iteration rows, and the stop
     reason. The iterate is carried as a flat vector in the layout of the
     starting plan; plans are rebuilt only to evaluate them. Each gradient
     is handed the objective value of the plan it differentiates, so it
@@ -227,16 +224,21 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     reason = "iteration_cap"
     for it in range(1, cfg.j_max + 1):
         grad = evaluator.gradient(plan, value)
+        if not np.all(np.isfinite(grad)):
+            reason = "nonfinite"
+            break
         trial, candidate, cand_value, tau, trials = backtracking_step(
             x, layout, value.total, grad, tau0, evaluator, cfg)
-        if candidate is None:
-            reason = "line_search_exhausted"
+        if candidate is None or not np.isfinite(cand_value.total):
+            reason = "line_search_exhausted" if candidate is None else "nonfinite"
             break
         x, plan, new_value = trial, candidate, cand_value
         if cfg.rediscretize_every > 0 and it % cfg.rediscretize_every == 0:
             resampled = rediscretize_plan(plan)
             resampled_value = evaluator.objective(resampled)
-            if resampled_value.total <= new_value.total:
+            if not np.isfinite(resampled_value.total):
+                reason = "nonfinite"  # the accepted trial still gets its row
+            elif resampled_value.total <= new_value.total:
                 x, plan, new_value = plan_to_vector(resampled), resampled, resampled_value
             # A rejected resample's evaluation would otherwise be held until the next one.
             del resampled, resampled_value
@@ -256,6 +258,8 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
             on_iteration(row, plan)
         relative = (value.total - new_value.total) / max(abs(value.total), 1e-300)
         value = new_value
+        if reason == "nonfinite":
+            break
         if relative < cfg.stop_tol:
             quiet += 1
             if quiet >= cfg.stop_patience:
@@ -281,7 +285,7 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
     ``evaluator_factory`` maps each eps to an evaluator. Returns the
     final plan and a trace whose stage_plans hold the initial plan
     followed by the minimizer of every stage; iteration numbers continue
-    across stages.
+    across stages. A stage that stops on a non-finite value is the last.
     """
     plan = project_plan(plan)
     tau0 = resolve_tau0(plan, cfg)
@@ -299,6 +303,8 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
         trace.stage_plans.append(plan)
         trace.stage_reasons.append(reason)
         start += len(rows)
+        if reason == "nonfinite":
+            break
     if final_value is not None:
         trace.metadata["final"] = {
             "total": final_value.total,

@@ -249,9 +249,6 @@ class BranchPlan(_Plan):
             raise ValueError("a branch plan holds Branch entries")
         object.__setattr__(self, "branches", branches)
 
-    def total_leaf_mass(self) -> float:
-        return float(sum((b.m * segment_lengths(b.vertices)).sum() for b in self.branches))
-
 
 @dataclass(frozen=True)
 class SegmentTable:
@@ -270,11 +267,18 @@ class SegmentTable:
     length: np.ndarray       # (S,)
     midpoint: np.ndarray     # (S, 2)
     flux: np.ndarray         # (S,)
+    density: np.ndarray      # (S,) leaf density of each branch interval; empty for path plans
+    terminal_fixed: np.ndarray  # (n,) whether each owner's last vertex is pinned
     group_starts: np.ndarray = field(repr=False)  # (n,) first row of each owner
 
     @property
     def size(self) -> int:
         return len(self.length)
+
+    @property
+    def segments(self) -> np.ndarray:
+        """(n,) segment count of each owner."""
+        return np.diff(np.append(self.group_starts, self.size))
 
 
 def _owners(plan) -> tuple:
@@ -286,10 +290,11 @@ def _owners(plan) -> tuple:
 
 def segment_table(plan) -> SegmentTable:
     """Build the flattened segment table for a path or branch plan."""
+    owners = _owners(plan)
     owner_ids, intervals, starts, ends, fluxes = [], [], [], [], []
     group_starts = []
     row = 0
-    for k, owner in enumerate(_owners(plan)):
+    for k, owner in enumerate(owners):
         group_starts.append(row)
         verts = owner.vertices
         lengths = segment_lengths(verts)
@@ -310,6 +315,8 @@ def segment_table(plan) -> SegmentTable:
         length=np.hypot(*(b - a).T) if len(a) else np.zeros(0),
         midpoint=0.5 * (a + b),
         flux=np.concatenate(fluxes) if fluxes else np.zeros(0),
+        density=np.concatenate([o.densities for o in owners] or [np.zeros(0)]),
+        terminal_fixed=np.array([o.terminal_fixed for o in owners], dtype=bool),
         group_starts=np.asarray(group_starts, dtype=int),
     )
 

@@ -1,11 +1,16 @@
 """End-to-end tests of the command line interface."""
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ramify
+import ramify.optimizer as optimizer_module
 from ramify.cli import main
 
 TINY_IRRIGATE = {
@@ -244,3 +249,41 @@ def test_zero_iteration_budget_emits_initial_plan_only(tmp_path):
     summary = _read_json(os.path.join(out, "summary.json"))
     assert summary["iterations"] == 0
     assert summary["stage_reasons"] == ["iteration_cap"]
+
+
+def test_nonfinite_stage_writes_outputs_and_exits_three(tmp_path, monkeypatch, capsys):
+    real = optimizer_module.path_evaluator
+
+    def poisoned(*args, **kwargs):
+        evaluator, calls = real(*args, **kwargs), []
+
+        def objective(plan):
+            calls.append(plan)
+            value = evaluator.objective(plan)
+            return value if len(calls) <= 3 else dataclasses.replace(value, total=np.nan)
+
+        return dataclasses.replace(evaluator, objective=objective)
+
+    monkeypatch.setattr(optimizer_module, "path_evaluator", poisoned)
+    cfg = _write_config(tmp_path, TINY_IRRIGATE)
+    out = str(tmp_path / "run")
+    assert main(["irrigate", "--config", cfg, "--out", out]) == 3
+    assert "stage 1 (eps=0.3)" in capsys.readouterr().err
+    summary = _read_json(os.path.join(out, "summary.json"))
+    assert summary["stage_reasons"] == ["nonfinite"]
+    assert np.isfinite(summary["final_energy"])
+    lines = open(os.path.join(out, "trace.csv")).read().strip().split("\n")
+    assert len(lines) == 1 + summary["iterations"]
+    for name in ("plan_stage_0.json", "plan_stage_1.json", "stage_1.svg"):
+        assert os.path.exists(os.path.join(out, name))
+    assert not os.path.exists(os.path.join(out, "plan_stage_2.json"))
+
+
+def test_importing_the_package_and_the_cli_leaves_numpy_unloaded():
+    # RAMIFY_THREADS must reach the environment before numpy loads.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ramify.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ramify, ramify.cli; print(sorted(m for m in sys.modules if 'numpy' in m))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert done.stdout.strip() == "[]"

@@ -6,9 +6,7 @@ import pytest
 from ramify.geometry import (
     bounding_box_diameter,
     cumulative_arclength,
-    point_segment_distance,
-    point_segment_projection,
-    polyline_length,
+    pair_projection,
     resample_polyline,
     segment_lengths,
 )
@@ -18,7 +16,7 @@ def test_segment_lengths_l_shape():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     np.testing.assert_allclose(segment_lengths(v), [1.0, 1.0])
     np.testing.assert_allclose(cumulative_arclength(v), [0.0, 1.0, 2.0])
-    assert polyline_length(v) == pytest.approx(2.0, abs=1e-15)
+    assert segment_lengths(v).sum() == pytest.approx(2.0, abs=1e-15)
 
 
 def test_segment_lengths_single_vertex_has_no_segments():
@@ -60,15 +58,16 @@ def test_projection_clamps_to_segment_ends():
     a = np.array([[0.0, 0.0]])
     b = np.array([[1.0, 0.0]])
     pts = np.array([[-1.0, 1.0], [0.5, 2.0], [3.0, -1.0]])
-    t, dist = point_segment_projection(pts, a, b)
+    t, dist = pair_projection(pts[:, None, :], a[None, :, :], b[None, :, :])
     np.testing.assert_allclose(t[:, 0], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(dist[:, 0], [np.sqrt(2.0), 2.0, np.sqrt(5.0)])
-    np.testing.assert_allclose(point_segment_distance(pts, a, b), dist)
+    np.testing.assert_allclose(
+        pair_projection(pts[:, None, :], a[None, :, :], b[None, :, :])[1], dist)
 
 
 def test_projection_zero_length_segment():
     a = np.array([[1.0, 1.0]])
-    t, dist = point_segment_projection(np.array([[4.0, 5.0]]), a, a)
+    t, dist = pair_projection(np.array([[[4.0, 5.0]]]), a[None, :, :], a[None, :, :])
     assert t[0, 0] == 0.0
     assert dist[0, 0] == pytest.approx(5.0)
 
@@ -77,7 +76,7 @@ def test_projection_batched_over_segments():
     pts = np.array([[0.5, 0.5], [2.0, 0.0]])
     a = np.array([[0.0, 0.0], [0.0, 1.0]])
     b = np.array([[1.0, 0.0], [1.0, 1.0]])
-    dist = point_segment_distance(pts, a, b)
+    dist = pair_projection(pts[:, None, :], a[None, :, :], b[None, :, :])[1]
     assert dist.shape == (2, 2)
     np.testing.assert_allclose(dist[0], [0.5, 0.5])
     np.testing.assert_allclose(dist[1], [1.0, np.sqrt(2.0)])
@@ -89,7 +88,7 @@ def test_projection_matches_brute_force():
         a = rng.uniform(-2, 2, (1, 2))
         b = rng.uniform(-2, 2, (1, 2))
         p = rng.uniform(-3, 3, (1, 2))
-        d = point_segment_distance(p, a, b)[0, 0]
+        d = pair_projection(p[:, None, :], a[None, :, :], b[None, :, :])[1][0, 0]
         ts = np.linspace(0.0, 1.0, 2001)
         pts = a + ts[:, None] * (b - a)
         brute = np.hypot(pts[:, 0] - p[0, 0], pts[:, 1] - p[0, 1]).min()

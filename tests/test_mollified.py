@@ -5,7 +5,7 @@ import pytest
 
 import ramify.objective as objective_module
 from ramify.exact_cost import exact_multiplicity, exact_plan_cost
-from ramify.geometry import point_segment_distance, point_segment_projection
+from ramify.geometry import pair_projection
 from ramify.gradients import (
     Layout,
     central_difference,
@@ -368,7 +368,7 @@ def _dense_capped(mat, table, masses):
 
 
 def _dense_nearest(points, table):
-    t_par, dist = point_segment_projection(points, table.a, table.b)
+    t_par, dist = pair_projection(points[:, None, :], table.a[None, :, :], table.b[None, :, :])
     return t_par, dist, np.minimum.reduceat(dist, table.group_starts, axis=1)
 
 
@@ -383,7 +383,7 @@ def _dense_energy_avg_gradient(plan, alpha, eps, spec):
     w, uncapped = _dense_capped(mat, table, masses)
     gw, g_len = _gradient_weights(table, w, alpha, "oracle")
     weight = gw[:, None] * (masses[table.owner][None, :] * uncapped[:, table.owner])
-    return scatter_segment_gradients(plan, table, *_dense_pulls(weight, *pair_grads), g_len)
+    return scatter_segment_gradients(table, *_dense_pulls(weight, *pair_grads), g_len)
 
 
 def _dense_energy_max_gradient(plan, alpha, eps, spec):
@@ -410,7 +410,7 @@ def _dense_energy_max_gradient(plan, alpha, eps, spec):
         gx += pull
         np.add.at(ga, seg[positive], -(1.0 - tp[positive, None]) * pull[positive])
         np.add.at(gb, seg[positive], -tp[positive, None] * pull[positive])
-    return scatter_segment_gradients(plan, table, ga, gb, gx, g_len)
+    return scatter_segment_gradients(table, ga, gb, gx, g_len)
 
 
 def _dense_branch_cost_gradient(table, alpha, eps, f_min, pairs):
@@ -463,7 +463,8 @@ def test_pair_list_holds_every_pair_within_eps():
         table = segment_table(plan)
         probes = rng.uniform(-1.3, 1.3, (200, 2))
         for points in (table.midpoint, probes):
-            dist = point_segment_distance(points, table.a, table.b)
+            dist = pair_projection(points[:, None, :], table.a[None, :, :],
+                                   table.b[None, :, :])[1]
             for eps in PAIR_EPS:
                 for kind in ("bump", "triangular"):
                     i, j = _pair_list(table, points, eps, KernelSpec(kind))

@@ -7,7 +7,7 @@ import ramify.optimizer as optimizer_module
 from ramify.geometry import cumulative_arclength, resample_polyline, segment_lengths
 from ramify.gradients import Layout, plan_to_vector, vector_to_plan
 from ramify.mollified import energy_avg_gradient, energy_max_gradient
-from ramify.objective import ObjectiveConfig, ObjectiveValue, tree_objective_gradient
+from ramify.objective import ObjectiveConfig, ObjectiveValue, leaf_payoff, tree_objective_gradient
 from ramify.optimizer import (
     TRACE_HEADER,
     DescentConfig,
@@ -327,7 +327,7 @@ def test_rediscretize_branch_conserves_leaf_mass():
         m = rng.uniform(0.0, 2.0, k)
         plan = BranchPlan(branches=(Branch(x=x, y=y, m=m),))
         out = rediscretize_plan(plan)
-        assert out.total_leaf_mass() == pytest.approx(plan.total_leaf_mass(), abs=1e-9)
+        assert leaf_payoff(out) == pytest.approx(leaf_payoff(plan), abs=1e-9)
         b = out.branches[0]
         assert b.x[-1] == pytest.approx(x[-1], abs=1e-12)
         assert b.y[-1] == pytest.approx(y[-1], abs=1e-12)
@@ -374,7 +374,7 @@ def test_rediscretize_branch_matches_the_interval_loop_bit_for_bit():
             np.testing.assert_array_equal(new.x, expected.x)
             np.testing.assert_array_equal(new.y, expected.y)
             np.testing.assert_array_equal(new.m, expected.m)
-        assert abs(out.total_leaf_mass() - plan.total_leaf_mass()) <= 1e-12
+        assert abs(leaf_payoff(out) - leaf_payoff(plan)) <= 1e-12
     assert rediscretize_plan(plans[-1]).branches[1] is zero_length
 
 
@@ -395,7 +395,7 @@ def test_eps_continuation_stages_and_numbering():
     assert trace.metadata["tau0"] > 0.0
     assert trace.metadata["eps_schedule"] == [0.3, 0.15]
     assert set(trace.metadata["final"]) == {"total", "irrigation", "penalty", "payoff"}
-    header, *lines = trace.to_csv().strip().split("\n")
+    header, *lines = [TRACE_HEADER] + [row.as_csv() for row in trace.rows]
     assert header == TRACE_HEADER
     assert len(lines) == len(trace.rows)
 
@@ -451,3 +451,54 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
     # start plan is never differentiated.
     assert [differentiated.index(id(copy)) for copy in resamples[::2]] == [2, 6]
     assert id(plan) not in differentiated
+
+
+def _poisoned(evaluator, total=None, finite_calls=1, nan_gradient=False):
+    """The evaluator with every objective after the first ``finite_calls``
+    replaced by ``total``, and with NaN gradients if asked."""
+    calls = []
+
+    def objective(plan):
+        calls.append(plan)
+        value = evaluator.objective(plan)
+        if total is None or len(calls) <= finite_calls:
+            return value
+        return ObjectiveValue(total=total, irrigation=total, penalty=0.0, payoff=0.0)
+
+    def gradient(plan, value=None):
+        grad = evaluator.gradient(plan, value)
+        return np.full_like(grad, np.nan) if nan_gradient else grad
+
+    return Evaluator(objective=objective, gradient=gradient)
+
+
+@pytest.mark.parametrize("poison, every, accepted", [
+    (dict(total=np.nan), 0, 0),
+    (dict(total=-np.inf), 0, 0),
+    (dict(nan_gradient=True), 0, 0),
+    (dict(total=np.nan, finite_calls=2), 1, 1),  # the first resample
+], ids=["nan-trial", "minus-inf-trial", "nan-gradient", "nan-resample"])
+def test_run_descent_stops_on_a_nonfinite_value(poison, every, accepted):
+    plan = build_star_plan(half_circle_targets(3), segments_per_path=3)
+    start = plan_to_vector(plan)
+    ev = _poisoned(_quadratic_evaluator(start + 1.0), **poison)
+    cfg = DescentConfig(j_max=10, rediscretize_every=every)
+    out, value, rows, reason = run_descent(plan, ev, cfg, eps=0.1, tau0=0.4)
+    assert reason == "nonfinite"
+    assert len(rows) == accepted
+    assert all(np.isfinite(row.total) for row in rows)
+    assert np.isfinite(value.total)
+    assert value == _quadratic_evaluator(start + 1.0).objective(out)
+    if not accepted:
+        np.testing.assert_array_equal(plan_to_vector(out), start)
+
+
+def test_eps_continuation_runs_no_stage_after_a_nonfinite_one():
+    plan = build_star_plan(half_circle_targets(3), segments_per_path=3)
+    ev = _poisoned(_quadratic_evaluator(plan_to_vector(plan) + 1.0), nan_gradient=True)
+    cfg = DescentConfig(eps_schedule=(0.3, 0.2, 0.1), j_max=10)
+    _, trace = eps_continuation(plan, lambda eps: ev, cfg)
+    assert trace.stage_reasons == ["nonfinite"]
+    assert len(trace.stage_plans) == 2
+    assert trace.rows == []
+    assert np.isfinite(trace.metadata["final"]["total"])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ramify.objective import leaf_payoff
 from ramify.plan_model import (
     Branch,
     BranchPlan,
@@ -71,7 +72,7 @@ def test_branch_plan_total_leaf_mass():
     b = Branch(x=np.array([0.0, 1.0, 1.0]), y=np.array([0.0, 0.0, 2.0]), m=np.array([0.5, 0.25]))
     plan = BranchPlan(branches=(b,))
     # densities times segment lengths: 0.5 * 1 + 0.25 * 2
-    assert plan.total_leaf_mass() == pytest.approx(1.0)
+    assert leaf_payoff(plan) == pytest.approx(1.0)
 
 
 def test_segment_table_path_fluxes():
@@ -258,3 +259,55 @@ def test_random_branch_plan_is_valid_and_reproducible():
             assert 1 <= b1.segments <= 6
             assert np.all(b1.m >= 0.0)
             assert np.all(b1.y >= 0.0)
+
+
+def _reference_layout(plan):
+    """The flat layout as a loop over owners, for comparison."""
+    from ramify.plan_model import _owners
+
+    blocks, offsets, counts, clamp, m_slots, pinned = [], [], [], [], [], []
+    offset = 0
+    for owner in _owners(plan):
+        count, densities = len(owner.vertices), len(owner.densities)
+        x0, y0, m0 = offset, offset + count, offset + 2 * count
+        blocks.extend([owner.vertices[:, 0], owner.vertices[:, 1], owner.densities])
+        pinned.extend([x0, y0] + ([y0 - 1, m0 - 1] if owner.terminal_fixed else []))
+        if densities:
+            clamp.append(np.arange(y0, m0 + densities))
+            m_slots.append(np.arange(m0, m0 + densities))
+        offsets.append(offset)
+        counts.append(count)
+        offset = m0 + densities
+    offsets.append(offset)
+    free = np.ones(offset, dtype=bool)
+    free[pinned] = False
+    empty = np.zeros(0, dtype=int)
+    return {"offsets": offsets, "counts": counts, "free": free,
+            "base": np.concatenate(blocks) if blocks else np.zeros(0),
+            "clamp": np.concatenate(clamp) if clamp else empty,
+            "m_slots": np.concatenate(m_slots) if m_slots else empty}
+
+
+def _random_path_plan(rng):
+    paths = []
+    for _ in range(int(rng.integers(1, 6))):
+        segments = int(rng.integers(1, 7))  # one-segment paths included
+        vertices = np.vstack([np.zeros((1, 2)), rng.uniform(-1.0, 1.0, (segments, 2))])
+        paths.append(Path(vertices=vertices, mass=float(rng.uniform(0.1, 1.0)),
+                          terminal_fixed=bool(rng.integers(2))))
+    return PathPlan(paths=tuple(paths))
+
+
+def test_layout_matches_the_owner_loop():
+    from ramify.gradients import Layout, plan_to_vector
+
+    rng = np.random.default_rng(31)
+    plans = [_random_path_plan(rng) for _ in range(100)]
+    plans += [random_branch_plan(rng, max_branches=6, max_segments=12) for _ in range(100)]
+    plans.append(PathPlan(paths=()))
+    for plan in plans:
+        layout, expected = Layout.of(plan), _reference_layout(plan)
+        for name, value in expected.items():
+            assert np.array_equal(getattr(layout, name), value), name
+        assert np.array_equal(plan_to_vector(plan), expected["base"])
+    assert any(not p.terminal_fixed for plan in plans[:100] for p in plan.paths)
