@@ -169,6 +169,7 @@ def cmd_irrigate(run_cfg, out_dir: str) -> dict:
 
     final_plan, trace = _run_continuation(initial, factory, run_cfg, out_dir,
                                           alpha, targets)
+    final = trace.metadata["final"]
     clusters = [crossing_cluster_count(p) for p in trace.stage_plans]
     merge_tol = _resolved_merge_tol(run_cfg, final_plan)
     try:
@@ -186,7 +187,7 @@ def cmd_irrigate(run_cfg, out_dir: str) -> dict:
         "tau0": trace.metadata["tau0"],
         "stage_reasons": trace.stage_reasons,
         "iterations": len(trace.rows),
-        "final_energy": trace.metadata["final"]["total"],
+        "final_energy": None if final is None else final["total"],
         "exact_cost": exact,
         "exact_cost_note": exact_note,
         "merge_tol": merge_tol,
@@ -362,7 +363,7 @@ def run_gradient_check(run_cfg, corrupt: bool = False) -> dict:
     """Compare analytic and central-difference gradients on random plans."""
     import numpy as np
 
-    from .objective import fd_gradient, tree_objective_gradient
+    from .objective import fd_gradient, tree_objective, tree_objective_gradient
     from .plan_model import random_branch_plan
 
     check = run_cfg.gradcheck
@@ -372,7 +373,7 @@ def run_gradient_check(run_cfg, corrupt: bool = False) -> dict:
     worst_component = None
     for index in range(check.plans):
         plan = random_branch_plan(rng, check.max_branches, check.max_segments)
-        analytic = tree_objective_gradient(plan, run_cfg.objective)
+        analytic = tree_objective_gradient(tree_objective(plan, run_cfg.objective))
         if corrupt and index == 0:
             analytic[min(1, len(analytic) - 1)] += 1e-3
         numeric = fd_gradient(plan, run_cfg.objective, check.step)

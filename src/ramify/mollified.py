@@ -45,21 +45,20 @@ from .plan_model import BranchPlan, PathPlan, SegmentTable, segment_table
 
 @dataclass(frozen=True, eq=False)
 class _Evaluation:
-    """The plan, settings and data (segment table first, then pair data) of
-    one evaluation, kept on its result for the gradient of the same plan."""
+    """The settings and data (segment table first, then pair data) of one
+    evaluation of the ``form`` objective: all that its gradient reads."""
 
-    plan: object
+    form: str
     settings: tuple
     data: tuple
 
 
-def _reused(value, plan, settings: tuple) -> Optional[tuple]:
-    """The data of ``value``'s evaluation if it was computed on this very
-    plan object with equal settings, else None."""
-    record = None if value is None else value._evaluation
-    if record is None or record.plan is not plan or record.settings != settings:
-        return None
-    return record.data
+def _record(value, form: str) -> _Evaluation:
+    """The evaluation record of ``value``, a result of the ``form`` objective."""
+    record = getattr(value, "_evaluation", None)
+    if record is None or record.form != form:
+        raise TypeError(f"the gradient of {form} takes a result of {form}")
+    return record
 
 
 @dataclass(frozen=True)
@@ -285,8 +284,8 @@ def energy_max(plan: PathPlan, alpha: float, eps: float,
 
     Sum over segments of w(mid)^(alpha-1) * mass * length, where w is
     :func:`multiplicity_max`. Bounded above by the exact plan cost. The
-    result carries the segment table and nearest pairs for
-    :func:`energy_max_gradient` of the same plan.
+    result carries its settings, segment table and nearest pairs for
+    :func:`energy_max_gradient`.
     """
     _check_alpha(alpha)
     _check_eps(eps)
@@ -294,16 +293,16 @@ def energy_max(plan: PathPlan, alpha: float, eps: float,
     table = segment_table(plan)
     nearest = _nearest(table.midpoint, table, eps, spec)
     w = kernel_eval(spec, nearest[0] / eps) @ masses
-    return _midpoint_energy(table, w, alpha, "energy_max",
-                            _Evaluation(plan, ("max", alpha, eps, spec), (table, nearest)))
+    return _midpoint_energy(table, w, alpha, "energy_max", _Evaluation(
+        "energy_max", (alpha, eps, spec), (table, masses, nearest)))
 
 
 def energy_avg(plan: PathPlan, alpha: float, eps: float,
                spec: KernelSpec = KernelSpec(), quad_points: int = 32) -> MollifiedEval:
     """Midpoint-rule energy built on the integral-average multiplicity.
 
-    The result carries the segment table and pair list for
-    :func:`energy_avg_gradient` of the same plan.
+    The result carries its settings, segment table and pair list for
+    :func:`energy_avg_gradient`.
     """
     _check_alpha(alpha)
     _check_eps(eps)
@@ -313,28 +312,19 @@ def energy_avg(plan: PathPlan, alpha: float, eps: float,
     w = _capped(*_pairs(table, table.midpoint, pairs, eps, spec, quad_points), table, masses,
                 table.size)[0]
     return _midpoint_energy(table, w, alpha, "energy_avg", _Evaluation(
-        plan, ("avg", alpha, eps, spec, quad_points), (table, pairs)))
+        "energy_avg", (alpha, eps, spec, quad_points), (table, masses, pairs)))
 
 
-def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
-                        spec: KernelSpec = KernelSpec(), quad_points: int = 32,
-                        value: Optional[MollifiedEval] = None) -> np.ndarray:
-    """Exact gradient of :func:`energy_avg` in the free vertex coordinates.
+def energy_avg_gradient(value) -> np.ndarray:
+    """Exact gradient of :func:`energy_avg` in the free vertex coordinates,
+    at the plan and settings of ``value``, a result of :func:`energy_avg`.
 
     Chain rules through segment lengths, midpoints, and the segment
     integrals; capped paths contribute no multiplicity derivative. Taken
-    one-sidedly at cap and support boundaries. ``value``, the result of
-    :func:`energy_avg` on this plan with the same settings, lends its
-    segment table and pair list; any other value is ignored.
+    one-sidedly at cap and support boundaries.
     """
-    _check_alpha(alpha)
-    _check_eps(eps)
-    masses = _path_masses(plan)
-    reused = _reused(value, plan, ("avg", alpha, eps, spec, quad_points))
-    if reused is None:
-        table = segment_table(plan)
-        reused = table, _pair_list(table, table.midpoint, eps, spec)
-    table, pairs = reused
+    record = _record(value, "energy_avg")
+    (alpha, eps, spec, quad_points), (table, masses, pairs) = record.settings, record.data
     i, j, integral, *pair_grads = _pairs(table, table.midpoint, pairs, eps, spec,
                                          quad_points, grad=True)
     w, uncapped = _capped(i, j, integral, table, masses, table.size)
@@ -347,26 +337,17 @@ def energy_avg_gradient(plan: PathPlan, alpha: float, eps: float,
     return scatter_segment_gradients(table, ga, gb, gx, g_len)
 
 
-def energy_max_gradient(plan: PathPlan, alpha: float, eps: float,
-                        spec: KernelSpec = KernelSpec(),
-                        value: Optional[MollifiedEval] = None) -> np.ndarray:
-    """Gradient of :func:`energy_max` in the free vertex coordinates.
+def energy_max_gradient(value) -> np.ndarray:
+    """Gradient of :func:`energy_max` in the free vertex coordinates, at
+    the plan and settings of ``value``, a result of :func:`energy_max`.
 
     The minimum distance to each path is differentiated through its
     nearest segment; points lying on a path contribute no distance
     derivative there, which matches the flat own-path direction.
-    ``value``, the result of :func:`energy_max` on this plan with the same
-    settings, lends its segment table and nearest pairs; any other value
-    is ignored.
     """
-    _check_alpha(alpha)
-    _check_eps(eps)
-    masses = _path_masses(plan)
-    reused = _reused(value, plan, ("max", alpha, eps, spec))
-    if reused is None:
-        table = segment_table(plan)
-        reused = table, _nearest(table.midpoint, table, eps, spec)
-    table, (min_dist, (point, seg, tp, dval)) = reused
+    record = _record(value, "energy_max")
+    (alpha, eps, spec), (table, masses, nearest) = record.settings, record.data
+    min_dist, (point, seg, tp, dval) = nearest
     points = table.midpoint
     w = kernel_eval(spec, min_dist / eps) @ masses
     gw, g_len = _gradient_weights(table, w, alpha, "energy_max_gradient")

@@ -27,9 +27,9 @@ from .mollified import (
     _branch_cost_terms,
     _branch_pairs,
     _Evaluation,
-    _reused,
+    _record,
 )
-from .plan_model import BranchPlan, segment_table
+from .plan_model import BranchPlan, SegmentTable, segment_table
 
 PENALTY_KERNELS = ("gaussian", "powerlaw")
 
@@ -72,8 +72,8 @@ class ObjectiveConfig:
 class ObjectiveValue:
     """Objective total together with its three components.
 
-    ``_evaluation`` holds the data the evaluation computed, for the
-    gradient of the same plan; it takes no part in comparisons.
+    ``_evaluation`` holds the settings and data of the evaluation, for
+    its gradient; it takes no part in comparisons.
     """
 
     total: float
@@ -83,18 +83,21 @@ class ObjectiveValue:
     _evaluation: Optional[_Evaluation] = field(default=None, compare=False, repr=False)
 
 
-def _branch_arrays(plan: BranchPlan):
-    """Segment table plus per-segment density and parameter weights."""
+def _branch_table(plan: BranchPlan) -> SegmentTable:
     if not isinstance(plan, BranchPlan):
         raise TypeError("tree objective is defined on branch plans")
-    table = segment_table(plan)
-    return table, table.density, (1.0 / table.segments)[table.owner]
+    return segment_table(plan)
+
+
+def _parameter_steps(table: SegmentTable) -> np.ndarray:
+    """Each segment's step 1/K on its branch's uniform parameter grid."""
+    return (1.0 / table.segments)[table.owner]
 
 
 def leaf_payoff(plan: BranchPlan) -> float:
     """Total leaf mass of the plan: sum of density times segment length."""
-    table, density, _ = _branch_arrays(plan)
-    return float((density * table.length).sum())
+    table = _branch_table(plan)
+    return float((table.density * table.length).sum())
 
 
 def _square_distances(midpoints: np.ndarray) -> np.ndarray:
@@ -138,53 +141,49 @@ def _penalty_slopes(midpoints: np.ndarray, m_mat: np.ndarray,
     return n_mat
 
 
-def _crowding(table, density, du, cfg: ObjectiveConfig):
+def _crowding(table: SegmentTable, cfg: ObjectiveConfig):
     """Penalty weights w and interaction matrix M of the crowding penalty."""
-    weights = density * (table.length if cfg.penalty_arclength else du)
+    weights = table.density * (table.length if cfg.penalty_arclength
+                               else _parameter_steps(table))
     return weights, _penalty_matrix(table.midpoint, weights, cfg)
 
 
 def crowding_penalty(plan: BranchPlan, cfg: ObjectiveConfig) -> float:
     """Pairwise repulsion between segment midpoints, weighted by mass."""
-    weights, m_mat = _crowding(*_branch_arrays(plan), cfg)
+    weights, m_mat = _crowding(_branch_table(plan), cfg)
     return float(weights @ m_mat @ weights)
 
 
 def tree_objective(plan: BranchPlan, cfg: ObjectiveConfig) -> ObjectiveValue:
     """Evaluate J = I + c1 * P - c2 * H on a branch plan.
 
-    The result carries the segment table, densities, pair list and
-    crowding matrix for :func:`tree_objective_gradient` of the same plan.
+    The result carries its config, segment table, pair list and crowding
+    matrix for :func:`tree_objective_gradient`.
     """
-    table, density, du = _branch_arrays(plan)
+    table = _branch_table(plan)
     pairs = _branch_pairs(table, cfg.eps)
     irrigation = float(_branch_cost_terms(table, cfg.alpha, cfg.eps, cfg.f_min, pairs).sum())
     crowding, penalty = None, 0.0
     if cfg.c1 != 0.0:
-        weights, m_mat = crowding = _crowding(table, density, du, cfg)
+        weights, m_mat = crowding = _crowding(table, cfg)
         penalty = float(weights @ m_mat @ weights)
-    payoff = float((density * table.length).sum())
+    payoff = float((table.density * table.length).sum())
     total = irrigation + cfg.c1 * penalty - cfg.c2 * payoff
     return ObjectiveValue(total=total, irrigation=irrigation, penalty=penalty, payoff=payoff,
-                          _evaluation=_Evaluation(plan, ("tree", cfg),
-                                                  (table, density, du, pairs, crowding)))
+                          _evaluation=_Evaluation("tree_objective", (cfg,),
+                                                  (table, pairs, crowding)))
 
 
-def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig,
-                            value: Optional[ObjectiveValue] = None) -> np.ndarray:
-    """Exact gradient of :func:`tree_objective` in free coordinates.
+def tree_objective_gradient(value: ObjectiveValue) -> np.ndarray:
+    """Exact gradient of :func:`tree_objective` in free coordinates, at the
+    plan and config of ``value``, a result of :func:`tree_objective`.
 
     Returns sensitivities for every interior vertex coordinate and every
     density entry; the root vertex is pinned to zero by the free mask.
-    ``value``, the result of :func:`tree_objective` on this plan with the
-    same config, lends its segment table, densities, pair list and
-    crowding matrix; any other value is ignored.
     """
-    reused = _reused(value, plan, ("tree", cfg))
-    if reused is None:
-        table, density, du = _branch_arrays(plan)
-        reused = table, density, du, _branch_pairs(table, cfg.eps), None
-    table, density, du, pairs, crowding = reused
+    record = _record(value, "tree_objective")
+    (cfg,), (table, pairs, crowding) = record.settings, record.data
+    density = table.density
     mids = table.midpoint
     ga, gb, gx, g_len, g_cell = _branch_cost_gradient(table, cfg.alpha, cfg.eps, cfg.f_min,
                                                       pairs)
@@ -193,7 +192,7 @@ def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig,
 
     # Crowding penalty.
     if cfg.c1 != 0.0:
-        weights, m_mat = crowding or _crowding(table, density, du, cfg)
+        weights, m_mat = crowding
         n_mat = _penalty_slopes(mids, m_mat, cfg)
         g_weights = 2.0 * (m_mat @ weights)
         pulled = n_mat @ (weights[:, None] * mids)
@@ -202,7 +201,7 @@ def tree_objective_gradient(plan: BranchPlan, cfg: ObjectiveConfig,
             g_density = g_density + cfg.c1 * g_weights * table.length
             g_len = g_len + cfg.c1 * g_weights * density
         else:
-            g_density = g_density + cfg.c1 * g_weights * du
+            g_density = g_density + cfg.c1 * g_weights * _parameter_steps(table)
         gx = gx + cfg.c1 * g_mid_pen
 
     # Leaf payoff enters with a negative sign.

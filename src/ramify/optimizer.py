@@ -107,8 +107,8 @@ class Evaluator:
     """Objective and gradient callables over one plan type.
 
     ``objective(plan)`` returns an :class:`ObjectiveValue`;
-    ``gradient(plan, value=None)`` returns the flat gradient and reuses
-    what ``value``, the objective of that same plan, computed.
+    ``gradient(value)`` returns the flat gradient at the plan of ``value``,
+    a result of that objective.
     """
 
     objective: Callable
@@ -123,31 +123,27 @@ def _energy_value(energy) -> ObjectiveValue:
 
 def path_evaluator(alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
                    functional: str = "avg", quad_points: int = 32) -> Evaluator:
-    """Evaluator minimizing a mollified irrigation energy over path plans."""
+    """Evaluator minimizing a mollified irrigation energy over path plans.
+
+    Each call reads the gradient from this module's names, so a wrapper
+    set over them after import (as a tracer does) is the one used.
+    """
     if functional == "avg":
         def objective(plan):
             return _energy_value(energy_avg(plan, alpha, eps, spec, quad_points))
-
-        def gradient(plan, value=None):
-            return energy_avg_gradient(plan, alpha, eps, spec, quad_points, value)
-    elif functional == "max":
+        return Evaluator(objective=objective, gradient=energy_avg_gradient)
+    if functional == "max":
         def objective(plan):
             return _energy_value(energy_max(plan, alpha, eps, spec))
-
-        def gradient(plan, value=None):
-            return energy_max_gradient(plan, alpha, eps, spec, value)
-    else:
-        raise ValueError("functional must be 'avg' or 'max'")
-    return Evaluator(objective=objective, gradient=gradient)
+        return Evaluator(objective=objective, gradient=energy_max_gradient)
+    raise ValueError("functional must be 'avg' or 'max'")
 
 
 def branch_evaluator(obj_cfg: ObjectiveConfig, eps: float) -> Evaluator:
     """Evaluator for the branch-shape objective at the given smoothing."""
     cfg = obj_cfg.with_eps(eps)
-    return Evaluator(
-        objective=lambda plan: tree_objective(plan, cfg),
-        gradient=lambda plan, value=None: tree_objective_gradient(plan, cfg, value),
-    )
+    return Evaluator(objective=lambda plan: tree_objective(plan, cfg),
+                     gradient=tree_objective_gradient)
 
 
 def feasibility_project(vector: np.ndarray, layout: Layout) -> np.ndarray:
@@ -204,26 +200,26 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
 
     Stops after ``stop_patience`` consecutive iterations whose relative
     decrease falls below ``stop_tol``, when the line search cannot find
-    any decreasing step, or at the iteration cap. A gradient entry, trial
-    objective or resample objective that is not finite stops the stage
-    with reason ``"nonfinite"``. Returns the last finite accepted plan,
-    its objective value, the accepted-iteration rows, and the stop
-    reason. The iterate is carried as a flat vector in the layout of the
-    starting plan; plans are rebuilt only to evaluate them. Each gradient
-    is handed the objective value of the plan it differentiates, so it
-    reuses that evaluation.
+    any decreasing step, or at the iteration cap. A starting objective,
+    gradient entry, trial objective or resample objective that is not
+    finite stops the stage with reason ``"nonfinite"``. Returns the last
+    finite accepted plan (the starting plan if its own objective is not
+    finite), its objective value, the accepted-iteration rows, and the
+    stop reason. The iterate is carried as a flat vector in the layout of
+    the starting plan; plans are rebuilt only to evaluate them. Each
+    gradient is taken of the objective value of the accepted plan.
     """
     layout = Layout.of(plan)
     x = feasibility_project(layout.base, layout)
     plan = vector_to_plan(x, layout)
     value = evaluator.objective(plan)
     if not np.isfinite(value.total):
-        raise ValueError("objective is not finite at the initial plan")
+        return plan, value, [], "nonfinite"
     rows = []
     quiet = 0
     reason = "iteration_cap"
     for it in range(1, cfg.j_max + 1):
-        grad = evaluator.gradient(plan, value)
+        grad = evaluator.gradient(value)
         if not np.all(np.isfinite(grad)):
             reason = "nonfinite"
             break
@@ -286,6 +282,8 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
     final plan and a trace whose stage_plans hold the initial plan
     followed by the minimizer of every stage; iteration numbers continue
     across stages. A stage that stops on a non-finite value is the last.
+    The final value is the last finite one, or None when the first
+    stage's starting objective is not finite.
     """
     plan = project_plan(plan)
     tau0 = resolve_tau0(plan, cfg)
@@ -297,19 +295,20 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
     final_value = None
     for eps in cfg.eps_schedule:
         evaluator = evaluator_factory(eps)
-        plan, final_value, rows, reason = run_descent(
+        plan, value, rows, reason = run_descent(
             plan, evaluator, cfg, eps, tau0, start_iteration=start, on_iteration=on_iteration)
+        if np.isfinite(value.total):
+            final_value = value
         trace.rows.extend(rows)
         trace.stage_plans.append(plan)
         trace.stage_reasons.append(reason)
         start += len(rows)
         if reason == "nonfinite":
             break
-    if final_value is not None:
-        trace.metadata["final"] = {
-            "total": final_value.total,
-            "irrigation": final_value.irrigation,
-            "penalty": final_value.penalty,
-            "payoff": final_value.payoff,
-        }
+    trace.metadata["final"] = None if final_value is None else {
+        "total": final_value.total,
+        "irrigation": final_value.irrigation,
+        "penalty": final_value.penalty,
+        "payoff": final_value.payoff,
+    }
     return plan, trace

@@ -115,6 +115,11 @@ class Path:
         return {"mass": float(self.mass), "terminal_fixed": bool(self.terminal_fixed),
                 "vertices": [[float(x), float(y)] for x, y in self.vertices]}
 
+    @classmethod
+    def from_dict(cls, entry: dict) -> "Path":
+        return cls(vertices=np.asarray(entry["vertices"], dtype=float), mass=float(entry["mass"]),
+                   terminal_fixed=bool(entry.get("terminal_fixed", True)))
+
 
 class _Plan:
     """The view both plan kinds share over their owners, paths or branches."""
@@ -232,6 +237,10 @@ class Branch:
 
     def to_dict(self) -> dict:
         return {key: [float(v) for v in getattr(self, key)] for key in ("x", "y", "m")}
+
+    @classmethod
+    def from_dict(cls, entry: dict) -> "Branch":
+        return cls(**{key: np.asarray(entry[key], dtype=float) for key in ("x", "y", "m")})
 
 
 @dataclass(frozen=True)
@@ -624,26 +633,9 @@ def plan_to_dict(plan) -> dict:
 
 
 def plan_from_dict(data: dict):
-    if "paths" in data:
-        paths = tuple(
-            Path(
-                vertices=np.asarray(entry["vertices"], dtype=float),
-                mass=float(entry["mass"]),
-                terminal_fixed=bool(entry.get("terminal_fixed", True)),
-            )
-            for entry in data["paths"]
-        )
-        return PathPlan(paths=paths)
-    if "branches" in data:
-        branches = tuple(
-            Branch(
-                x=np.asarray(entry["x"], dtype=float),
-                y=np.asarray(entry["y"], dtype=float),
-                m=np.asarray(entry["m"], dtype=float),
-            )
-            for entry in data["branches"]
-        )
-        return BranchPlan(branches=branches)
+    for kind, owner in ((PathPlan, Path), (BranchPlan, Branch)):
+        if kind.json_key in data:
+            return kind(tuple(owner.from_dict(entry) for entry in data[kind.json_key]))
     raise ValueError("plan dictionary needs a 'paths' or 'branches' key")
 
 

@@ -279,6 +279,41 @@ def test_nonfinite_stage_writes_outputs_and_exits_three(tmp_path, monkeypatch, c
     assert not os.path.exists(os.path.join(out, "plan_stage_2.json"))
 
 
+@pytest.mark.parametrize("poisoned_eps, stage", [(0.15, 2), (0.3, 1)])
+def test_nonfinite_stage_start_writes_outputs_and_exits_three(tmp_path, monkeypatch, capsys,
+                                                              poisoned_eps, stage):
+    real = optimizer_module.path_evaluator
+
+    def poisoned(alpha, eps, *args):
+        evaluator = real(alpha, eps, *args)
+        if eps != poisoned_eps:
+            return evaluator
+        return dataclasses.replace(evaluator, objective=lambda plan: dataclasses.replace(
+            evaluator.objective(plan), total=np.nan))
+
+    monkeypatch.setattr(optimizer_module, "path_evaluator", poisoned)
+    cfg = _write_config(tmp_path, TINY_IRRIGATE)
+    out = str(tmp_path / "run")
+    assert main(["irrigate", "--config", cfg, "--out", out]) == 3
+    assert f"stage {stage} (eps={poisoned_eps})" in capsys.readouterr().err
+    with open(os.path.join(out, "summary.json"), encoding="utf-8") as handle:
+        text = handle.read()
+    summary = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in summary"))
+    assert summary["stage_reasons"][-1] == "nonfinite"
+    assert len(summary["stage_reasons"]) == stage
+    lines = open(os.path.join(out, "trace.csv")).read().strip().split("\n")
+    assert len(lines) == 1 + summary["iterations"]
+    if stage == 1:
+        assert summary["iterations"] == 0
+        assert summary["final_energy"] is None
+    else:
+        assert summary["final_energy"] == float(lines[-1].split(",")[2])
+    for k in range(stage + 1):
+        for name in (f"plan_stage_{k}.json", f"stage_{k}.svg"):
+            assert os.path.exists(os.path.join(out, name))
+    assert not os.path.exists(os.path.join(out, f"plan_stage_{stage + 1}.json"))
+
+
 def test_importing_the_package_and_the_cli_leaves_numpy_unloaded():
     # RAMIFY_THREADS must reach the environment before numpy loads.
     src = os.path.dirname(os.path.dirname(os.path.abspath(ramify.__file__)))

@@ -26,7 +26,6 @@ from ramify.mollified import (
     _gradient_weights,
     _midpoint_energy,
     _pair_list,
-    _reused,
     branch_irrigation_cost,
     energy_avg,
     energy_avg_gradient,
@@ -39,7 +38,12 @@ from ramify.mollified import (
     saturated_two_path_cost,
     saturated_two_path_cost_dl2,
 )
-from ramify.objective import ObjectiveConfig, tree_objective_gradient
+from ramify.objective import (
+    ObjectiveConfig,
+    ObjectiveValue,
+    tree_objective,
+    tree_objective_gradient,
+)
 from ramify.plan_model import (
     Branch,
     BranchPlan,
@@ -231,8 +235,8 @@ def test_energy_rejects_bad_arguments():
 def test_branch_plans_are_rejected_with_type_error():
     plan = build_fan_branches(3)
     for entry in (lambda p: energy_avg(p, 0.5, 0.1), lambda p: energy_max(p, 0.5, 0.1),
-                  lambda p: energy_avg_gradient(p, 0.5, 0.1),
-                  lambda p: energy_max_gradient(p, 0.5, 0.1),
+                  lambda p: energy_avg_gradient(energy_avg(p, 0.5, 0.1)),
+                  lambda p: energy_max_gradient(energy_max(p, 0.5, 0.1)),
                   lambda p: multiplicity_avg([0.0, 0.5], p, 0.1),
                   lambda p: multiplicity_max([0.0, 0.5], p, 0.1)):
         with pytest.raises(TypeError, match="path plans"):
@@ -244,12 +248,11 @@ def test_empty_path_plan_has_zero_energy_gradient_and_multiplicity():
     probes = np.array([[0.0, 0.0], [0.3, 0.4]])
     for kind in ("bump", "exponential"):
         spec = KernelSpec(kind)
-        for fn in (energy_avg, energy_max):
+        for fn, gfn in ((energy_avg, energy_avg_gradient), (energy_max, energy_max_gradient)):
             ev = fn(plan, 0.5, 0.1, spec=spec)
             assert ev.value == 0.0
             assert ev.terms.shape == (0,)
-        for gfn in (energy_avg_gradient, energy_max_gradient):
-            assert gfn(plan, 0.5, 0.1, spec=spec).shape == (0,)
+            assert gfn(ev).shape == (0,)
         for mult in (multiplicity_avg, multiplicity_max):
             assert mult([0.3, 0.4], plan, 0.1, spec=spec) == 0.0
             assert np.array_equal(mult(probes, plan, 0.1, spec=spec), np.zeros(2))
@@ -279,7 +282,7 @@ def test_energy_gradients_match_finite_differences():
                 (energy_avg, energy_avg_gradient),
                 (energy_max, energy_max_gradient),
             ):
-                grad = gfn(plan, alpha, eps, spec=spec)
+                grad = gfn(fn(plan, alpha, eps, spec=spec))
                 fd = central_difference(
                     lambda q: fn(q, alpha, eps, spec=spec).value, plan, step=1e-6
                 )
@@ -492,7 +495,7 @@ def test_pair_list_consumers_match_the_dense_grid():
                 w_mid = _dense_multiplicity_max(table.midpoint, table, masses, eps, spec)
                 e_max = _midpoint_energy(table, w_mid, alpha, "oracle").terms
                 assert np.array_equal(energy_max(plan, alpha, eps, spec).terms, e_max)
-                _assert_close(energy_max_gradient(plan, alpha, eps, spec),
+                _assert_close(energy_max_gradient(energy_max(plan, alpha, eps, spec)),
                               _dense_energy_max_gradient(plan, alpha, eps, spec))
 
                 w_avg = _dense_capped(_dense_pairs(table, probes, eps, spec), table, masses)[0]
@@ -501,7 +504,7 @@ def test_pair_list_consumers_match_the_dense_grid():
                 w_mid = _dense_capped(mat, table, masses)[0]
                 _assert_close(energy_avg(plan, alpha, eps, spec).terms,
                               _midpoint_energy(table, w_mid, alpha, "oracle").terms)
-                _assert_close(energy_avg_gradient(plan, alpha, eps, spec),
+                _assert_close(energy_avg_gradient(energy_avg(plan, alpha, eps, spec)),
                               _dense_energy_avg_gradient(plan, alpha, eps, spec))
 
 
@@ -518,49 +521,46 @@ def test_pair_list_branch_consumers_match_the_dense_grid(monkeypatch):
             terms = floored_power(flux_mol, transported, 0.5, 1e-12) * transported
             _assert_close(branch_irrigation_cost(plan, 0.5, eps, 1e-12).terms, terms)
             cfg = ObjectiveConfig(alpha=0.5, eps=eps, c1=0.2, c2=1.0)
-            sparse = tree_objective_gradient(plan, cfg)
+            sparse = tree_objective_gradient(tree_objective(plan, cfg))
             with monkeypatch.context() as patch:
                 patch.setattr(objective_module, "_branch_cost_gradient",
                               _dense_branch_cost_gradient)
-                _assert_close(sparse, tree_objective_gradient(plan, cfg))
+                _assert_close(sparse, tree_objective_gradient(tree_objective(plan, cfg)))
 
 
 def _energy_forms(alpha, eps, spec):
-    """(settings, energy, gradient) of the two path energies."""
-    return [(("avg", alpha, eps, spec, 32), lambda p: energy_avg(p, alpha, eps, spec),
-             lambda p, v=None: energy_avg_gradient(p, alpha, eps, spec, 32, v)),
-            (("max", alpha, eps, spec), lambda p: energy_max(p, alpha, eps, spec),
-             lambda p, v=None: energy_max_gradient(p, alpha, eps, spec, v))]
+    """(energy, gradient, dense gradient oracle) of the two path energies."""
+    return [(lambda p: energy_avg(p, alpha, eps, spec), energy_avg_gradient,
+             lambda p: _dense_energy_avg_gradient(p, alpha, eps, spec)),
+            (lambda p: energy_max(p, alpha, eps, spec), energy_max_gradient,
+             lambda p: _dense_energy_max_gradient(p, alpha, eps, spec))]
 
 
-def test_energy_gradients_reuse_their_value_bit_for_bit():
-    rng = np.random.default_rng(14)
-    for trial in range(4):
-        plan = _jittered_star(rng, int(rng.integers(2, 12)))
-        for kind in ("bump", "triangular", "exponential"):
-            for eps in (0.25, 0.05):
-                for settings, energy, gradient in _energy_forms(0.45, eps, KernelSpec(kind)):
-                    value = energy(plan)
-                    assert _reused(value, plan, settings) is not None
-                    assert np.array_equal(gradient(plan, value), gradient(plan))
-
-
-def test_energy_gradients_ignore_a_value_of_another_plan_eps_or_kernel():
+def test_energy_gradients_use_their_values_own_plan_eps_kernel_or_alpha():
     rng = np.random.default_rng(15)
     plans = [_jittered_star(rng, int(rng.integers(3, 10))) for _ in range(3)]
     spec = KernelSpec("bump")
-    for plan, other in zip(plans, plans[1:] + plans[:1]):
+    for plan in plans:
         twin = PathPlan(paths=plan.paths)  # equal, but another object
-        forms = zip(_energy_forms(0.45, 0.25, spec), _energy_forms(0.45, 0.05, spec),
-                    _energy_forms(0.45, 0.25, KernelSpec("triangular")),
-                    _energy_forms(0.6, 0.25, spec))
-        for (settings, energy, gradient), smaller, triangular, alpha in forms:
-            fresh = gradient(plan)
-            for value in (energy(other), energy(twin), smaller[1](plan), triangular[1](plan),
-                          alpha[1](plan)):
-                assert _reused(value, plan, settings) is None
-                assert np.array_equal(gradient(plan, value), fresh)
-        # An energy of the other form is not reused either.
-        (avg_settings, avg, _), (max_settings, _, max_gradient) = _energy_forms(0.45, 0.25, spec)
-        assert _reused(avg(plan), plan, max_settings) is None
-        assert np.array_equal(max_gradient(plan, avg(plan)), max_gradient(plan))
+        for settings in ((0.45, 0.25, spec), (0.45, 0.05, spec),
+                         (0.45, 0.25, KernelSpec("triangular")), (0.6, 0.25, spec)):
+            for energy, gradient, oracle in _energy_forms(*settings):
+                _assert_close(gradient(energy(plan)), oracle(plan))
+                assert np.array_equal(gradient(energy(twin)), gradient(energy(plan)))
+
+
+def test_gradients_reject_a_value_that_is_not_their_own_objectives():
+    paths = _jittered_star(np.random.default_rng(16), 4)
+    branches = build_fan_branches(4, segments=3, m_init=0.1)
+    values = {"energy_avg": energy_avg(paths, 0.5, 0.1), "energy_max": energy_max(paths, 0.5, 0.1),
+              "tree_objective": tree_objective(branches, ObjectiveConfig(c1=0.5, c2=1.0)),
+              "branch_irrigation_cost": branch_irrigation_cost(branches, 0.5, 0.1),
+              "hand-made": ObjectiveValue(total=1.0, irrigation=1.0, penalty=0.0, payoff=0.0)}
+    for form, gradient in (("energy_avg", energy_avg_gradient),
+                           ("energy_max", energy_max_gradient),
+                           ("tree_objective", tree_objective_gradient)):
+        assert np.all(np.isfinite(gradient(values[form])))
+        for name, value in values.items():
+            if name != form:
+                with pytest.raises(TypeError, match=form):
+                    gradient(value)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ramify.gradients import Layout
-from ramify.mollified import _reused
 from ramify.objective import (
     ObjectiveConfig,
     _penalty_matrix,
@@ -58,7 +57,8 @@ def test_path_plans_are_rejected_with_type_error():
     plan = PathPlan(paths=(path,))
     cfg = ObjectiveConfig(alpha=0.5, eps=0.3, c1=1.0)
     for entry in (leaf_payoff, lambda p: crowding_penalty(p, cfg),
-                  lambda p: tree_objective(p, cfg), lambda p: tree_objective_gradient(p, cfg)):
+                  lambda p: tree_objective(p, cfg),
+                  lambda p: tree_objective_gradient(tree_objective(p, cfg))):
         with pytest.raises(TypeError, match="branch plans"):
             entry(plan)
 
@@ -172,7 +172,7 @@ def test_gradient_matches_finite_differences():
             gamma=0.6,
             penalty_arclength=trial % 3 != 0,
         )
-        grad = tree_objective_gradient(plan, cfg)
+        grad = tree_objective_gradient(tree_objective(plan, cfg))
         fd = fd_gradient(plan, cfg, step=1e-6)
         assert _worst_component_gap(grad, fd) < 1e-5
 
@@ -183,7 +183,7 @@ def test_gradient_linear_case_is_exact():
     rng = np.random.default_rng(12)
     plan = random_branch_plan(rng, max_branches=2, max_segments=3)
     cfg = ObjectiveConfig(alpha=1.0, eps=0.3, c1=0.0, c2=1.0)
-    grad = tree_objective_gradient(plan, cfg)
+    grad = tree_objective_gradient(tree_objective(plan, cfg))
     fd = fd_gradient(plan, cfg, step=1e-4)
     m = Layout.of(plan).m_slots
     np.testing.assert_allclose(grad[m], fd[m], atol=1e-8)
@@ -192,8 +192,10 @@ def test_gradient_linear_case_is_exact():
 def test_zero_density_gradient_difference_isolates_length_term():
     b = Branch(x=np.array([0.0, 0.3, 0.5]), y=np.array([0.0, 0.6, 1.3]), m=np.zeros(2))
     plan = BranchPlan(branches=(b,))
-    with_payoff = tree_objective_gradient(plan, ObjectiveConfig(alpha=0.5, eps=0.3, c2=1.0))
-    without = tree_objective_gradient(plan, ObjectiveConfig(alpha=0.5, eps=0.3, c2=0.0))
+    with_payoff = tree_objective_gradient(
+        tree_objective(plan, ObjectiveConfig(alpha=0.5, eps=0.3, c2=1.0)))
+    without = tree_objective_gradient(
+        tree_objective(plan, ObjectiveConfig(alpha=0.5, eps=0.3, c2=0.0)))
     seg = np.diff(b.vertices, axis=0)
     lengths = np.hypot(seg[:, 0], seg[:, 1])
     m = Layout.of(plan).m_slots
@@ -208,7 +210,7 @@ def test_idle_branch_density_gradient_matches_one_sided_step():
     idle = Branch(x=np.array([0.0, 0.7]), y=np.array([0.0, 0.1]), m=np.array([0.0]))
     plan = BranchPlan(branches=(active, idle))
     cfg = ObjectiveConfig(alpha=0.4, eps=0.05, c1=0.0, c2=0.0, f_min=1e-3)
-    grad = tree_objective_gradient(plan, cfg)
+    grad = tree_objective_gradient(tree_objective(plan, cfg))
     slot = grad[Layout.of(plan).m_slots[1]]  # branch 1, interval 0
     assert slot > 1.0
 
@@ -233,7 +235,7 @@ def test_collapsed_interval_gradient_is_finite_and_inert():
     )
     plan = BranchPlan(branches=(b,))
     cfg = ObjectiveConfig(alpha=0.5, eps=0.3, c2=1.0, f_min=1e-9)
-    grad = tree_objective_gradient(plan, cfg)
+    grad = tree_objective_gradient(tree_objective(plan, cfg))
     assert np.all(np.isfinite(grad))
     assert grad[Layout.of(plan).m_slots[1]] == 0.0
 
@@ -248,7 +250,7 @@ def test_fan_objective_is_finite_and_descendable():
     plan = build_fan_branches(5, segments=4, m_init=0.1)
     cfg = ObjectiveConfig(alpha=0.4, eps=0.5, c1=0.4, c2=1.4)
     val = tree_objective(plan, cfg)
-    grad = tree_objective_gradient(plan, cfg)
+    grad = tree_objective_gradient(tree_objective(plan, cfg))
     assert np.isfinite(val.total)
     assert np.sqrt((grad * grad).sum()) > 0.0
 
@@ -303,33 +305,18 @@ def test_penalty_matrix_rejects_coincident_weighted_midpoints_like_the_oracle():
             call(mids, weights, cfg)
 
 
-def _reuse_plans(seed):
-    rng = np.random.default_rng(seed)
+def test_tree_gradient_uses_its_values_own_plan_eps_or_config():
+    rng = np.random.default_rng(24)
     plans = [random_branch_plan(rng, max_branches=5, max_segments=8) for _ in range(6)]
-    return plans + [build_fan_branches(7, segments=6, m_init=0.1)]
-
-
-def test_tree_gradient_reuses_its_value_bit_for_bit():
-    for plan in _reuse_plans(23):
-        for cfg in (ObjectiveConfig(alpha=0.5, eps=0.3, c1=0.4, c2=1.2),
-                    ObjectiveConfig(alpha=0.4, eps=0.15, c1=0.3, c2=0.8, penalty_kernel="powerlaw",
-                                    penalty_arclength=False),
-                    ObjectiveConfig(alpha=0.6, eps=0.5, c1=0.0, c2=1.0)):
-            value = tree_objective(plan, cfg)
-            assert _reused(value, plan, ("tree", cfg)) is not None
-            assert np.array_equal(tree_objective_gradient(plan, cfg, value),
-                                  tree_objective_gradient(plan, cfg))
-
-
-def test_tree_gradient_ignores_a_value_of_another_plan_eps_or_config():
-    plans = _reuse_plans(24)
+    plans.append(build_fan_branches(7, segments=6, m_init=0.1))
     cfg = ObjectiveConfig(alpha=0.5, eps=0.3, c1=0.4, c2=1.2)
-    for plan, other in zip(plans, plans[1:] + plans[:1]):
-        fresh = tree_objective_gradient(plan, cfg)
+    for plan in plans:
         twin = BranchPlan(branches=plan.branches)  # equal, but another object
-        for value in (tree_objective(other, cfg), tree_objective(twin, cfg),
-                      tree_objective(plan, cfg.with_eps(0.1)),
-                      tree_objective(plan, ObjectiveConfig(alpha=0.5, eps=0.3, c1=0.4, c2=1.2,
-                                                           beta=3.0))):
-            assert _reused(value, plan, ("tree", cfg)) is None
-            assert np.array_equal(tree_objective_gradient(plan, cfg, value), fresh)
+        assert np.array_equal(tree_objective_gradient(tree_objective(twin, cfg)),
+                              tree_objective_gradient(tree_objective(plan, cfg)))
+        for settings in (cfg, cfg.with_eps(0.1),
+                         ObjectiveConfig(alpha=0.5, eps=0.3, c1=0.4, c2=1.2, beta=3.0),
+                         ObjectiveConfig(alpha=0.4, eps=0.15, c1=0.3, c2=0.8,
+                                         penalty_kernel="powerlaw", penalty_arclength=False)):
+            grad = tree_objective_gradient(tree_objective(plan, settings))
+            assert _worst_component_gap(grad, fd_gradient(plan, settings)) < 1e-5

@@ -6,8 +6,20 @@ import pytest
 import ramify.optimizer as optimizer_module
 from ramify.geometry import cumulative_arclength, resample_polyline, segment_lengths
 from ramify.gradients import Layout, plan_to_vector, vector_to_plan
-from ramify.mollified import energy_avg_gradient, energy_max_gradient
-from ramify.objective import ObjectiveConfig, ObjectiveValue, leaf_payoff, tree_objective_gradient
+from ramify.mollified import (
+    _Evaluation,
+    energy_avg,
+    energy_avg_gradient,
+    energy_max,
+    energy_max_gradient,
+)
+from ramify.objective import (
+    ObjectiveConfig,
+    ObjectiveValue,
+    leaf_payoff,
+    tree_objective,
+    tree_objective_gradient,
+)
 from ramify.optimizer import (
     TRACE_HEADER,
     DescentConfig,
@@ -36,16 +48,18 @@ from ramify.plan_model import (
 
 
 def _quadratic_evaluator(target, offset=0.0):
-    """Objective (v - target)^2 summed over the flat plan vector."""
+    """Objective (v - target)^2 summed over the flat plan vector; each
+    value carries its plan's vector for the gradient."""
     target = np.asarray(target, dtype=float)
 
     def objective(plan):
         v = plan_to_vector(plan)
         total = offset + ((v - target) ** 2).sum()
-        return ObjectiveValue(total=total, irrigation=total, penalty=0.0, payoff=0.0)
+        return ObjectiveValue(total=total, irrigation=total, penalty=0.0, payoff=0.0,
+                              _evaluation=_Evaluation("quadratic", (), (v,)))
 
-    def gradient(plan, value=None):
-        return 2.0 * (plan_to_vector(plan) - target)
+    def gradient(value):
+        return 2.0 * (value._evaluation.data[0] - target)
 
     return Evaluator(objective=objective, gradient=gradient)
 
@@ -153,13 +167,14 @@ def test_layout_round_trip_projection_and_pinned_gradients():
             plan = random_branch_plan(rng, max_branches=3, max_segments=4)
             pinned_per_owner = 2
             clamped = sum(len(b.y) + len(b.m) for b in plan.branches)
-            grads = [tree_objective_gradient(plan, obj)]
+            grads = [tree_objective_gradient(tree_objective(plan, obj))]
         else:
             fixed = trial % 3 == 0
             plan = _random_star_plan(rng, terminal_fixed=fixed)
             pinned_per_owner = 4 if fixed else 2
             clamped = 0
-            grads = [energy_avg_gradient(plan, 0.5, 0.3), energy_max_gradient(plan, 0.5, 0.3)]
+            grads = [energy_avg_gradient(energy_avg(plan, 0.5, 0.3)),
+                     energy_max_gradient(energy_max(plan, 0.5, 0.3))]
         layout = Layout.of(plan)
         v = plan_to_vector(plan)
 
@@ -203,7 +218,7 @@ def test_backtracking_accepts_plain_step():
     target[-1] = 0.0
     ev = _quadratic_evaluator(target)
     value = ev.objective(plan)
-    grad = ev.gradient(plan)
+    grad = ev.gradient(value)
     cfg = DescentConfig()
     layout = Layout.of(plan)
     _, cand, cand_value, tau, trials = backtracking_step(
@@ -222,7 +237,7 @@ def test_backtracking_shrinks_overshooting_step():
     target[1] = 0.5
     ev = _quadratic_evaluator(target)
     value = ev.objective(plan)
-    grad = ev.gradient(plan)
+    grad = ev.gradient(value)
     layout = Layout.of(plan)
     _, cand, cand_value, tau, trials = backtracking_step(
         layout.base, layout, value.total, grad, 8.0, ev, DescentConfig()
@@ -239,7 +254,7 @@ def test_backtracking_reports_exhaustion_on_ascent_direction():
     target[-1] = 0.0
     ev = _quadratic_evaluator(target)
     value = ev.objective(plan)
-    ascent = -ev.gradient(plan)
+    ascent = -ev.gradient(value)
     cfg = DescentConfig(backtrack_limit=5)
     layout = Layout.of(plan)
     _, cand, cand_value, tau, trials = backtracking_step(
@@ -420,16 +435,16 @@ def test_eps_continuation_improves_fan_objective():
 ], ids=["avg", "max", "tree"])
 def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make):
     plan, inner = make()
-    values, handed, resamples = {}, [], []
+    evaluated, handed, accepted, resamples = [], [], [], []
 
     def objective(current):
         value = inner.objective(current)
-        values[id(current)] = (current, value)  # the plan is kept, so its id stays unique
+        evaluated.append((current, value))
         return value
 
-    def gradient(current, value=None):
-        handed.append((current, value))
-        return inner.gradient(current, value)
+    def gradient(value):
+        handed.append(value)
+        return inner.gradient(value)
 
     def resample(current):
         # Alternately an equal copy, whose objective ties and is accepted,
@@ -438,19 +453,26 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
         resamples.append(out)
         return out
 
+    def value_of(current):
+        return next(value for at, value in reversed(evaluated) if at is current)
+
     monkeypatch.setattr(optimizer_module, "rediscretize_plan", resample)
     cfg = DescentConfig(j_max=8, rediscretize_every=2)
-    _, _, rows, _ = run_descent(plan, Evaluator(objective, gradient), cfg, eps=0.3, tau0=0.02)
+    _, _, rows, _ = run_descent(plan, Evaluator(objective, gradient), cfg, eps=0.3, tau0=0.02,
+                                on_iteration=lambda row, current: accepted.append(current))
     assert len(rows) == 8 and len(resamples) == 4
     assert len(handed) == 8
-    for current, value in handed:
-        assert value is values[id(current)][1]
-        assert value._evaluation.plan is current
-    differentiated = [id(current) for current, _ in handed]
-    # Each accepted copy is the plan of the next gradient; the rejected
-    # start plan is never differentiated.
-    assert [differentiated.index(id(copy)) for copy in resamples[::2]] == [2, 6]
-    assert id(plan) not in differentiated
+    # The first gradient takes the starting value, each later one the very
+    # value of the plan the iteration before accepted.
+    assert handed[0] is evaluated[0][1]
+    assert all(value is value_of(current) for value, current in zip(handed[1:], accepted))
+    # The accepted copies are the plans of iterations 2 and 6; the value of
+    # the rejected start plan is never differentiated.
+    assert [[k for k, at in enumerate(accepted) if at is copy]
+            for copy in resamples[::2]] == [[1], [5]]
+    rejected = [value for at, value in evaluated if at is plan]
+    assert len(rejected) == 2
+    assert not any(value is taken for value in rejected for taken in handed)
 
 
 def _poisoned(evaluator, total=None, finite_calls=1, nan_gradient=False):
@@ -465,8 +487,8 @@ def _poisoned(evaluator, total=None, finite_calls=1, nan_gradient=False):
             return value
         return ObjectiveValue(total=total, irrigation=total, penalty=0.0, payoff=0.0)
 
-    def gradient(plan, value=None):
-        grad = evaluator.gradient(plan, value)
+    def gradient(value):
+        grad = evaluator.gradient(value)
         return np.full_like(grad, np.nan) if nan_gradient else grad
 
     return Evaluator(objective=objective, gradient=gradient)
@@ -477,7 +499,8 @@ def _poisoned(evaluator, total=None, finite_calls=1, nan_gradient=False):
     (dict(total=-np.inf), 0, 0),
     (dict(nan_gradient=True), 0, 0),
     (dict(total=np.nan, finite_calls=2), 1, 1),  # the first resample
-], ids=["nan-trial", "minus-inf-trial", "nan-gradient", "nan-resample"])
+    (dict(total=np.nan, finite_calls=0), 0, 0),  # the starting plan
+], ids=["nan-trial", "minus-inf-trial", "nan-gradient", "nan-resample", "nan-start"])
 def test_run_descent_stops_on_a_nonfinite_value(poison, every, accepted):
     plan = build_star_plan(half_circle_targets(3), segments_per_path=3)
     start = plan_to_vector(plan)
@@ -487,8 +510,11 @@ def test_run_descent_stops_on_a_nonfinite_value(poison, every, accepted):
     assert reason == "nonfinite"
     assert len(rows) == accepted
     assert all(np.isfinite(row.total) for row in rows)
-    assert np.isfinite(value.total)
-    assert value == _quadratic_evaluator(start + 1.0).objective(out)
+    if poison.get("finite_calls") == 0:
+        assert np.isnan(value.total)
+    else:
+        assert np.isfinite(value.total)
+        assert value == _quadratic_evaluator(start + 1.0).objective(out)
     if not accepted:
         np.testing.assert_array_equal(plan_to_vector(out), start)
 
@@ -502,3 +528,23 @@ def test_eps_continuation_runs_no_stage_after_a_nonfinite_one():
     assert len(trace.stage_plans) == 2
     assert trace.rows == []
     assert np.isfinite(trace.metadata["final"]["total"])
+
+
+def test_eps_continuation_keeps_the_last_finite_value_past_a_nonfinite_start():
+    plan = build_star_plan(half_circle_targets(3), segments_per_path=3)
+    quadratic = _quadratic_evaluator(plan_to_vector(plan) + 1.0)
+    cfg = DescentConfig(eps_schedule=(0.3, 0.2, 0.1), j_max=4, rediscretize_every=0)
+    # Every objective of the second stage is NaN, its starting one first.
+    _, trace = eps_continuation(
+        plan, lambda eps: quadratic if eps == 0.3 else _poisoned(quadratic, np.nan, 0), cfg)
+    assert trace.stage_reasons == ["iteration_cap", "nonfinite"]
+    assert len(trace.stage_plans) == 3
+    assert len(trace.rows) == 4
+    np.testing.assert_array_equal(plan_to_vector(trace.stage_plans[2]),
+                                  plan_to_vector(trace.stage_plans[1]))
+    assert trace.metadata["final"]["total"] == trace.rows[-1].total
+    # A first stage that cannot start leaves no final value at all.
+    _, trace = eps_continuation(plan, lambda eps: _poisoned(quadratic, np.nan, 0), cfg)
+    assert trace.stage_reasons == ["nonfinite"]
+    assert trace.rows == []
+    assert trace.metadata["final"] is None
