@@ -138,7 +138,7 @@ def _write_summary(out_dir: str, summary: dict, trace) -> dict:
         stage = trace.stage_reasons.index("nonfinite")
         raise NumericalCheckError(
             f"stage {stage + 1} (eps={trace.metadata['eps_schedule'][stage]}) stopped on a "
-            "non-finite objective or gradient")
+            "non-finite objective, gradient or trial step")
     return summary
 
 

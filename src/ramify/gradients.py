@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plan_model import SegmentTable, _owners, segment_table
+from .plan_model import Branch, BranchPlan, Path, PathPlan, SegmentTable, _table, segment_table
 
 
 def _slots(table: SegmentTable) -> tuple:
@@ -40,65 +40,67 @@ def _slots(table: SegmentTable) -> tuple:
     return offsets, counts, np.column_stack([x, x + count]), m_slots, free
 
 
-def _vector(table: SegmentTable, slots: tuple) -> np.ndarray:
-    """The flat vector of the plan behind a segment table."""
-    offsets, _, start_slots, m_slots, _ = slots
-    vector = np.zeros(offsets[-1])
-    vector[start_slots] = table.a
-    vector[start_slots + 1] = table.b
-    vector[m_slots] = table.density
-    return vector
-
-
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """Slot map of one plan shape, built once per descent stage.
-
-    ``template`` supplies what the flat vector does not hold: the plan
-    type, path masses and terminal flags. ``base`` is the template's own
-    vector; the feasibility projection restores its pinned slots.
+    """Slot map of one plan shape, built once per descent stage, with the
+    static columns of its segment table, from which :meth:`table` builds the
+    table at any vector. ``base`` is the vector of the plan the layout was
+    built from; the feasibility projection restores its pinned slots.
     """
 
-    template: object
     offsets: tuple           # first slot of each owner's block, then the total size
     counts: tuple            # vertex count of each owner
     free: np.ndarray         # (N,) False on pinned slots
     base: np.ndarray         # (N,)
     clamp: np.ndarray        # slots kept nonnegative: branch heights and densities
+    start_slots: np.ndarray  # (S, 2) x and y slots of each segment's start vertex
     m_slots: np.ndarray      # (S,) density slot of each segment; empty for path plans
+    columns: tuple           # static segment-table columns, as plan_model._table takes them
 
     @classmethod
     def of(cls, plan) -> "Layout":
-        """Layout of a plan's shape, with the plan as template.
+        """Layout of a plan's shape (or of its segment table's).
 
         The origin vertex of every path and branch is pinned. Path
         terminals are pinned when the path's ``terminal_fixed`` flag is
         set. Densities are always free; the projection clamps them.
         """
         table = segment_table(plan)
-        slots = offsets, counts, start_slots, m_slots, free = _slots(table)
+        offsets, counts, start_slots, m_slots, free = _slots(table)
+        base = np.zeros(len(free))
+        base[start_slots] = table.a
+        base[start_slots + 1] = table.b
+        base[m_slots] = table.density
         clamp = np.zeros(len(free), dtype=bool)
         if len(m_slots):  # branch heights and densities
             clamp[start_slots[:, 1]] = clamp[start_slots[:, 1] + 1] = clamp[m_slots] = True
-        return cls(template=plan, offsets=tuple(offsets.tolist()), counts=tuple(counts.tolist()),
-                   free=free, base=_vector(table, slots), clamp=np.flatnonzero(clamp),
-                   m_slots=m_slots)
+        return cls(offsets=tuple(offsets.tolist()), counts=tuple(counts.tolist()), free=free,
+                   base=base, clamp=np.flatnonzero(clamp),
+                   start_slots=start_slots, m_slots=m_slots,
+                   columns=(table.owner, table.interval, table.group_starts, table.terminal_fixed,
+                            None if len(m_slots) else table.flux[table.group_starts]))
+
+    def table(self, vector: np.ndarray) -> SegmentTable:
+        """The segment table of the plan at ``vector``, built without the plan."""
+        return _table(self.columns, vector[self.start_slots], vector[self.start_slots + 1],
+                      vector[self.m_slots])
 
 
 def plan_to_vector(plan) -> np.ndarray:
-    """Flatten a plan's coordinates (and densities) into the fixed layout."""
-    table = segment_table(plan)
-    return _vector(table, _slots(table))
+    """A plan's (or its table's) coordinates and densities in the flat layout."""
+    return Layout.of(plan).base
 
 
 def vector_to_plan(vector: np.ndarray, layout: Layout):
-    """Rebuild a plan from the flat layout, carrying template metadata."""
+    """The plan at a flat vector, validated like every plan."""
     vector = np.asarray(vector, dtype=float)
     pieces = [(vector[lo:lo + count], vector[lo + count:lo + 2 * count], vector[lo + 2 * count:hi])
               for lo, hi, count in zip(layout.offsets, layout.offsets[1:], layout.counts)]
-    template = layout.template
-    return type(template)(tuple(owner.rebuilt(*piece)
-                                for owner, piece in zip(_owners(template), pieces)))
+    _, _, _, pinned, masses = layout.columns
+    if masses is None:
+        return BranchPlan(tuple(Branch(x=xs, y=ys, m=ms) for xs, ys, ms in pieces))
+    return PathPlan(tuple(Path(np.column_stack([xs, ys]), float(mass), bool(pin))
+                          for (xs, ys, _), mass, pin in zip(pieces, masses, pinned)))
 
 
 def scatter_segment_gradients(table, ga, gb, gx, g_len, g_density=None) -> np.ndarray:
@@ -129,12 +131,13 @@ def scatter_segment_gradients(table, ga, gb, gx, g_len, g_density=None) -> np.nd
 
 
 def central_difference(func, plan, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a scalar plan functional.
+    """Central finite differences of a scalar functional of a plan or its table.
 
     Differentiates only free coordinates; pinned entries stay zero. The
-    step is scaled per component by max(1, |value|). Probes that would
-    leave the feasible set (negative density or branch height) fall back
-    to a one-sided difference on the feasible side.
+    step is scaled per component by max(1, |value|). Each probe is the
+    layout's table at the probed vector. A backward probe that would
+    leave the feasible set (a negative density or branch height) is
+    replaced by a one-sided difference on the feasible side.
     """
     layout = Layout.of(plan)
     base = layout.base
@@ -146,13 +149,11 @@ def central_difference(func, plan, step: float = 1e-6) -> np.ndarray:
         forward[i] += h
         backward = base.copy()
         backward[i] -= h
-        f_plus = func(vector_to_plan(forward, layout))
-        try:
-            f_minus = func(vector_to_plan(backward, layout))
-        except ValueError:
+        f_plus = func(layout.table(forward))
+        if backward[i] < 0.0 and i in layout.clamp:
             if base_value is None:
                 base_value = func(plan)
             grad[i] = (f_plus - base_value) / h
             continue
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
+        grad[i] = (f_plus - func(layout.table(backward))) / (2.0 * h)
     return grad

@@ -40,7 +40,7 @@ from .kernels import (
     kernel_segment_integral,
     kernel_segment_integral_grad,
 )
-from .plan_model import BranchPlan, PathPlan, SegmentTable, segment_table
+from .plan_model import BranchPlan, PathPlan, SegmentTable, _sums_before, segment_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +80,12 @@ def _check_eps(eps: float):
         raise ValueError("eps must be positive")
 
 
-def _path_masses(plan: PathPlan) -> np.ndarray:
-    if not isinstance(plan, PathPlan):
+def _path_table(plan):
+    """A path plan's segment table (or the table itself) and its path masses."""
+    table = segment_table(plan) if isinstance(plan, PathPlan) else plan
+    if not isinstance(table, SegmentTable) or len(table.density):
         raise TypeError("mollified multiplicities and energies are defined on path plans")
-    return np.array([p.mass for p in plan.paths])
+    return table, table.flux[table.group_starts]
 
 
 def _query(field, x, plan: PathPlan, eps: float, *args):
@@ -93,8 +95,7 @@ def _query(field, x, plan: PathPlan, eps: float, *args):
     pts = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("query points must be finite")
-    masses = _path_masses(plan)
-    values = field(np.atleast_2d(pts), segment_table(plan), masses, eps, *args)
+    values = field(np.atleast_2d(pts), *_path_table(plan), eps, *args)
     return float(values[0]) if pts.ndim == 1 else values
 
 
@@ -278,9 +279,10 @@ def _gradient_weights(table: SegmentTable, w: np.ndarray, alpha: float, what: st
     return gw, powers * table.flux
 
 
-def energy_max(plan: PathPlan, alpha: float, eps: float,
+def energy_max(plan, alpha: float, eps: float,
                spec: KernelSpec = KernelSpec()) -> MollifiedEval:
-    """Midpoint-rule energy built on the max-form multiplicity.
+    """Midpoint-rule energy of a path plan or its segment table, built on
+    the max-form multiplicity.
 
     Sum over segments of w(mid)^(alpha-1) * mass * length, where w is
     :func:`multiplicity_max`. Bounded above by the exact plan cost. The
@@ -289,25 +291,24 @@ def energy_max(plan: PathPlan, alpha: float, eps: float,
     """
     _check_alpha(alpha)
     _check_eps(eps)
-    masses = _path_masses(plan)
-    table = segment_table(plan)
+    table, masses = _path_table(plan)
     nearest = _nearest(table.midpoint, table, eps, spec)
     w = kernel_eval(spec, nearest[0] / eps) @ masses
     return _midpoint_energy(table, w, alpha, "energy_max", _Evaluation(
         "energy_max", (alpha, eps, spec), (table, masses, nearest)))
 
 
-def energy_avg(plan: PathPlan, alpha: float, eps: float,
+def energy_avg(plan, alpha: float, eps: float,
                spec: KernelSpec = KernelSpec(), quad_points: int = 32) -> MollifiedEval:
-    """Midpoint-rule energy built on the integral-average multiplicity.
+    """Midpoint-rule energy of a path plan or its segment table, built on
+    the integral-average multiplicity.
 
     The result carries its settings, segment table and pair list for
     :func:`energy_avg_gradient`.
     """
     _check_alpha(alpha)
     _check_eps(eps)
-    masses = _path_masses(plan)
-    table = segment_table(plan)
+    table, masses = _path_table(plan)
     pairs = _pair_list(table, table.midpoint, eps, spec)
     w = _capped(*_pairs(table, table.midpoint, pairs, eps, spec, quad_points), table, masses,
                 table.size)[0]
@@ -469,14 +470,8 @@ def _downstream_flux_adjoint(table: SegmentTable, g_flux: np.ndarray) -> np.ndar
     the same branch, so the adjoint is half the local pull plus the
     pulls of every earlier segment of the branch.
     """
-    g_cell = np.zeros_like(g_flux)
-    bounds = list(table.group_starts) + [table.size]
-    for start, stop in zip(bounds, bounds[1:]):
-        block = g_flux[start:stop]
-        prefix = np.zeros_like(block)
-        np.cumsum(block[:-1], out=prefix[1:])
-        g_cell[start:stop] = 0.5 * block + prefix
-    return g_cell
+    return 0.5 * g_flux + _sums_before(g_flux, table.owner, table.interval,
+                                       len(table.group_starts))
 
 
 def _check_saturated(m1: float, m2: float, l1: float, l2: float, alpha: float):

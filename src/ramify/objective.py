@@ -83,10 +83,11 @@ class ObjectiveValue:
     _evaluation: Optional[_Evaluation] = field(default=None, compare=False, repr=False)
 
 
-def _branch_table(plan: BranchPlan) -> SegmentTable:
-    if not isinstance(plan, BranchPlan):
+def _branch_table(plan) -> SegmentTable:
+    table = segment_table(plan) if isinstance(plan, BranchPlan) else plan
+    if not isinstance(table, SegmentTable) or not len(table.density):
         raise TypeError("tree objective is defined on branch plans")
-    return segment_table(plan)
+    return table
 
 
 def _parameter_steps(table: SegmentTable) -> np.ndarray:
@@ -154,8 +155,8 @@ def crowding_penalty(plan: BranchPlan, cfg: ObjectiveConfig) -> float:
     return float(weights @ m_mat @ weights)
 
 
-def tree_objective(plan: BranchPlan, cfg: ObjectiveConfig) -> ObjectiveValue:
-    """Evaluate J = I + c1 * P - c2 * H on a branch plan.
+def tree_objective(plan, cfg: ObjectiveConfig) -> ObjectiveValue:
+    """Evaluate J = I + c1 * P - c2 * H on a branch plan or its segment table.
 
     The result carries its config, segment table, pair list and crowding
     matrix for :func:`tree_objective_gradient`.

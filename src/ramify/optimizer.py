@@ -177,19 +177,22 @@ def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad:
                       tau0: float, evaluator: Evaluator, cfg: DescentConfig):
     """Largest projected step tau0 * factor^j from x that strictly decreases.
 
-    Returns (x, plan, value, tau, trials) on success, where trials counts
-    the rejected shrinks before acceptance, or (None, None, None, 0.0,
-    limit) when every trial step fails to decrease the objective. A trial
-    whose objective is not finite ends the search in the same way as a
-    success; the caller tells the two apart by the value.
+    Each trial is evaluated on its segment table, built straight from the
+    projected vector; only the accepted trial becomes a plan. Returns (x,
+    plan, value, tau, trials) on success, where trials counts the rejected
+    shrinks before acceptance, or (None, None, None, 0.0, limit) when
+    every trial step fails to decrease the objective. A trial with a
+    non-finite entry (not evaluated; its value is None) or a non-finite
+    objective ends the search with a trial vector but no plan.
     """
     tau = tau0
     for j in range(cfg.backtrack_limit):
         trial = feasibility_project(x - tau * grad, layout)
-        candidate = vector_to_plan(trial, layout)
-        value = evaluator.objective(candidate)
-        if value.total < current_total or not np.isfinite(value.total):
-            return trial, candidate, value, tau, j
+        value = evaluator.objective(layout.table(trial)) if np.all(np.isfinite(trial)) else None
+        if value is None or not np.isfinite(value.total):
+            return trial, None, value, tau, j
+        if value.total < current_total:
+            return trial, vector_to_plan(trial, layout), value, tau, j
         tau *= cfg.backtrack_factor
     return None, None, None, 0.0, cfg.backtrack_limit
 
@@ -201,18 +204,22 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     Stops after ``stop_patience`` consecutive iterations whose relative
     decrease falls below ``stop_tol``, when the line search cannot find
     any decreasing step, or at the iteration cap. A starting objective,
-    gradient entry, trial objective or resample objective that is not
-    finite stops the stage with reason ``"nonfinite"``. Returns the last
-    finite accepted plan (the starting plan if its own objective is not
-    finite), its objective value, the accepted-iteration rows, and the
-    stop reason. The iterate is carried as a flat vector in the layout of
-    the starting plan; plans are rebuilt only to evaluate them. Each
-    gradient is taken of the objective value of the accepted plan.
+    gradient entry, trial vector entry, trial objective or resample
+    objective that is not finite stops the stage with reason
+    ``"nonfinite"``. Returns the last finite accepted plan (the starting
+    plan if its own objective is not finite), its objective value, the
+    accepted-iteration rows, and the stop reason.
+
+    The iterate is a flat vector in the starting plan's layout, and the
+    start and every trial are evaluated on tables built from it. Plans are
+    built only for the start and for accepted trials, which
+    ``on_iteration`` and the resample receive. Each gradient is taken of
+    the objective value of the accepted plan.
     """
     layout = Layout.of(plan)
     x = feasibility_project(layout.base, layout)
     plan = vector_to_plan(x, layout)
-    value = evaluator.objective(plan)
+    value = evaluator.objective(layout.table(x))
     if not np.isfinite(value.total):
         return plan, value, [], "nonfinite"
     rows = []
@@ -225,8 +232,8 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
             break
         trial, candidate, cand_value, tau, trials = backtracking_step(
             x, layout, value.total, grad, tau0, evaluator, cfg)
-        if candidate is None or not np.isfinite(cand_value.total):
-            reason = "line_search_exhausted" if candidate is None else "nonfinite"
+        if candidate is None:
+            reason = "line_search_exhausted" if trial is None else "nonfinite"
             break
         x, plan, new_value = trial, candidate, cand_value
         if cfg.rediscretize_every > 0 and it % cfg.rediscretize_every == 0:

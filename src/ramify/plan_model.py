@@ -6,8 +6,8 @@ the source at the origin to the atom position. A branch plan carries
 polylines with a piecewise-constant leaf density along each branch, so
 mass is shed continuously instead of delivered at terminals.
 
-A plan's ``owners`` (its paths or branches) answer every question in
-which the flavors differ, so code that handles both loops over owners.
+A plan's ``owners`` (its paths or branches) validate, resample and
+serialize themselves; each kind's flux rule lives in the table builder.
 
 All value objects freeze their arrays after validation; operations that
 modify a plan build a new one.
@@ -97,19 +97,10 @@ class Path:
     def segments(self) -> int:
         return self.vertices.shape[0] - 1
 
-    def segment_flux(self, lengths: np.ndarray) -> np.ndarray:
-        """Flux of each interval: the path's full mass."""
-        return np.full(len(lengths), self.mass)
-
-    def rebuilt(self, xs: np.ndarray, ys: np.ndarray, densities: np.ndarray) -> "Path":
-        """This path moved to new coordinates; mass and terminal flag carry over."""
-        return Path(vertices=np.column_stack([xs, ys]), mass=self.mass,
-                    terminal_fixed=self.terminal_fixed)
-
     def resampled(self) -> "Path":
         """The same curve with its knots at equal arc length."""
         verts, _ = resample_polyline(self.vertices, self.vertices.shape[0])
-        return self.rebuilt(verts[:, 0], verts[:, 1], self.densities)
+        return Path(vertices=verts, mass=self.mass, terminal_fixed=self.terminal_fixed)
 
     def to_dict(self) -> dict:
         return {"mass": float(self.mass), "terminal_fixed": bool(self.terminal_fixed),
@@ -198,15 +189,6 @@ class Branch:
     @property
     def densities(self) -> np.ndarray:
         return self.m
-
-    def segment_flux(self, lengths: np.ndarray) -> np.ndarray:
-        """Downstream leaf mass at each midpoint: m[p] L[p] / 2 + sum_{q > p} m[q] L[q]."""
-        m_l = self.m * lengths
-        tail = np.concatenate([np.cumsum(m_l[::-1])[::-1][1:], [0.0]])
-        return 0.5 * m_l + tail
-
-    def rebuilt(self, xs: np.ndarray, ys: np.ndarray, densities: np.ndarray) -> "Branch":
-        return Branch(x=xs, y=ys, m=densities)
 
     def resampled(self) -> "Branch":
         """The same curve with its knots at equal arc length.
@@ -297,37 +279,50 @@ def _owners(plan) -> tuple:
     raise TypeError("expected a PathPlan or BranchPlan")
 
 
+def _sums_before(values, owner, position, owners: int) -> np.ndarray:
+    """For each value, the sum of its owner's values at lower ``position``,
+    added one at a time in position order, as a cumulative sum would."""
+    rows = np.zeros((owners, position.max() + 1))
+    rows[owner, position] = values
+    return np.where(position > 0, np.cumsum(rows, axis=1)[owner, position - 1], 0.0)
+
+
+def _table(columns: tuple, a: np.ndarray, b: np.ndarray, density: np.ndarray) -> SegmentTable:
+    """The one builder of segment tables: a plan shape's static ``columns``
+    (owner, interval, group starts, terminal flags, path masses or None for
+    branches) at segment ends ``a``, ``b`` and interval densities.
+
+    A path's flux is its mass. A branch's is its downstream leaf mass
+    m[p] L[p] / 2 + sum_{q > p} m[q] L[q], the tail summed from its tip inward.
+    """
+    owner, interval, group_starts, terminal_fixed, masses = columns
+    length = np.hypot(*(b - a).T)
+    if masses is not None:
+        flux = masses[owner]
+    else:
+        m_l = density * length
+        back = np.diff(np.append(group_starts, len(m_l)))[owner] - 1 - interval  # from the tip
+        flux = 0.5 * m_l + _sums_before(m_l, owner, back, len(group_starts))
+    return SegmentTable(owner=owner, interval=interval, a=a, b=b, length=length,
+                        midpoint=0.5 * (a + b), flux=flux, density=density,
+                        terminal_fixed=terminal_fixed, group_starts=group_starts)
+
+
 def segment_table(plan) -> SegmentTable:
-    """Build the flattened segment table for a path or branch plan."""
+    """The segment table of a path or branch plan; a table comes back unchanged."""
+    if isinstance(plan, SegmentTable):
+        return plan
     owners = _owners(plan)
-    owner_ids, intervals, starts, ends, fluxes = [], [], [], [], []
-    group_starts = []
-    row = 0
-    for k, owner in enumerate(owners):
-        group_starts.append(row)
-        verts = owner.vertices
-        lengths = segment_lengths(verts)
-        count = len(lengths)
-        owner_ids.append(np.full(count, k, dtype=int))
-        intervals.append(np.arange(count))
-        starts.append(verts[:-1])
-        ends.append(verts[1:])
-        fluxes.append(owner.segment_flux(lengths))
-        row += count
-    a = np.concatenate(starts) if starts else np.zeros((0, 2))
-    b = np.concatenate(ends) if ends else np.zeros((0, 2))
-    return SegmentTable(
-        owner=np.concatenate(owner_ids) if owner_ids else np.zeros(0, dtype=int),
-        interval=np.concatenate(intervals) if intervals else np.zeros(0, dtype=int),
-        a=a,
-        b=b,
-        length=np.hypot(*(b - a).T) if len(a) else np.zeros(0),
-        midpoint=0.5 * (a + b),
-        flux=np.concatenate(fluxes) if fluxes else np.zeros(0),
-        density=np.concatenate([o.densities for o in owners] or [np.zeros(0)]),
-        terminal_fixed=np.array([o.terminal_fixed for o in owners], dtype=bool),
-        group_starts=np.asarray(group_starts, dtype=int),
-    )
+    vertices = [o.vertices for o in owners]
+    counts = np.array([len(v) - 1 for v in vertices], dtype=int)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    group_starts = np.cumsum(counts) - counts
+    columns = (owner, np.arange(len(owner)) - group_starts[owner], group_starts,
+               np.array([o.terminal_fixed for o in owners], dtype=bool),
+               np.array([p.mass for p in owners]) if isinstance(plan, PathPlan) else None)
+    return _table(columns, np.concatenate([v[:-1] for v in vertices] or [np.zeros((0, 2))]),
+                  np.concatenate([v[1:] for v in vertices] or [np.zeros((0, 2))]),
+                  np.concatenate([o.densities for o in owners] or [np.zeros(0)]))
 
 
 @dataclass(frozen=True)

@@ -564,3 +564,28 @@ def test_gradients_reject_a_value_that_is_not_their_own_objectives():
             if name != form:
                 with pytest.raises(TypeError, match=form):
                     gradient(value)
+
+
+def test_central_difference_is_one_sided_exactly_below_a_bound():
+    # Densities and branch heights are bounded below by zero. A backward
+    # probe below the bound gives way to a forward difference; every other
+    # probe is central, and no probe leaves the feasible set.
+    plan = BranchPlan(branches=(Branch(x=np.array([0.0, 0.4, 0.6]), y=np.array([0.0, 0.0, 1.0]),
+                                       m=np.array([0.0, 1.0])),))
+    probes = []
+
+    def func(plan_or_table):
+        table = segment_table(plan_or_table)
+        probes.append(table)
+        return float((table.density ** 2).sum() + (table.b[:, 1] ** 2).sum())
+
+    fd = central_difference(func, plan, step=1e-6)
+    layout = Layout.of(plan)
+    assert all(t.density.min() >= 0.0 and t.b[:, 1].min() >= 0.0 for t in probes)
+    assert len(probes) == 6 + 4 + 1  # forward probes, central partners, the base
+    low_density, density = layout.m_slots
+    low_height = layout.counts[0] + 1  # y of vertex 1
+    assert fd[low_density] == pytest.approx(1e-6, rel=1e-3)  # (h^2 - 0) / h
+    assert fd[low_height] == pytest.approx(1e-6, rel=1e-3)
+    assert fd[density] == pytest.approx(2.0)
+    assert fd[low_height + 1] == pytest.approx(2.0)

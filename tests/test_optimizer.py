@@ -454,7 +454,11 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
         return out
 
     def value_of(current):
-        return next(value for at, value in reversed(evaluated) if at is current)
+        # A trial is evaluated on its segment table, not on the plan built
+        # once it is accepted, so the plan is matched by its coordinates.
+        vector = plan_to_vector(current)
+        return next(value for at, value in reversed(evaluated)
+                    if np.array_equal(plan_to_vector(at), vector))
 
     monkeypatch.setattr(optimizer_module, "rediscretize_plan", resample)
     cfg = DescentConfig(j_max=8, rediscretize_every=2)
@@ -548,3 +552,26 @@ def test_eps_continuation_keeps_the_last_finite_value_past_a_nonfinite_start():
     assert trace.stage_reasons == ["nonfinite"]
     assert trace.rows == []
     assert trace.metadata["final"] is None
+
+
+def test_run_descent_stops_on_a_nonfinite_trial_vector():
+    # tau0 times the gradient overflows to inf in every free slot, so the
+    # first trial vector is not finite; it is never evaluated.
+    plan = build_star_plan(half_circle_targets(3), segments_per_path=3)
+    start = plan_to_vector(plan)
+    quadratic = _quadratic_evaluator(start + 1.0)
+    evaluated = []
+
+    def objective(current):
+        evaluated.append(current)
+        return quadratic.objective(current)
+
+    ev = Evaluator(objective=objective, gradient=lambda value: np.full_like(start, 1e308))
+    with np.errstate(over="ignore"):  # the step itself overflows
+        out, value, rows, reason = run_descent(plan, ev, DescentConfig(j_max=10), eps=0.1,
+                                               tau0=10.0)
+    assert reason == "nonfinite"
+    assert rows == []
+    assert len(evaluated) == 1  # the starting plan only
+    np.testing.assert_array_equal(plan_to_vector(out), start)
+    assert value == quadratic.objective(out)

@@ -311,3 +311,73 @@ def test_layout_matches_the_owner_loop():
             assert np.array_equal(getattr(layout, name), value), name
         assert np.array_equal(plan_to_vector(plan), expected["base"])
     assert any(not p.terminal_fixed for plan in plans[:100] for p in plan.paths)
+
+
+def _tables_equal(one, two) -> bool:
+    """Field-by-field bit equality of two segment tables."""
+    from dataclasses import fields
+
+    return all(getattr(one, f.name).dtype == getattr(two, f.name).dtype
+               and getattr(one, f.name).shape == getattr(two, f.name).shape
+               and getattr(one, f.name).tobytes() == getattr(two, f.name).tobytes()
+               for f in fields(one))
+
+
+def _reference_flux(plan) -> np.ndarray:
+    """Segment fluxes as a loop over owners: each path's mass, or each
+    branch's own reverse cumulative sum of density times length."""
+    from ramify.geometry import segment_lengths
+
+    if isinstance(plan, PathPlan):
+        return np.concatenate([np.full(p.segments, p.mass) for p in plan.paths])
+    fluxes = []
+    for branch in plan.branches:
+        m_l = branch.m * segment_lengths(branch.vertices)
+        fluxes.append(0.5 * m_l + np.concatenate([np.cumsum(m_l[::-1])[::-1][1:], [0.0]]))
+    return np.concatenate(fluxes)
+
+
+def _scalars(value) -> tuple:
+    """An energy's value and term bytes, or an objective value's four parts."""
+    if hasattr(value, "terms"):
+        return value.value, value.terms.tobytes()
+    return value.total, value.irrigation, value.penalty, value.payoff
+
+
+def test_layout_table_matches_the_table_of_its_plan():
+    from ramify.gradients import Layout, vector_to_plan
+    from ramify.mollified import energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
+    from ramify.objective import ObjectiveConfig, tree_objective, tree_objective_gradient
+    from ramify.optimizer import feasibility_project, rediscretize_plan
+
+    rng = np.random.default_rng(47)
+    plans = [_random_path_plan(rng) for _ in range(12)]
+    plans += [random_branch_plan(rng, max_branches=5, max_segments=9) for _ in range(12)]
+    plans += [rediscretize_plan(plan) for plan in plans]
+    plans += [build_fan_branches(15, segments=10),
+              build_star_plan(half_circle_targets(13), segments_per_path=16)]
+    assert any(len(set(segment_table(p).segments)) > 1 for p in plans if isinstance(p, BranchPlan))
+    cfg = ObjectiveConfig(alpha=0.5, eps=0.3, c1=0.5, c2=1.0)
+    for plan in plans:
+        layout = Layout.of(plan)
+        moved = layout.base + rng.normal(0.0, 0.05, layout.base.shape)
+        x = feasibility_project(moved, layout)
+        table, plan_at_x = layout.table(x), vector_to_plan(x, layout)
+        assert _tables_equal(table, segment_table(plan_at_x))
+        assert segment_table(table) is table
+        assert _reference_flux(plan_at_x).tobytes() == table.flux.tobytes()
+        if isinstance(plan, PathPlan):
+            pairs = ((lambda p: energy_avg(p, 0.5, 0.3), energy_avg_gradient),
+                     (lambda p: energy_max(p, 0.5, 0.3), energy_max_gradient))
+            wrong, message = (lambda t: tree_objective(t, cfg)), "branch plans"
+        else:
+            pairs = ((lambda p: tree_objective(p, cfg), tree_objective_gradient),)
+            wrong, message = (lambda t: energy_avg(t, 0.5, 0.3)), "path plans"
+        for objective, gradient in pairs:
+            on_plan, on_table = objective(plan_at_x), objective(table)
+            assert _scalars(on_plan) == _scalars(on_table)
+            assert gradient(on_plan).tobytes() == gradient(on_table).tobytes()
+        with pytest.raises(TypeError, match=message):
+            wrong(table)
+        with pytest.raises(TypeError, match=message):
+            wrong(plan_at_x)
