@@ -3,8 +3,10 @@
 Subcommands: irrigate (half-circle path plans), treeopt (branch fans),
 gamma-table (smoothing-vs-exact cost table), counterexample (the
 two-path lengthening paradox), gradcheck (analytic vs finite-difference
-gradients). Exit codes: 0 success, 2 configuration problems, 3 failed
-numerical assertions or degenerate evaluations.
+gradients). Each ``cmd_*`` returns its report's file name, the report and
+its failed checks; ``main`` writes the report and exits 0 on success, 2 on
+configuration problems, 3 on failed checks (each named on stderr) or
+degenerate evaluations.
 
 Heavy numeric imports happen inside the command functions so that the
 RAMIFY_THREADS cap can be applied to the BLAS thread pools first.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -44,10 +45,6 @@ _READ_BY.update({f"objective.{key}": ("treeopt", "gradcheck") for key in (
     "c1", "c2", "penalty_kernel", "beta", "gamma", "f_min", "penalty_arclength")})
 
 
-class NumericalCheckError(RuntimeError):
-    """A numerical assertion of a command failed."""
-
-
 def _apply_thread_env():
     """Cap numeric thread pools from RAMIFY_THREADS; returns an error or None.
 
@@ -74,14 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ramify",
         description="Optimal ramified irrigation patterns and branch shapes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("irrigate", "Minimize a mollified irrigation energy over half-circle paths."),
-        ("treeopt", "Optimize branch shapes and leaf densities."),
-        ("gamma-table", "Tabulate exact vs mollified energies over a smoothing grid."),
-        ("counterexample", "Reproduce the two-path lengthening paradox."),
-        ("gradcheck", "Compare analytic and finite-difference gradients."),
-    )
-    for name, help_text in specs:
+    for name, (help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", metavar="FILE", help="JSON config file")
         cmd.add_argument("--preset", metavar="NAME",
@@ -96,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _resolved_merge_tol(run_cfg, plan) -> float:
     if run_cfg.merge_tol is not None:
         return run_cfg.merge_tol
@@ -110,7 +94,10 @@ def _resolved_merge_tol(run_cfg, plan) -> float:
 
 
 def _run_continuation(initial_plan, factory, run_cfg, out_dir, svg_alpha, targets):
-    """Shared driver: continuation, streamed trace, stage snapshots."""
+    """Shared run: continuation, streamed trace, stage snapshots.
+
+    Returns the final plan, the trace, the keys both optimization summaries
+    share, and the failure of a stage that stopped on a non-finite value."""
     from .optimizer import TRACE_HEADER, eps_continuation
     from .plan_model import save_plan
     from .svg import save_svg
@@ -128,18 +115,13 @@ def _run_continuation(initial_plan, factory, run_cfg, out_dir, svg_alpha, target
         save_plan(plan, os.path.join(out_dir, f"plan_stage_{i}.json"))
         save_svg(plan, os.path.join(out_dir, f"stage_{i}.svg"),
                  alpha=svg_alpha, targets=targets)
-    return final_plan, trace
-
-
-def _write_summary(out_dir: str, summary: dict, trace) -> dict:
-    """Write summary.json, then fail if a stage stopped on a non-finite value."""
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    if "nonfinite" in trace.stage_reasons:
-        stage = trace.stage_reasons.index("nonfinite")
-        raise NumericalCheckError(
-            f"stage {stage + 1} (eps={trace.metadata['eps_schedule'][stage]}) stopped on a "
-            "non-finite objective, gradient or trial step")
-    return summary
+    schedule = run_cfg.descent.eps_schedule
+    shared = {"eps_schedule": list(schedule), "tau0": trace.metadata["tau0"],
+              "stage_reasons": trace.stage_reasons, "iterations": len(trace.rows)}
+    failures = [f"stage {stage + 1} (eps={schedule[stage]}) stopped on a non-finite "
+                "objective, gradient or trial step"
+                for stage, reason in enumerate(trace.stage_reasons) if reason == "nonfinite"]
+    return final_plan, trace, shared, failures
 
 
 def _kernel_payload(spec) -> dict:
@@ -152,7 +134,7 @@ def _kernel_payload(spec) -> dict:
     }
 
 
-def cmd_irrigate(run_cfg, out_dir: str) -> dict:
+def cmd_irrigate(run_cfg, out_dir: str):
     from .exact_cost import exact_plan_cost
     from .optimizer import path_evaluator
     from .plan_model import (TopologyError, build_star_plan, crossing_cluster_count,
@@ -167,8 +149,8 @@ def cmd_irrigate(run_cfg, out_dir: str) -> dict:
         return path_evaluator(alpha, eps, run_cfg.kernel, run_cfg.functional,
                               run_cfg.quad_points)
 
-    final_plan, trace = _run_continuation(initial, factory, run_cfg, out_dir,
-                                          alpha, targets)
+    final_plan, trace, shared, failures = _run_continuation(initial, factory, run_cfg,
+                                                            out_dir, alpha, targets)
     final = trace.metadata["final"]
     clusters = [crossing_cluster_count(p) for p in trace.stage_plans]
     merge_tol = _resolved_merge_tol(run_cfg, final_plan)
@@ -183,10 +165,7 @@ def cmd_irrigate(run_cfg, out_dir: str) -> dict:
         "functional": run_cfg.functional,
         "kernel": _kernel_payload(run_cfg.kernel),
         "alpha": alpha,
-        "eps_schedule": list(run_cfg.descent.eps_schedule),
-        "tau0": trace.metadata["tau0"],
-        "stage_reasons": trace.stage_reasons,
-        "iterations": len(trace.rows),
+        **shared,
         "final_energy": None if final is None else final["total"],
         "exact_cost": exact,
         "exact_cost_note": exact_note,
@@ -194,10 +173,10 @@ def cmd_irrigate(run_cfg, out_dir: str) -> dict:
         "cluster_counts": clusters,
         "atoms": measure.n,
     }
-    return _write_summary(out_dir, summary, trace)
+    return "summary.json", summary, failures
 
 
-def cmd_treeopt(run_cfg, out_dir: str) -> dict:
+def cmd_treeopt(run_cfg, out_dir: str):
     from .optimizer import branch_evaluator
     from .plan_model import build_fan_branches
 
@@ -208,9 +187,8 @@ def cmd_treeopt(run_cfg, out_dir: str) -> dict:
     def factory(eps):
         return branch_evaluator(run_cfg.objective, eps)
 
-    final_plan, trace = _run_continuation(initial, factory, run_cfg, out_dir,
-                                          run_cfg.objective.alpha, None)
-    final = trace.metadata["final"]
+    _, trace, shared, failures = _run_continuation(initial, factory, run_cfg, out_dir,
+                                                   run_cfg.objective.alpha, None)
     summary = {
         "experiment": "treeopt",
         "branches": fan.n,
@@ -219,16 +197,13 @@ def cmd_treeopt(run_cfg, out_dir: str) -> dict:
         "c2": run_cfg.objective.c2,
         "penalty_kernel": run_cfg.objective.penalty_kernel,
         "f_min": run_cfg.objective.f_min,
-        "eps_schedule": list(run_cfg.descent.eps_schedule),
-        "tau0": trace.metadata["tau0"],
-        "stage_reasons": trace.stage_reasons,
-        "iterations": len(trace.rows),
-        "final": final,
+        **shared,
+        "final": trace.metadata["final"],
     }
-    return _write_summary(out_dir, summary, trace)
+    return "summary.json", summary, failures
 
 
-def cmd_gamma_table(run_cfg, out_dir: str) -> dict:
+def cmd_gamma_table(run_cfg, out_dir: str):
     from .exact_cost import exact_plan_cost
     from .mollified import energy_avg, energy_max
     from .plan_model import build_star_plan, half_circle_targets
@@ -281,13 +256,10 @@ def cmd_gamma_table(run_cfg, out_dir: str) -> dict:
         "assertions_passed": not failures,
         "failures": failures,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    if failures:
-        raise NumericalCheckError("; ".join(failures))
-    return summary
+    return "summary.json", summary, failures
 
 
-def cmd_counterexample(run_cfg, out_dir: str) -> dict:
+def cmd_counterexample(run_cfg, out_dir: str):
     from .kernels import KernelSpec
     from .mollified import (energy_avg, saturated_two_path_cost,
                             saturated_two_path_cost_dl2)
@@ -353,10 +325,7 @@ def cmd_counterexample(run_cfg, out_dir: str) -> dict:
         "assertions_passed": not failures,
         "failures": failures,
     }
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    if failures:
-        raise NumericalCheckError("; ".join(failures))
-    return report
+    return "report.json", report, failures
 
 
 def run_gradient_check(run_cfg, corrupt: bool = False) -> dict:
@@ -405,16 +374,14 @@ def run_gradient_check(run_cfg, corrupt: bool = False) -> dict:
     }
 
 
-def cmd_gradcheck(run_cfg, out_dir: str, corrupt: bool = False) -> dict:
+def cmd_gradcheck(run_cfg, out_dir: str, corrupt: bool = False):
     report = run_gradient_check(run_cfg, corrupt)
-    _write_json(os.path.join(out_dir, "report.json"), report)
     print(f"worst relative gradient error: {report['worst_rel_error']:.3e} "
           f"(tolerance {report['tolerance']:.1e})")
-    if not report["passed"]:
-        raise NumericalCheckError(
-            f"gradient mismatch {report['worst_rel_error']:.3e} exceeds "
-            f"tolerance {report['tolerance']:.1e}")
-    return report
+    failures = [] if report["passed"] else [
+        f"gradient mismatch {report['worst_rel_error']:.3e} exceeds "
+        f"tolerance {report['tolerance']:.1e}"]
+    return "report.json", report, failures
 
 
 def _check_read(run_cfg, command: str):
@@ -431,6 +398,18 @@ def _check_read(run_cfg, command: str):
                               f"only {', '.join(readers)} do")
 
 
+# Subcommand -> (help text, command function).
+_COMMANDS = {
+    "irrigate": ("Minimize a mollified irrigation energy over half-circle paths.",
+                 cmd_irrigate),
+    "treeopt": ("Optimize branch shapes and leaf densities.", cmd_treeopt),
+    "gamma-table": ("Tabulate exact vs mollified energies over a smoothing grid.",
+                    cmd_gamma_table),
+    "counterexample": ("Reproduce the two-path lengthening paradox.", cmd_counterexample),
+    "gradcheck": ("Compare analytic and finite-difference gradients.", cmd_gradcheck),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -440,6 +419,7 @@ def main(argv=None) -> int:
         return 2
 
     from .config import ConfigError, load_config_file, resolve_config, validate_config
+    from .plan_model import _write_json
 
     try:
         file_data = load_config_file(args.config) if args.config else None
@@ -454,24 +434,17 @@ def main(argv=None) -> int:
         _check_read(run_cfg, args.command)
         out_dir = args.out or run_cfg.out_dir or os.path.join("runs", args.command)
         os.makedirs(out_dir, exist_ok=True)
-        if args.command == "irrigate":
-            cmd_irrigate(run_cfg, out_dir)
-        elif args.command == "treeopt":
-            cmd_treeopt(run_cfg, out_dir)
-        elif args.command == "gamma-table":
-            cmd_gamma_table(run_cfg, out_dir)
-        elif args.command == "counterexample":
-            cmd_counterexample(run_cfg, out_dir)
-        elif args.command == "gradcheck":
-            cmd_gradcheck(run_cfg, out_dir, corrupt=getattr(args, "corrupt_gradient", False))
+        options = {"corrupt": args.corrupt_gradient} if args.command == "gradcheck" else {}
+        name, report, failures = _COMMANDS[args.command][1](run_cfg, out_dir, **options)
+        _write_json(os.path.join(out_dir, name), report)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NumericalCheckError as exc:
-        print(f"numerical check failed: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    if failures:
+        print(f"numerical check failed: {'; '.join(failures)}", file=sys.stderr)
         return 3
     return 0
 

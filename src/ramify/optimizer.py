@@ -187,7 +187,8 @@ def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad:
     """
     tau = tau0
     for j in range(cfg.backtrack_limit):
-        trial = feasibility_project(x - tau * grad, layout)
+        with np.errstate(over="ignore"):  # a non-finite step is caught below
+            trial = feasibility_project(x - tau * grad, layout)
         value = evaluator.objective(layout.table(trial)) if np.all(np.isfinite(trial)) else None
         if value is None or not np.isfinite(value.total):
             return trial, None, value, tau, j
@@ -297,7 +298,6 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
     trace = RunTrace()
     trace.stage_plans.append(plan)
     trace.metadata["tau0"] = tau0
-    trace.metadata["eps_schedule"] = list(cfg.eps_schedule)
     start = 0
     final_value = None
     for eps in cfg.eps_schedule:

@@ -634,10 +634,15 @@ def plan_from_dict(data: dict):
     raise ValueError("plan dictionary needs a 'paths' or 'branches' key")
 
 
-def save_plan(plan, path: str):
+def _write_json(path: str, payload: dict):
+    """Write ``payload`` as indented, key-sorted JSON; every JSON output goes here."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(plan_to_dict(plan), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def save_plan(plan, path: str):
+    _write_json(path, plan_to_dict(plan))
 
 
 def load_plan(path: str):

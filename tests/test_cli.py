@@ -162,7 +162,19 @@ def test_counterexample_report_values(tmp_path):
     assert report["failures"] == []
 
 
-def test_gradcheck_passes_and_detects_corruption(tmp_path):
+def test_failed_counterexample_checks_are_written_then_exit_three(tmp_path, capsys):
+    # Near alpha = 1 lengthening no longer pays: three of the four checks fail.
+    cfg = _write_config(tmp_path, {"counterexample": {"alpha": 0.99}})
+    out = str(tmp_path / "run")
+    assert main(["counterexample", "--config", cfg, "--out", out]) == 3
+    report = _read_json(os.path.join(out, "report.json"))
+    assert report["assertions_passed"] is False
+    assert len(report["failures"]) == 3
+    err = capsys.readouterr().err
+    assert err.strip() == "numerical check failed: " + "; ".join(report["failures"])
+
+
+def test_gradcheck_passes_and_detects_corruption(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
         {"experiment": "gradcheck", "gradcheck": {"plans": 4, "seed": 1}},
@@ -175,11 +187,13 @@ def test_gradcheck_passes_and_detects_corruption(tmp_path):
     assert report["plans"] == 4
 
     bad_out = str(tmp_path / "bad")
+    capsys.readouterr()
     assert (
         main(["gradcheck", "--config", cfg, "--out", bad_out, "--corrupt-gradient"]) == 3
     )
     bad_report = _read_json(os.path.join(bad_out, "report.json"))
     assert not bad_report["passed"]
+    assert "numerical check failed: gradient mismatch" in capsys.readouterr().err
 
 
 def test_config_errors_exit_two(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for projected descent, line search, projection, and resampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -408,7 +410,6 @@ def test_eps_continuation_stages_and_numbering():
         totals = [r.total for r in trace.rows if r.eps == eps]
         assert np.all(np.diff(totals) < 0.0)
     assert trace.metadata["tau0"] > 0.0
-    assert trace.metadata["eps_schedule"] == [0.3, 0.15]
     assert set(trace.metadata["final"]) == {"total", "irrigation", "penalty", "payoff"}
     header, *lines = [TRACE_HEADER] + [row.as_csv() for row in trace.rows]
     assert header == TRACE_HEADER
@@ -567,7 +568,8 @@ def test_run_descent_stops_on_a_nonfinite_trial_vector():
         return quadratic.objective(current)
 
     ev = Evaluator(objective=objective, gradient=lambda value: np.full_like(start, 1e308))
-    with np.errstate(over="ignore"):  # the step itself overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow must stay silent
         out, value, rows, reason = run_descent(plan, ev, DescentConfig(j_max=10), eps=0.1,
                                                tau0=10.0)
     assert reason == "nonfinite"
