@@ -83,14 +83,15 @@ def kernel_derivative(spec: KernelSpec, r):
     return out if out.ndim else float(out)
 
 
-def _bump_closed_form(a, b, x, eps: float):
+def _bump_closed_form(a, b, x, eps: float, moments=None):
     """Shared body of the bump segment integral and its gradient.
 
     With d = b - a, w = a - x and L = |d| the squared distance is
     A u^2 + B u + C, and s0, s1, s2 are the moments of u where it stays
     below eps^2. Returns the cast a and x, the coordinates (dx, dy) of d,
     L, active, (s0, s1, s2), inner and the value (L/eps) inner, clipped at
-    0 and 0 off the support.
+    0 and 0 off the support. Given the ``moments`` of an earlier call on
+    the same inputs it skips the support solve; active is then s0 > 0.
 
     Every dot product is written per coordinate, x part plus y part: that
     is the order in which a sum over the length-2 coordinate axis adds,
@@ -108,40 +109,45 @@ def _bump_closed_form(a, b, x, eps: float):
     C = wx * wx + wy * wy
     del wx, wy  # temporaries held to the end cost about 1.5x the page faults
     L = np.sqrt(A)
-    disc = B * B - 4.0 * A * (C - eps * eps)
-    pos = (A > 0.0) & (disc > 0.0)
-    sq = np.sqrt(np.where(pos, disc, 0.0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        u1 = np.where(pos, (-B - sq) / (2.0 * A), 0.0)
-        u2 = np.where(pos, (-B + sq) / (2.0 * A), 0.0)
-    lo = np.maximum(u1, 0.0)
-    hi = np.minimum(u2, 1.0)
-    active = pos & (lo < hi)
-    del disc, sq, u1, u2, pos
-    lo = np.where(active, lo, 0.0)
-    hi = np.where(active, hi, 0.0)
-    s0 = hi - lo
-    s1 = 0.5 * (hi * hi - lo * lo)
-    s2 = (hi * hi * hi - lo * lo * lo) / 3.0
+    if moments is None:
+        disc = B * B - 4.0 * A * (C - eps * eps)
+        pos = (A > 0.0) & (disc > 0.0)
+        sq = np.sqrt(np.where(pos, disc, 0.0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u1 = np.where(pos, (-B - sq) / (2.0 * A), 0.0)
+            u2 = np.where(pos, (-B + sq) / (2.0 * A), 0.0)
+        lo = np.maximum(u1, 0.0)
+        hi = np.minimum(u2, 1.0)
+        active = pos & (lo < hi)
+        del disc, sq, u1, u2, pos
+        lo = np.where(active, lo, 0.0)
+        hi = np.where(active, hi, 0.0)
+        moments = (hi - lo, 0.5 * (hi * hi - lo * lo), (hi * hi * hi - lo * lo * lo) / 3.0)
+    else:
+        active = moments[0] > 0.0  # lo < hi makes hi - lo positive
+    s0, s1, s2 = moments
     inv2 = 1.0 / (eps * eps)
     inner = (1.0 - C * inv2) * s0 - B * inv2 * s1 - A * inv2 * s2
     val = np.where(active, np.maximum((L / eps) * inner, 0.0), 0.0)
-    return a, x, (dx, dy), L, active, (s0, s1, s2), inner, val
+    return a, x, (dx, dy), L, active, moments, inner, val
 
 
-def bump_segment_integral(a, b, x, eps: float):
+def bump_segment_integral(a, b, x, eps: float, with_moments: bool = False):
     """Closed-form segment integral of the scaled bump kernel.
 
     Evaluates int_0^1 (1/eps) max{0, 1 - R(u)^2/eps^2} |b - a| du where
     R(u) is the distance from a + u(b - a) to x. Accepts broadcastable
     point arrays with a trailing coordinate axis and returns the
-    broadcast shape without it. Zero-length segments contribute 0.
+    broadcast shape without it. Zero-length segments contribute 0. With
+    ``with_moments`` returns (value, moments), the moments (s0, s1, s2) of
+    u over the support that :func:`bump_segment_integral_grad` can reuse.
     """
-    val = _bump_closed_form(a, b, x, eps)[-1]
-    return val if val.ndim else float(val)
+    *_, moments, _, val = _bump_closed_form(a, b, x, eps)
+    val = val if val.ndim else float(val)
+    return (val, moments) if with_moments else val
 
 
-def bump_segment_integral_grad(a, b, x, eps: float):
+def bump_segment_integral_grad(a, b, x, eps: float, moments=None):
     """Value and exact gradients of :func:`bump_segment_integral`.
 
     Returns (value, d/da, d/db, d/dx) with the derivative arrays shaped
@@ -149,9 +155,10 @@ def bump_segment_integral_grad(a, b, x, eps: float):
     boundaries and the clipped limits 0 and 1 are constants, so the
     derivative reduces to differentiating the coefficients at fixed
     limits. The result is one-sided where a support boundary coincides
-    with a segment endpoint.
+    with a segment endpoint. Given the ``moments`` of a value call on the
+    same inputs it skips the support solve, with the same result bit for bit.
     """
-    a, x, d, L, active, (s0, s1, s2), inner, val = _bump_closed_form(a, b, x, eps)
+    a, x, d, L, active, (s0, s1, s2), inner, val = _bump_closed_form(a, b, x, eps, moments)
     inv2 = 1.0 / (eps * eps)
     # Partials of the integral with respect to the quadratic coefficients.
     gA = np.where(active, -(L / eps) * inv2 * s2, 0.0)

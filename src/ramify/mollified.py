@@ -16,7 +16,8 @@ kernel consumer pairs points with segments only through one pair list,
 and chain-rules the pair derivatives only through :func:`_pair_pulls`.
 For a compact kernel the list holds only the pairs a cell list finds
 near each other, so no (T, S) array is formed; every per-point, per-path
-or per-segment sum is a ``np.bincount`` over the pairs.
+or per-segment sum is a ``np.bincount`` over the pairs. A bump-kernel value
+keeps its pairs' support moments, so its gradient skips the support solve.
 
 Energies discretize the outer arc-length integral with the midpoint rule
 on the plan's own intervals. Inner segment integrals are exact for the
@@ -35,6 +36,8 @@ from .geometry import pair_projection
 from .gradients import scatter_segment_gradients
 from .kernels import (
     KernelSpec,
+    bump_segment_integral,
+    bump_segment_integral_grad,
     kernel_derivative,
     kernel_eval,
     kernel_segment_integral,
@@ -108,40 +111,53 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
     length of its midpoint. For a compact kernel a uniform grid of cells
     that wide (a cell list) yields the midpoints in the 3 x 3 block of cells
     around each point, and the bounding-circle test keeps a superset of the
-    pairs closer than eps without forming all T x S of them. Non-compact
-    kernels reach every segment, so their list holds all T * S pairs.
+    pairs closer than eps without forming all T x S of them; on a grid of
+    at most 2 x 2 cells, which each block covers, the candidates are all
+    T * S pairs. Non-compact kernels reach every segment, so their list
+    holds all T * S pairs.
     """
     count, size = len(points), table.size
     if not spec.compact_support or count == 0 or size == 0:
-        return np.repeat(np.arange(count), size), np.tile(np.arange(size), count)
+        return _every_pair(count, size)
     reach = (eps + 0.5 * table.length) * (1.0 + 1e-9)  # slack for rounding
     mids = table.midpoint
     origin = mids.min(axis=0)
     span = mids.max(axis=0) - origin
     width = max(reach.max(), span.max() / 2.0 ** 20)  # at most 2^20 cells a side
     shape = (span // width).astype(int) + 1
-    cell = ((mids - origin) // width).astype(int)
-    keys = cell[:, 0] * shape[1] + cell[:, 1]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    # A column of three cells is one run of keys, so each point reads three runs.
-    home = np.clip((points - origin) // width, -2, shape + 1).astype(int)
-    column = home[:, :1] + np.arange(-1, 2)
-    low = np.maximum(home[:, 1:] - 1, 0)
-    high = np.minimum(home[:, 1:] + 1, shape[1] - 1)
-    first = np.searchsorted(keys, column * shape[1] + low, "left")
-    last = np.searchsorted(keys, column * shape[1] + high, "right")
-    hits = np.where((column >= 0) & (column < shape[0]) & (low <= high),
-                    last - first, 0).ravel()
-    ends = np.cumsum(hits)
-    i = np.repeat(np.arange(count), hits.reshape(count, 3).sum(axis=1))
-    j = order[np.repeat(first.ravel() - ends + hits, hits) + np.arange(ends[-1])]
+    one_block = bool(np.all(shape <= 2))
+    if one_block:
+        i, j = _every_pair(count, size)
+    else:
+        cell = ((mids - origin) // width).astype(int)
+        keys = cell[:, 0] * shape[1] + cell[:, 1]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        # A column of three cells is one run of keys, so each point reads three runs.
+        home = np.clip((points - origin) // width, -2, shape + 1).astype(int)
+        column = home[:, :1] + np.arange(-1, 2)
+        low = np.maximum(home[:, 1:] - 1, 0)
+        high = np.minimum(home[:, 1:] + 1, shape[1] - 1)
+        first = np.searchsorted(keys, column * shape[1] + low, "left")
+        last = np.searchsorted(keys, column * shape[1] + high, "right")
+        hits = np.where((column >= 0) & (column < shape[0]) & (low <= high),
+                        last - first, 0).ravel()
+        ends = np.cumsum(hits)
+        i = np.repeat(np.arange(count), hits.reshape(count, 3).sum(axis=1))
+        j = order[np.repeat(first.ravel() - ends + hits, hits) + np.arange(ends[-1])]
     gap = _rows(points, i)
     gap -= _rows(mids, j)
     gap *= gap
     near = gap[:, 0] + gap[:, 1] <= np.take(reach * reach, j)
+    if one_block:
+        return i[near], j[near]
     pair = np.sort(i[near] * size + j[near])
     return pair // size, pair % size
+
+
+def _every_pair(count: int, size: int):
+    """Indices (i, j) of all ``count`` x ``size`` pairs, by point then segment."""
+    return np.repeat(np.arange(count), size), np.tile(np.arange(size), count)
 
 
 def _rows(array: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -206,15 +222,20 @@ def _capped(i: np.ndarray, j: np.ndarray, value: np.ndarray, table: SegmentTable
 
 
 def _pairs(table: SegmentTable, points: np.ndarray, pairs: tuple, eps: float,
-           spec: KernelSpec = KernelSpec(), quad_points: int = 32, grad: bool = False):
-    """Indices i and j of ``pairs``, the :func:`_pair_list` of ``points``,
-    and the kernel segment integrals of its pairs; with ``grad`` also their
-    (P, 2) derivatives in segment start, end and point."""
+           spec: KernelSpec = KernelSpec(), quad_points: int = 32, grad: bool = False,
+           moments=None):
+    """Kernel segment integrals of ``pairs``, the (i, j) :func:`_pair_list`
+    of ``points``, and their bump support moments (None for other kernels);
+    with ``grad``, the integrals and their (P, 2) derivatives in segment
+    start, end and point, reusing the value call's bump ``moments``."""
     i, j = pairs
-    integral = kernel_segment_integral_grad if grad else kernel_segment_integral
-    out = integral(spec, _rows(table.a, j), _rows(table.b, j), _rows(points, i), eps,
-                   quad_points)
-    return (i, j) + (out if grad else (out,))
+    args = (_rows(table.a, j), _rows(table.b, j), _rows(points, i), eps)
+    if spec.kind == "bump":
+        return bump_segment_integral_grad(*args, moments) if grad else \
+            bump_segment_integral(*args, with_moments=True)
+    if grad:
+        return kernel_segment_integral_grad(spec, *args, quad_points)
+    return kernel_segment_integral(spec, *args, quad_points), None
 
 
 def _pair_pulls(table: SegmentTable, i: np.ndarray, j: np.ndarray, weight: np.ndarray,
@@ -230,8 +251,8 @@ def _pair_pulls(table: SegmentTable, i: np.ndarray, j: np.ndarray, weight: np.nd
 def _multiplicity_avg(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
                       eps: float, spec: KernelSpec, quad_points: int) -> np.ndarray:
     pairs = _pair_list(table, points, eps, spec)
-    return _capped(*_pairs(table, points, pairs, eps, spec, quad_points), table, masses,
-                   len(points))[0]
+    value = _pairs(table, points, pairs, eps, spec, quad_points)[0]
+    return _capped(*pairs, value, table, masses, len(points))[0]
 
 
 def multiplicity_avg(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec(),
@@ -303,17 +324,17 @@ def energy_avg(plan, alpha: float, eps: float,
     """Midpoint-rule energy of a path plan or its segment table, built on
     the integral-average multiplicity.
 
-    The result carries its settings, segment table and pair list for
-    :func:`energy_avg_gradient`.
+    The result carries its settings, segment table, pair list and the
+    pairs' support moments for :func:`energy_avg_gradient`.
     """
     _check_alpha(alpha)
     _check_eps(eps)
     table, masses = _path_table(plan)
     pairs = _pair_list(table, table.midpoint, eps, spec)
-    w = _capped(*_pairs(table, table.midpoint, pairs, eps, spec, quad_points), table, masses,
-                table.size)[0]
+    value, moments = _pairs(table, table.midpoint, pairs, eps, spec, quad_points)
+    w = _capped(*pairs, value, table, masses, table.size)[0]
     return _midpoint_energy(table, w, alpha, "energy_avg", _Evaluation(
-        "energy_avg", (alpha, eps, spec, quad_points), (table, masses, pairs)))
+        "energy_avg", (alpha, eps, spec, quad_points), (table, masses, pairs, moments)))
 
 
 def energy_avg_gradient(value) -> np.ndarray:
@@ -325,9 +346,11 @@ def energy_avg_gradient(value) -> np.ndarray:
     one-sidedly at cap and support boundaries.
     """
     record = _record(value, "energy_avg")
-    (alpha, eps, spec, quad_points), (table, masses, pairs) = record.settings, record.data
-    i, j, integral, *pair_grads = _pairs(table, table.midpoint, pairs, eps, spec,
-                                         quad_points, grad=True)
+    alpha, eps, spec, quad_points = record.settings
+    table, masses, pairs, moments = record.data
+    integral, *pair_grads = _pairs(table, table.midpoint, pairs, eps, spec, quad_points,
+                                   grad=True, moments=moments)
+    i, j = pairs
     w, uncapped = _capped(i, j, integral, table, masses, table.size)
     gw, g_len = _gradient_weights(table, w, alpha, "energy_avg_gradient")
 
@@ -375,7 +398,7 @@ def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
     """
     _check_eps(eps)
     table = segment_table(plan)
-    return _mollified_flux(table, eps, _branch_pairs(table, eps))
+    return _mollified_flux(table, eps, _branch_pairs(table, eps))[0]
 
 
 def _branch_pairs(table: SegmentTable, eps: float) -> tuple:
@@ -384,9 +407,11 @@ def _branch_pairs(table: SegmentTable, eps: float) -> tuple:
     return _pair_list(table, table.midpoint, eps, KernelSpec())
 
 
-def _mollified_flux(table: SegmentTable, eps: float, pairs: tuple) -> np.ndarray:
-    i, j, value = _pairs(table, table.midpoint, pairs, eps)
-    return _sum_by(i, value * table.flux[j], table.size)
+def _mollified_flux(table: SegmentTable, eps: float, pairs: tuple):
+    """Mollified flux at the midpoints and the support moments of ``pairs``."""
+    i, j = pairs
+    value, moments = _pairs(table, table.midpoint, pairs, eps)
+    return _sum_by(i, value * table.flux[j], table.size), moments
 
 
 def floored_power(multiplicity: np.ndarray, transported: np.ndarray,
@@ -421,24 +446,26 @@ def branch_irrigation_cost(plan: BranchPlan, alpha: float, eps: float,
     if f_min < 0.0:
         raise ValueError("f_min must be nonnegative")
     table = segment_table(plan)
-    terms = _branch_cost_terms(table, alpha, eps, f_min, _branch_pairs(table, eps))
+    terms = _branch_cost_terms(table, alpha, eps, f_min, _branch_pairs(table, eps))[0]
     return MollifiedEval(value=float(terms.sum()), terms=terms)
 
 
 def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float, f_min: float,
-                       pairs: tuple) -> np.ndarray:
+                       pairs: tuple):
+    """Per-segment irrigation cost terms and the support moments of ``pairs``."""
+    flux_mol, moments = _mollified_flux(table, eps, pairs)
     transported = table.flux * table.length
-    return floored_power(_mollified_flux(table, eps, pairs), transported, alpha,
-                         f_min) * transported
+    return floored_power(flux_mol, transported, alpha, f_min) * transported, moments
 
 
 def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: float,
-                          pairs: tuple):
+                          pairs: tuple, moments: tuple):
     """Gradient of the branch irrigation cost (F = sum of value * flux over
-    the pairs of :func:`_branch_pairs`): pulls ga, gb, gx, direct length
-    sensitivity g_len, and g_cell, the sensitivity to each segment's own
-    mass through the downstream flux."""
-    i, j, value, *pair_grads = _pairs(table, table.midpoint, pairs, eps, grad=True)
+    the pairs of :func:`_branch_pairs`, with the moments the cost returned):
+    pulls ga, gb, gx, direct length sensitivity g_len, and g_cell, the
+    sensitivity to each segment's own mass through the downstream flux."""
+    i, j = pairs
+    value, *pair_grads = _pairs(table, table.midpoint, pairs, eps, grad=True, moments=moments)
     flux_mol = _sum_by(i, value * table.flux[j], table.size)
     transported = table.flux * table.length
     active = transported > 0.0

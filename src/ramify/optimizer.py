@@ -182,14 +182,19 @@ def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad:
     plan, value, tau, trials) on success, where trials counts the rejected
     shrinks before acceptance, or (None, None, None, 0.0, limit) when
     every trial step fails to decrease the objective. A trial with a
-    non-finite entry (not evaluated; its value is None) or a non-finite
-    objective ends the search with a trial vector but no plan.
+    non-finite entry or an overflowing evaluation (its value is None) or a
+    non-finite objective ends the search with a trial vector but no plan.
     """
     tau = tau0
     for j in range(cfg.backtrack_limit):
         with np.errstate(over="ignore"):  # a non-finite step is caught below
             trial = feasibility_project(x - tau * grad, layout)
-        value = evaluator.objective(layout.table(trial)) if np.all(np.isfinite(trial)) else None
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                value = (evaluator.objective(layout.table(trial))
+                         if np.all(np.isfinite(trial)) else None)
+        except FloatingPointError:  # finite coordinates whose squares overflow
+            value = None
         if value is None or not np.isfinite(value.total):
             return trial, None, value, tau, j
         if value.total < current_total:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,24 @@ def test_nonfinite_stage_writes_outputs_and_exits_three(tmp_path, monkeypatch, c
     for name in ("plan_stage_0.json", "plan_stage_1.json", "stage_1.svg"):
         assert os.path.exists(os.path.join(out, name))
     assert not os.path.exists(os.path.join(out, "plan_stage_2.json"))
+
+
+def test_overflowing_finite_step_stops_the_stage_as_nonfinite(tmp_path, capsys):
+    # At tau0 = 1e308 the first trial's coordinates stay finite, but their
+    # squares in the pair gaps and the kernel coefficients overflow.
+    data = dict(TINY_IRRIGATE, descent=dict(TINY_IRRIGATE["descent"], tau0=1e308))
+    cfg = _write_config(tmp_path, data)
+    out = str(tmp_path / "run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["irrigate", "--config", cfg, "--out", out]) == 3
+    assert "stage 1 (eps=0.3)" in capsys.readouterr().err
+    summary = _read_json(os.path.join(out, "summary.json"))
+    assert summary["stage_reasons"] == ["nonfinite"]
+    assert summary["iterations"] == 0
+    assert np.isfinite(summary["final_energy"])
+    for name in ("plan_stage_0.json", "plan_stage_1.json", "stage_0.svg", "stage_1.svg"):
+        assert os.path.exists(os.path.join(out, name))
 
 
 @pytest.mark.parametrize("poisoned_eps, stage", [(0.15, 2), (0.3, 1)])

@@ -316,6 +316,32 @@ def test_bump_kernels_match_the_axis_sum_oracle_bit_for_bit():
             _assert_same_bits(bump_segment_integral_grad(a, b, x, scale * eps), want)
 
 
+def test_bump_gradient_from_the_values_moments_is_bit_for_bit():
+    eps, cases = _oracle_inputs(33)
+    # Along a unit segment at eps: supports clipped at u = 0, at u = 1 and at
+    # neither end, a point off the support and a zero-length segment.
+    a = np.zeros((5, 2))
+    b = np.array([[1.0, 0.0]] * 4 + [[0.0, 0.0]])
+    x = np.array([[0.1, 0.2], [0.95, -0.1], [0.5, 0.1], [0.5, 2.0], [0.0, 0.1]])
+    s0, s1, _ = bump_segment_integral(a, b, x, eps, with_moments=True)[1]
+    assert np.all(s0[:3] > 0.0) and np.all(s0[3:] == 0.0)
+    middle = s1[:3] / s0[:3]  # (lo + hi) / 2 of each support
+    lo, hi = middle - 0.5 * s0[:3], middle + 0.5 * s0[:3]
+    assert lo[0] == pytest.approx(0.0, abs=1e-12) and hi[0] < 1.0
+    assert hi[1] == pytest.approx(1.0, abs=1e-12) and lo[1] > 0.0
+    assert lo[2] > 0.0 and hi[2] < 1.0
+    cases.append((a, b, x))
+    for a, b, x in cases:
+        for scale in (1.0, 0.3):
+            value, moments = bump_segment_integral(a, b, x, scale * eps, with_moments=True)
+            want = bump_segment_integral_grad(a, b, x, scale * eps)
+            got = bump_segment_integral_grad(a, b, x, scale * eps, moments)
+            assert np.asarray(value).tobytes() == np.asarray(want[0]).tobytes()
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
 def test_quadrature_kernels_match_the_axis_sum_oracle_bit_for_bit():
     eps, cases = _oracle_inputs(32)
     for kind in ("exponential", "rational", "triangular"):

@@ -416,7 +416,7 @@ def _dense_energy_max_gradient(plan, alpha, eps, spec):
     return scatter_segment_gradients(table, ga, gb, gx, g_len)
 
 
-def _dense_branch_cost_gradient(table, alpha, eps, f_min, pairs):
+def _dense_branch_cost_gradient(table, alpha, eps, f_min, pairs, moments):
     mat, *pair_grads = _dense_pairs(table, table.midpoint, eps, grad=True)
     flux_mol = mat @ table.flux
     transported = table.flux * table.length
@@ -455,7 +455,20 @@ def _assert_close(value, reference):
     assert np.abs(np.asarray(value) - reference).max(initial=0.0) <= 1e-12 * scale
 
 
-PAIR_EPS = (0.25, 0.1, 0.05, 0.01)
+# 3.0 always, and 0.8 on about half of these plans, give a pair-list grid of
+# at most 2 x 2 cells, where the list skips the cell sort.
+PAIR_EPS = (3.0, 0.8, 0.25, 0.1, 0.05, 0.01)
+
+
+def _bounding_circle_pairs(table, points, eps):
+    """Every (point, segment) pair, of all T * S, that passes the pair
+    list's test: the point lies within eps plus half the segment's length
+    of its midpoint, with the list's slack for rounding."""
+    reach = (eps + 0.5 * table.length) * (1.0 + 1e-9)
+    gap = points[:, None, :] - table.midpoint[None, :, :]
+    gap *= gap
+    t_in, s_in = np.nonzero(gap[..., 0] + gap[..., 1] <= reach * reach)
+    return t_in * table.size + s_in
 
 
 def test_pair_list_holds_every_pair_within_eps():
@@ -465,7 +478,8 @@ def test_pair_list_holds_every_pair_within_eps():
             random_branch_plan(rng, max_branches=6, max_segments=12)
         table = segment_table(plan)
         probes = rng.uniform(-1.3, 1.3, (200, 2))
-        for points in (table.midpoint, probes):
+        far = rng.uniform(-6.0, 6.0, (100, 2))  # many outside the span of the midpoints
+        for points in (table.midpoint, probes, far):
             dist = pair_projection(points[:, None, :], table.a[None, :, :],
                                    table.b[None, :, :])[1]
             for eps in PAIR_EPS:
@@ -475,6 +489,7 @@ def test_pair_list_holds_every_pair_within_eps():
                     assert np.all(np.diff(listed) > 0)  # sorted by point, then segment
                     t_near, s_near = np.nonzero(dist < eps)
                     assert np.all(np.isin(t_near * table.size + s_near, listed))
+                    assert np.array_equal(listed, _bounding_circle_pairs(table, points, eps))
                 i, j = _pair_list(table, points, eps, KernelSpec("exponential"))
                 assert np.array_equal(i * table.size + j, np.arange(dist.size))
 
@@ -487,6 +502,7 @@ def test_pair_list_consumers_match_the_dense_grid():
         masses = np.array([p.mass for p in plan.paths])
         probes = np.vstack([rng.uniform(-1.3, 1.3, (60, 2)), table.a[::3] + 0.003])
         alpha = float(rng.uniform(0.3, 0.9))
+        probes = np.vstack([probes, rng.uniform(-6.0, 6.0, (20, 2))])  # outside the span too
         for kind in ("bump", "triangular", "exponential"):
             spec = KernelSpec(kind)
             for eps in PAIR_EPS:
