@@ -1,13 +1,17 @@
 """Projected gradient descent over plans, with continuation in eps.
 
 The descent works on the flat coordinate vector of a plan. Each
-iteration takes the analytic gradient, tries steps tau * factor^j from
-the largest tau downward, projects each trial onto the feasible set
-(origin and fixed terminals pinned, branch heights and densities
-nonnegative), and accepts the first strict decrease. Every few
-iterations the plan is re-sampled to equal arc length; the remap is
-applied only when it does not increase the objective, so the recorded
-objective values decrease strictly until the method stops.
+iteration takes the analytic gradient, tries steps tau * factor^j on the
+ladder tau0 * factor^j from its starting rung downward, projects each
+trial onto the feasible set (origin and fixed terminals pinned, branch
+heights and densities nonnegative), and accepts the first strict
+decrease. A stage's first search starts at tau0; each later one starts
+one rung above the step the previous iteration accepted, capped at tau0,
+as in the monotone variant of Birgin, Martinez and Raydan (SIAM J.
+Optim. 10, 2000). Every few iterations the plan is re-sampled to equal
+arc length; the remap is applied only when it does not increase the
+objective, so the recorded objective values decrease strictly until the
+method stops.
 
 Continuation solves a sequence of problems with shrinking smoothing
 radius, warm-starting each stage from the previous minimizer. Larger
@@ -92,13 +96,23 @@ class TraceRow:
                         for v in astuple(self))
 
 
+@dataclass(frozen=True)
+class StageCounts:
+    """Line-search work of one stage: every objective evaluation (start,
+    trials and resamples) and every trial that failed to decrease."""
+
+    objective_evals: int
+    rejected_trials: int
+
+
 @dataclass
 class RunTrace:
-    """Concatenated iteration history plus per-stage snapshots."""
+    """Concatenated iteration history plus per-stage snapshots and counts."""
 
     rows: list = field(default_factory=list)
     stage_plans: list = field(default_factory=list)
     stage_reasons: list = field(default_factory=list)
+    stage_counts: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
 
@@ -174,18 +188,20 @@ def rediscretize_plan(plan):
 
 
 def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad: np.ndarray,
-                      tau0: float, evaluator: Evaluator, cfg: DescentConfig):
-    """Largest projected step tau0 * factor^j from x that strictly decreases.
+                      tau_start: float, evaluator: Evaluator, cfg: DescentConfig):
+    """Largest projected step tau_start * factor^j from x that strictly decreases.
 
-    Each trial is evaluated on its segment table, built straight from the
-    projected vector; only the accepted trial becomes a plan. Returns (x,
-    plan, value, tau, trials) on success, where trials counts the rejected
-    shrinks before acceptance, or (None, None, None, 0.0, limit) when
-    every trial step fails to decrease the objective. A trial with a
-    non-finite entry or an overflowing evaluation (its value is None) or a
-    non-finite objective ends the search with a trial vector but no plan.
+    At most ``backtrack_limit`` trials are made, from ``tau_start`` down;
+    ``run_descent`` chooses the start. Each trial is evaluated on its
+    segment table, built straight from the projected vector; only the
+    accepted trial becomes a plan. Returns (x, plan, value, tau, trials)
+    on success, where trials counts the rejected shrinks before
+    acceptance, or (None, None, None, 0.0, limit) when every trial step
+    fails to decrease the objective. A trial with a non-finite entry or an
+    overflowing evaluation (its value is None) or a non-finite objective
+    ends the search with a trial vector but no plan.
     """
-    tau = tau0
+    tau = tau_start
     for j in range(cfg.backtrack_limit):
         with np.errstate(over="ignore"):  # a non-finite step is caught below
             trial = feasibility_project(x - tau * grad, layout)
@@ -214,7 +230,14 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     objective that is not finite stops the stage with reason
     ``"nonfinite"``. Returns the last finite accepted plan (the starting
     plan if its own objective is not finite), its objective value, the
-    accepted-iteration rows, and the stop reason.
+    accepted-iteration rows, the stop reason and the stage's
+    :class:`StageCounts`.
+
+    The first line search starts at ``tau0``; each later one at
+    ``min(tau0, tau_prev / backtrack_factor)``, where ``tau_prev`` is the
+    step the previous iteration accepted, whether or not its resample was
+    kept. Every search still makes at most ``backtrack_limit`` trials from
+    its start, and one that finds no decrease ends the stage.
 
     The iterate is a flat vector in the starting plan's layout, and the
     start and every trial are evaluated on tables built from it. Plans are
@@ -222,29 +245,40 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     ``on_iteration`` and the resample receive. Each gradient is taken of
     the objective value of the accepted plan.
     """
+    evals = rejected = 0
+
+    def objective(arg):
+        nonlocal evals
+        evals += 1
+        return evaluator.objective(arg)
+
+    counted = Evaluator(objective=objective, gradient=evaluator.gradient)
     layout = Layout.of(plan)
     x = feasibility_project(layout.base, layout)
     plan = vector_to_plan(x, layout)
-    value = evaluator.objective(layout.table(x))
+    value = counted.objective(layout.table(x))
     if not np.isfinite(value.total):
-        return plan, value, [], "nonfinite"
+        return plan, value, [], "nonfinite", StageCounts(evals, rejected)
     rows = []
     quiet = 0
     reason = "iteration_cap"
+    tau_prev = None
     for it in range(1, cfg.j_max + 1):
         grad = evaluator.gradient(value)
         if not np.all(np.isfinite(grad)):
             reason = "nonfinite"
             break
+        start = tau0 if tau_prev is None else min(tau0, tau_prev / cfg.backtrack_factor)
         trial, candidate, cand_value, tau, trials = backtracking_step(
-            x, layout, value.total, grad, tau0, evaluator, cfg)
+            x, layout, value.total, grad, start, counted, cfg)
+        rejected += trials
         if candidate is None:
             reason = "line_search_exhausted" if trial is None else "nonfinite"
             break
-        x, plan, new_value = trial, candidate, cand_value
+        x, plan, new_value, tau_prev = trial, candidate, cand_value, tau
         if cfg.rediscretize_every > 0 and it % cfg.rediscretize_every == 0:
             resampled = rediscretize_plan(plan)
-            resampled_value = evaluator.objective(resampled)
+            resampled_value = counted.objective(resampled)
             if not np.isfinite(resampled_value.total):
                 reason = "nonfinite"  # the accepted trial still gets its row
             elif resampled_value.total <= new_value.total:
@@ -276,7 +310,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
                 break
         else:
             quiet = 0
-    return plan, value, rows, reason
+    return plan, value, rows, reason, StageCounts(evals, rejected)
 
 
 def resolve_tau0(plan, cfg: DescentConfig) -> float:
@@ -307,13 +341,14 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
     final_value = None
     for eps in cfg.eps_schedule:
         evaluator = evaluator_factory(eps)
-        plan, value, rows, reason = run_descent(
+        plan, value, rows, reason, counts = run_descent(
             plan, evaluator, cfg, eps, tau0, start_iteration=start, on_iteration=on_iteration)
         if np.isfinite(value.total):
             final_value = value
         trace.rows.extend(rows)
         trace.stage_plans.append(plan)
         trace.stage_reasons.append(reason)
+        trace.stage_counts.append(counts)
         start += len(rows)
         if reason == "nonfinite":
             break

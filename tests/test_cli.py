@@ -118,6 +118,36 @@ def test_runs_are_deterministic(tmp_path):
         assert a == b, name
 
 
+@pytest.mark.parametrize("command, config", [
+    ("irrigate", TINY_IRRIGATE),
+    ("treeopt", TINY_TREEOPT),
+    ("irrigate", dict(TINY_IRRIGATE, descent={"eps_schedule": [0.3], "tau0": 1.0,
+                                              "backtrack_limit": 2, "j_max": 50})),
+], ids=["irrigate", "treeopt", "exhausted"])
+def test_summary_counts_line_search_work_per_stage(tmp_path, command, config):
+    out = str(tmp_path / "run")
+    assert main([command, "--config", _write_config(tmp_path, config), "--out", out]) == 0
+    summary = _read_json(os.path.join(out, "summary.json"))
+    descent = config["descent"]
+    defaults = optimizer_module.DescentConfig()
+    limit = descent.get("backtrack_limit", defaults.backtrack_limit)
+    lines = open(os.path.join(out, "trace.csv")).read().strip().split("\n")[1:]
+    rows = [(float(line.split(",")[1]), int(line.split(",")[-1])) for line in lines]
+    assert len(summary["stage_objective_evals"]) == len(descent["eps_schedule"])
+    for eps, reason, evals, rejected in zip(
+            descent["eps_schedule"], summary["stage_reasons"],
+            summary["stage_objective_evals"], summary["stage_rejected_trials"]):
+        backtracks = [b for at, b in rows if at == eps]
+        exhausted = limit if reason == "line_search_exhausted" else 0
+        assert rejected == sum(backtracks) + exhausted
+        # the start, every trial, and a resample every few accepted iterations
+        resamples = len(backtracks) // defaults.rediscretize_every
+        assert evals == 1 + rejected + len(backtracks) + resamples
+    if len(descent["eps_schedule"]) == 1:
+        assert summary["stage_reasons"] == ["line_search_exhausted"]
+        assert len(rows) == 1
+
+
 def test_gamma_table_outputs_and_monotone_gap(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -185,6 +215,7 @@ def test_gradcheck_passes_and_detects_corruption(tmp_path, capsys):
     report = _read_json(os.path.join(out, "report.json"))
     assert report["passed"]
     assert report["worst_rel_error"] < report["tolerance"]
+    assert 0.0 < report["worst_rel_error_major"] <= report["worst_rel_error"]
     assert report["plans"] == 4
 
     bad_out = str(tmp_path / "bad")

@@ -26,6 +26,7 @@ from ramify.optimizer import (
     TRACE_HEADER,
     DescentConfig,
     Evaluator,
+    StageCounts,
     TraceRow,
     backtracking_step,
     branch_evaluator,
@@ -271,7 +272,7 @@ def test_run_descent_zero_iteration_cap_returns_initial_plan():
     plan = _single_branch_plan()
     ev = _quadratic_evaluator(plan_to_vector(plan) * 0.0)
     cfg = DescentConfig(j_max=0)
-    out, value, rows, reason = run_descent(plan, ev, cfg, eps=0.1, tau0=0.25)
+    out, value, rows, reason, _ = run_descent(plan, ev, cfg, eps=0.1, tau0=0.25)
     assert rows == []
     assert reason == "iteration_cap"
     np.testing.assert_array_equal(plan_to_vector(out), plan_to_vector(plan))
@@ -285,7 +286,7 @@ def test_run_descent_converges_on_offset_quadratic():
     target[4] = 0.4
     ev = _quadratic_evaluator(target, offset=1.0)
     cfg = DescentConfig(j_max=500, stop_tol=1e-7, stop_patience=3, rediscretize_every=0)
-    out, value, rows, reason = run_descent(plan, ev, cfg, eps=0.1, tau0=0.25)
+    out, value, rows, reason, _ = run_descent(plan, ev, cfg, eps=0.1, tau0=0.25)
     assert reason == "converged"
     assert value.total == pytest.approx(1.0, abs=1e-8)
     np.testing.assert_allclose(plan_to_vector(out)[[1, 3, 4]], [0.5, 0.8, 0.4], atol=1e-4)
@@ -306,7 +307,7 @@ def test_run_descent_iterates_stay_feasible():
         seen.append(row.iteration)
 
     cfg = DescentConfig(j_max=25, rediscretize_every=5)
-    _, _, rows, _ = run_descent(plan, ev, cfg, eps=0.5, tau0=0.05, on_iteration=watch)
+    _, _, rows, _, _ = run_descent(plan, ev, cfg, eps=0.5, tau0=0.05, on_iteration=watch)
     assert seen == [r.iteration for r in rows]
     assert len(rows) > 0
 
@@ -463,8 +464,9 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
 
     monkeypatch.setattr(optimizer_module, "rediscretize_plan", resample)
     cfg = DescentConfig(j_max=8, rediscretize_every=2)
-    _, _, rows, _ = run_descent(plan, Evaluator(objective, gradient), cfg, eps=0.3, tau0=0.02,
-                                on_iteration=lambda row, current: accepted.append(current))
+    _, _, rows, _, _ = run_descent(plan, Evaluator(objective, gradient), cfg, eps=0.3,
+                                   tau0=0.02,
+                                   on_iteration=lambda row, current: accepted.append(current))
     assert len(rows) == 8 and len(resamples) == 4
     assert len(handed) == 8
     # The first gradient takes the starting value, each later one the very
@@ -511,7 +513,7 @@ def test_run_descent_stops_on_a_nonfinite_value(poison, every, accepted):
     start = plan_to_vector(plan)
     ev = _poisoned(_quadratic_evaluator(start + 1.0), **poison)
     cfg = DescentConfig(j_max=10, rediscretize_every=every)
-    out, value, rows, reason = run_descent(plan, ev, cfg, eps=0.1, tau0=0.4)
+    out, value, rows, reason, _ = run_descent(plan, ev, cfg, eps=0.1, tau0=0.4)
     assert reason == "nonfinite"
     assert len(rows) == accepted
     assert all(np.isfinite(row.total) for row in rows)
@@ -570,10 +572,93 @@ def test_run_descent_stops_on_a_nonfinite_trial_vector():
     ev = Evaluator(objective=objective, gradient=lambda value: np.full_like(start, 1e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the overflow must stay silent
-        out, value, rows, reason = run_descent(plan, ev, DescentConfig(j_max=10), eps=0.1,
+        out, value, rows, reason, _ = run_descent(plan, ev, DescentConfig(j_max=10), eps=0.1,
                                                tau0=10.0)
     assert reason == "nonfinite"
     assert rows == []
     assert len(evaluated) == 1  # the starting plan only
     np.testing.assert_array_equal(plan_to_vector(out), start)
     assert value == quadratic.objective(out)
+
+
+def _ladder_evaluator(plan, thresholds):
+    """Stub whose k-th line search accepts a step tau iff tau <= thresholds[k].
+
+    Every search moves along the same direction, so each trial's step is
+    read back from its vector. An accepted trial lowers the total by one;
+    a rejected one ties it, which the strict-decrease rule must refuse.
+    Resamples alternately tie the accepted trial (kept) and exceed it
+    (dropped). Returns the evaluator and the steps of every search.
+    """
+    direction = Layout.of(plan).free.astype(float)
+    searches, resamples, state = [], [], {}
+
+    def objective(current):
+        vector = plan_to_vector(current)
+        if isinstance(current, PathPlan):  # a resample; trials arrive as tables
+            total = state["last"] + len(resamples) % 2
+            resamples.append(total)
+        elif searches:
+            tau = float((state["origin"] - vector) @ direction / (direction @ direction))
+            searches[-1].append(tau)
+            total = state["total"] - float(tau <= thresholds[len(searches) - 1])
+            state["last"] = total
+        else:  # the stage start
+            total = 0.0
+        return ObjectiveValue(total=total, irrigation=total, penalty=0.0, payoff=0.0,
+                              _evaluation=_Evaluation("ladder", (), (vector,)))
+
+    def gradient(value):
+        state["origin"], state["total"] = value._evaluation.data[0], value.total
+        searches.append([])
+        return direction
+
+    return Evaluator(objective=objective, gradient=gradient), searches, resamples
+
+
+def test_each_line_search_starts_one_rung_above_the_last_accepted_step():
+    plan = build_star_plan(half_circle_targets(3), segments_per_path=3)
+    thresholds = [0.1, 0.3, 0.01, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.05, 0.0]
+    ev, searches, resamples = _ladder_evaluator(plan, thresholds)
+    cfg = DescentConfig(j_max=20, backtrack_limit=12, rediscretize_every=2)
+    _, _, rows, reason, counts = run_descent(plan, ev, cfg, eps=0.1, tau0=1.0)
+    factor = cfg.backtrack_factor
+    assert reason == "line_search_exhausted"
+    assert len(searches) == len(thresholds) and len(rows) == len(thresholds) - 1
+    accepted = [steps[-1] for steps in searches[:-1]]
+    # The first search starts at tau0, each later one a rung above the step
+    # accepted before it (whether its resample was kept or not), capped at tau0.
+    starts = [steps[0] for steps in searches]
+    assert starts == pytest.approx([1.0] + [min(1.0, tau / factor) for tau in accepted],
+                                   rel=1e-12)
+    assert starts[1:4] == pytest.approx([0.125, 0.25, 0.015625], rel=1e-12)
+    assert starts[10] == 1.0  # the cap: a rung above tau0 is not tried
+    for steps, limit in zip(searches, thresholds):
+        assert steps[1:] == pytest.approx([tau * factor for tau in steps[:-1]], rel=1e-12)
+        assert all(tau > limit for tau in steps[:-1])  # ties were rejected
+    for steps, limit, row in zip(searches, thresholds, rows):
+        assert steps[-1] <= limit
+        assert row.tau == pytest.approx(steps[-1], rel=1e-12)
+        assert row.backtracks == len(steps) - 1
+    assert np.all(np.diff([row.total for row in rows]) < 0.0)
+    # The exhausted search spends exactly backtrack_limit trials from its start.
+    assert len(searches[-1]) == cfg.backtrack_limit
+    assert resamples == [-2.0, -3.0, -6.0, -7.0, -10.0]
+    trials = sum(len(steps) for steps in searches)
+    assert counts == StageCounts(objective_evals=1 + trials + len(resamples),
+                                 rejected_trials=trials - len(rows))
+
+
+def test_every_stage_starts_its_line_search_at_tau0():
+    plan = build_star_plan(half_circle_targets(3), segments_per_path=3)
+    stages = {eps: _ladder_evaluator(plan, [0.1, 0.3, 0.0]) for eps in (0.3, 0.1)}
+    cfg = DescentConfig(eps_schedule=(0.3, 0.1), tau0=1.0, backtrack_limit=5,
+                        rediscretize_every=0)
+    _, trace = eps_continuation(plan, lambda eps: stages[eps][0], cfg)
+    assert trace.stage_reasons == ["line_search_exhausted"] * 2
+    for eps in (0.3, 0.1):
+        searches = stages[eps][1]
+        assert [steps[0] for steps in searches] == pytest.approx([1.0, 0.125, 0.25],
+                                                                 rel=1e-12)
+        assert [len(steps) for steps in searches] == [5, 1, 5]
+    assert trace.stage_counts == [StageCounts(objective_evals=12, rejected_trials=9)] * 2
