@@ -43,6 +43,9 @@ _READ_BY = {
 # Path energies read objective.alpha only; the branch objective reads every field.
 _READ_BY.update({f"objective.{key}": ("treeopt", "gradcheck") for key in (
     "c1", "c2", "penalty_kernel", "beta", "gamma", "f_min", "penalty_arclength")})
+# Most pairs a non-compact kernel may list: the averaged energy and its
+# gradient peak at about 240 bytes a pair, so this caps a run near 1 GB.
+_MAX_DENSE_PAIRS = 4_000_000
 
 
 def _apply_thread_env():
@@ -94,23 +97,20 @@ def _resolved_merge_tol(run_cfg, plan) -> float:
 
 
 def _run_continuation(initial_plan, factory, run_cfg, out_dir, svg_alpha, targets):
-    """Shared run: continuation, streamed trace, stage snapshots.
+    """Shared run: continuation, then the trace and stage snapshots.
 
-    Returns the final plan, the trace, the keys both optimization summaries
-    share, and the failure of a stage that stopped on a non-finite value."""
+    ``trace.csv`` is written from the returned rows once the continuation
+    ends, so a run that raises leaves none. Returns the final plan, the
+    trace, the keys both optimization summaries share, and the failure of
+    a stage that stopped on a non-finite value."""
     from .optimizer import TRACE_HEADER, eps_continuation
     from .plan_model import save_plan
     from .svg import save_svg
 
+    final_plan, trace = eps_continuation(initial_plan, factory, run_cfg.descent)
     with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as trace_file:
-        def stream(row, plan):
-            trace_file.write(row.as_csv() + "\n")
-            trace_file.flush()
-
-        trace_file.write(TRACE_HEADER + "\n")
-        trace_file.flush()
-        final_plan, trace = eps_continuation(
-            initial_plan, factory, run_cfg.descent, on_iteration=stream)
+        trace_file.writelines(line + "\n" for line in
+                              [TRACE_HEADER] + [row.as_csv() for row in trace.rows])
     for i, plan in enumerate(trace.stage_plans):
         save_plan(plan, os.path.join(out_dir, f"plan_stage_{i}.json"))
         save_svg(plan, os.path.join(out_dir, f"stage_{i}.svg"),
@@ -398,6 +398,19 @@ def cmd_gradcheck(run_cfg, out_dir: str, corrupt: bool = False):
     return "report.json", report, failures
 
 
+def _check_pair_budget(run_cfg):
+    """Raise a ConfigError when a non-compact kernel would list more than
+    ``_MAX_DENSE_PAIRS`` pairs: every midpoint with every segment, S^2."""
+    from .config import ConfigError
+
+    segments = run_cfg.measure.n * run_cfg.measure.segments_per_path
+    if not run_cfg.kernel.compact_support and segments ** 2 > _MAX_DENSE_PAIRS:
+        raise ConfigError(f"the {run_cfg.kernel.kind!r} kernel pairs every midpoint with all "
+                          f"S = {segments} segments, {segments ** 2} pairs, above the limit of "
+                          f"{_MAX_DENSE_PAIRS} (about 1 GB); use a compact kernel or fewer "
+                          "measure.n * measure.segments_per_path")
+
+
 def _check_read(run_cfg, command: str):
     """Raise a ConfigError naming the first setting of ``run_cfg`` that
     ``command`` does not read and that differs from its default."""
@@ -446,6 +459,7 @@ def main(argv=None) -> int:
                 f"config is for experiment {run_cfg.experiment!r} "
                 f"but the {args.command!r} command was invoked")
         _check_read(run_cfg, args.command)
+        _check_pair_budget(run_cfg)
         out_dir = args.out or run_cfg.out_dir or os.path.join("runs", args.command)
         os.makedirs(out_dir, exist_ok=True)
         options = {"corrupt": args.corrupt_gradient} if args.command == "gradcheck" else {}

@@ -193,13 +193,12 @@ def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad:
 
     At most ``backtrack_limit`` trials are made, from ``tau_start`` down;
     ``run_descent`` chooses the start. Each trial is evaluated on its
-    segment table, built straight from the projected vector; only the
-    accepted trial becomes a plan. Returns (x, plan, value, tau, trials)
-    on success, where trials counts the rejected shrinks before
-    acceptance, or (None, None, None, 0.0, limit) when every trial step
-    fails to decrease the objective. A trial with a non-finite entry or an
-    overflowing evaluation (its value is None) or a non-finite objective
-    ends the search with a trial vector but no plan.
+    segment table, built straight from the projected vector, and no plan
+    is built. Returns (x, value, tau, trials) on success, where trials
+    counts the rejected shrinks before acceptance, or (None, None, 0.0,
+    limit) when every trial step fails to decrease the objective. A trial
+    with a non-finite entry, an overflowing evaluation or a non-finite
+    objective ends the search with that trial vector and no value.
     """
     tau = tau_start
     for j in range(cfg.backtrack_limit):
@@ -212,11 +211,11 @@ def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad:
         except FloatingPointError:  # finite coordinates whose squares overflow
             value = None
         if value is None or not np.isfinite(value.total):
-            return trial, None, value, tau, j
+            return trial, None, tau, j
         if value.total < current_total:
-            return trial, vector_to_plan(trial, layout), value, tau, j
+            return trial, value, tau, j
         tau *= cfg.backtrack_factor
-    return None, None, None, 0.0, cfg.backtrack_limit
+    return None, None, 0.0, cfg.backtrack_limit
 
 
 def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0: float,
@@ -239,11 +238,12 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     kept. Every search still makes at most ``backtrack_limit`` trials from
     its start, and one that finds no decrease ends the stage.
 
-    The iterate is a flat vector in the starting plan's layout, and the
-    start and every trial are evaluated on tables built from it. Plans are
-    built only for the start and for accepted trials, which
-    ``on_iteration`` and the resample receive. Each gradient is taken of
-    the objective value of the accepted plan.
+    The state is the iterate, a flat vector in the starting plan's layout,
+    and its objective value; the start and every trial are evaluated on
+    tables built from the vector. A plan is built from it only where one
+    is read: as the input to a resample, for ``on_iteration`` when one is
+    given, and for the return. Each gradient is taken of the objective
+    value of the accepted iterate (the accepted trial or resample).
     """
     evals = rejected = 0
 
@@ -255,10 +255,9 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     counted = Evaluator(objective=objective, gradient=evaluator.gradient)
     layout = Layout.of(plan)
     x = feasibility_project(layout.base, layout)
-    plan = vector_to_plan(x, layout)
     value = counted.objective(layout.table(x))
     if not np.isfinite(value.total):
-        return plan, value, [], "nonfinite", StageCounts(evals, rejected)
+        return vector_to_plan(x, layout), value, [], "nonfinite", StageCounts(evals, rejected)
     rows = []
     quiet = 0
     reason = "iteration_cap"
@@ -269,20 +268,20 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
             reason = "nonfinite"
             break
         start = tau0 if tau_prev is None else min(tau0, tau_prev / cfg.backtrack_factor)
-        trial, candidate, cand_value, tau, trials = backtracking_step(
+        trial, new_value, tau, trials = backtracking_step(
             x, layout, value.total, grad, start, counted, cfg)
         rejected += trials
-        if candidate is None:
+        if new_value is None:
             reason = "line_search_exhausted" if trial is None else "nonfinite"
             break
-        x, plan, new_value, tau_prev = trial, candidate, cand_value, tau
+        x, tau_prev = trial, tau
         if cfg.rediscretize_every > 0 and it % cfg.rediscretize_every == 0:
-            resampled = rediscretize_plan(plan)
+            resampled = rediscretize_plan(vector_to_plan(x, layout))
             resampled_value = counted.objective(resampled)
             if not np.isfinite(resampled_value.total):
                 reason = "nonfinite"  # the accepted trial still gets its row
             elif resampled_value.total <= new_value.total:
-                x, plan, new_value = plan_to_vector(resampled), resampled, resampled_value
+                x, new_value = plan_to_vector(resampled), resampled_value
             # A rejected resample's evaluation would otherwise be held until the next one.
             del resampled, resampled_value
         row = TraceRow(
@@ -298,7 +297,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
         )
         rows.append(row)
         if on_iteration is not None:
-            on_iteration(row, plan)
+            on_iteration(row, vector_to_plan(x, layout))
         relative = (value.total - new_value.total) / max(abs(value.total), 1e-300)
         value = new_value
         if reason == "nonfinite":
@@ -310,7 +309,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
                 break
         else:
             quiet = 0
-    return plan, value, rows, reason, StageCounts(evals, rejected)
+    return vector_to_plan(x, layout), value, rows, reason, StageCounts(evals, rejected)
 
 
 def resolve_tau0(plan, cfg: DescentConfig) -> float:
@@ -353,9 +352,5 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
         if reason == "nonfinite":
             break
     trace.metadata["final"] = None if final_value is None else {
-        "total": final_value.total,
-        "irrigation": final_value.irrigation,
-        "penalty": final_value.penalty,
-        "payoff": final_value.payoff,
-    }
+        key: getattr(final_value, key) for key in ("total", "irrigation", "penalty", "payoff")}
     return plan, trace

@@ -364,18 +364,6 @@ class TreeTopology:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "leaves", dict(self.leaves))
 
-    def subtree_mass(self, node: int) -> float:
-        children = {}
-        for parent, child, _, _ in self.edges:
-            children.setdefault(parent, []).append(child)
-        total = 0.0
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            total += self.leaves.get(cur, 0.0)
-            stack.extend(children.get(cur, []))
-        return total
-
 
 def extract_topology(plan: PathPlan, merge_tol: float) -> TreeTopology:
     """Merge a path plan into a rooted tree by walking shared prefixes.

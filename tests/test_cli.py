@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -146,6 +147,85 @@ def test_summary_counts_line_search_work_per_stage(tmp_path, command, config):
     if len(descent["eps_schedule"]) == 1:
         assert summary["stage_reasons"] == ["line_search_exhausted"]
         assert len(rows) == 1
+
+
+def _streamed_trace(command, config):
+    """The trace.csv bytes of a run, streamed row by row from the
+    continuation's callback, with the settings the command would use."""
+    from ramify.config import validate_config
+    from ramify.plan_model import build_fan_branches, build_star_plan, half_circle_targets
+
+    run_cfg = validate_config(config)
+    if command == "irrigate":
+        measure = run_cfg.measure
+        plan = build_star_plan(half_circle_targets(measure.n, measure.radius,
+                                                   measure.total_mass),
+                               measure.segments_per_path)
+
+        def factory(eps):
+            return optimizer_module.path_evaluator(run_cfg.objective.alpha, eps, run_cfg.kernel,
+                                                   run_cfg.functional, run_cfg.quad_points)
+    else:
+        fan = run_cfg.fan
+        plan = build_fan_branches(fan.n, fan.spread_angle, fan.length0, fan.segments,
+                                  run_cfg.descent.m_init)
+
+        def factory(eps):
+            return optimizer_module.branch_evaluator(run_cfg.objective, eps)
+    lines = [optimizer_module.TRACE_HEADER + "\n"]
+    optimizer_module.eps_continuation(
+        plan, factory, run_cfg.descent,
+        on_iteration=lambda row, _: lines.append(row.as_csv() + "\n"))
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("command, config", [("irrigate", TINY_IRRIGATE),
+                                             ("treeopt", TINY_TREEOPT)],
+                         ids=["irrigate", "treeopt"])
+def test_runs_build_plans_only_for_resamples_stage_ends_and_the_start(
+        tmp_path, monkeypatch, command, config):
+    expected = _streamed_trace(command, config)
+    builds, resamples = [], []
+
+    def count(name, calls):
+        real = getattr(optimizer_module, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimizer_module, name, wrapper)
+
+    count("vector_to_plan", builds)
+    count("rediscretize_plan", resamples)
+    out = str(tmp_path / "run")
+    assert main([command, "--config", _write_config(tmp_path, config), "--out", out]) == 0
+    summary = _read_json(os.path.join(out, "summary.json"))
+    assert len(resamples) > 0
+    # project_plan's one, one per resample input and one per stage end.
+    assert len(builds) == 1 + len(resamples) + len(summary["stage_reasons"])
+    with open(os.path.join(out, "trace.csv"), "rb") as handle:
+        assert handle.read() == expected
+
+
+def test_noncompact_kernel_refuses_a_pair_list_above_the_limit(tmp_path, capsys):
+    from ramify.cli import _check_pair_budget
+    from ramify.config import ConfigError, validate_config
+
+    big = {"kernel": "exponential", "measure": {"n": 200, "segments_per_path": 16}}
+    for command in ("irrigate", "gamma-table"):
+        out = str(tmp_path / command)
+        start = time.perf_counter()
+        assert main([command, "--config", _write_config(tmp_path, big), "--out", out]) == 2
+        assert time.perf_counter() - start < 5.0  # refused before any pair is listed
+        err = capsys.readouterr().err
+        assert "S = 3200" in err and "10240000 pairs" in err
+        assert not os.path.exists(out)
+    with pytest.raises(ConfigError, match="S = 3200"):
+        _check_pair_budget(validate_config(dict(big, kernel="rational")))
+    # A compact kernel lists only the pairs it reaches, at any size.
+    _check_pair_budget(validate_config(dict(big, kernel="bump")))
+    _check_pair_budget(validate_config(dict(big, measure={"n": 125, "segments_per_path": 16})))
 
 
 def test_gamma_table_outputs_and_monotone_gap(tmp_path):
@@ -323,6 +403,29 @@ def test_nonfinite_stage_writes_outputs_and_exits_three(tmp_path, monkeypatch, c
     for name in ("plan_stage_0.json", "plan_stage_1.json", "stage_1.svg"):
         assert os.path.exists(os.path.join(out, name))
     assert not os.path.exists(os.path.join(out, "plan_stage_2.json"))
+
+
+def test_a_run_that_raises_leaves_no_trace(tmp_path, monkeypatch, capsys):
+    real = optimizer_module.path_evaluator
+
+    def degenerate(*args, **kwargs):
+        evaluator, calls = real(*args, **kwargs), []
+
+        def objective(plan):
+            calls.append(plan)
+            if len(calls) > 3:
+                raise ValueError("energy_avg: zero multiplicity at midpoint 0")
+            return evaluator.objective(plan)
+
+        return dataclasses.replace(evaluator, objective=objective)
+
+    monkeypatch.setattr(optimizer_module, "path_evaluator", degenerate)
+    out = str(tmp_path / "run")
+    assert main(["irrigate", "--config", _write_config(tmp_path, TINY_IRRIGATE),
+                 "--out", out]) == 3
+    assert "numerical error: energy_avg" in capsys.readouterr().err
+    # The trace is written from the finished run's rows, so none is left.
+    assert os.listdir(out) == []
 
 
 def test_overflowing_finite_step_stops_the_stage_as_nonfinite(tmp_path, capsys):

@@ -224,11 +224,11 @@ def test_backtracking_accepts_plain_step():
     grad = ev.gradient(value)
     cfg = DescentConfig()
     layout = Layout.of(plan)
-    _, cand, cand_value, tau, trials = backtracking_step(
+    trial, cand_value, tau, trials = backtracking_step(
         layout.base, layout, value.total, grad, 0.4, ev, cfg)
     assert trials == 0
     assert tau == 0.4
-    assert cand.branches[0].m[0] == pytest.approx(0.2, abs=1e-15)
+    assert vector_to_plan(trial, layout).branches[0].m[0] == pytest.approx(0.2, abs=1e-15)
     assert cand_value.total == pytest.approx(0.04, abs=1e-15)
 
 
@@ -242,12 +242,12 @@ def test_backtracking_shrinks_overshooting_step():
     value = ev.objective(plan)
     grad = ev.gradient(value)
     layout = Layout.of(plan)
-    _, cand, cand_value, tau, trials = backtracking_step(
+    trial, cand_value, tau, trials = backtracking_step(
         layout.base, layout, value.total, grad, 8.0, ev, DescentConfig()
     )
     assert trials == 4
     assert tau == pytest.approx(0.5)
-    assert cand.branches[0].x[1] == pytest.approx(0.5, abs=1e-15)
+    assert vector_to_plan(trial, layout).branches[0].x[1] == pytest.approx(0.5, abs=1e-15)
     assert cand_value.total == pytest.approx(0.0, abs=1e-15)
 
 
@@ -260,9 +260,9 @@ def test_backtracking_reports_exhaustion_on_ascent_direction():
     ascent = -ev.gradient(value)
     cfg = DescentConfig(backtrack_limit=5)
     layout = Layout.of(plan)
-    _, cand, cand_value, tau, trials = backtracking_step(
+    trial, cand_value, tau, trials = backtracking_step(
         layout.base, layout, value.total, ascent, 0.4, ev, cfg)
-    assert cand is None
+    assert trial is None
     assert cand_value is None
     assert tau == 0.0
     assert trials == 5
@@ -474,8 +474,10 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
     assert handed[0] is evaluated[0][1]
     assert all(value is value_of(current) for value, current in zip(handed[1:], accepted))
     # The accepted copies are the plans of iterations 2 and 6; the value of
-    # the rejected start plan is never differentiated.
-    assert [[k for k, at in enumerate(accepted) if at is copy]
+    # the rejected start plan is never differentiated. The callback gets a
+    # plan built from the iterate, so a copy is matched by its coordinates.
+    assert [[k for k, at in enumerate(accepted)
+             if np.array_equal(plan_to_vector(at), plan_to_vector(copy))]
             for copy in resamples[::2]] == [[1], [5]]
     rejected = [value for at, value in evaluated if at is plan]
     assert len(rejected) == 2
@@ -662,3 +664,34 @@ def test_every_stage_starts_its_line_search_at_tau0():
                                                                  rel=1e-12)
         assert [len(steps) for steps in searches] == [5, 1, 5]
     assert trace.stage_counts == [StageCounts(objective_evals=12, rejected_trials=9)] * 2
+
+
+def _counted(monkeypatch, name):
+    """Wrap ``optimizer.<name>`` and return the list each call appends to."""
+    real, calls = getattr(optimizer_module, name), []
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimizer_module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("watch", [False, True], ids=["no-callback", "callback"])
+def test_run_descent_builds_a_plan_only_where_one_is_read(monkeypatch, watch):
+    plan = build_fan_branches(4, segments=4, m_init=0.1)
+    ev = branch_evaluator(ObjectiveConfig(alpha=0.5, eps=0.5, c1=0.5, c2=1.5), eps=0.5)
+    builds = _counted(monkeypatch, "vector_to_plan")
+    resamples = _counted(monkeypatch, "rediscretize_plan")
+    seen = []
+    cfg = DescentConfig(j_max=12, rediscretize_every=3)
+    out, _, rows, _, _ = run_descent(
+        plan, ev, cfg, eps=0.5, tau0=0.02,
+        on_iteration=(lambda row, current: seen.append(current)) if watch else None)
+    assert len(rows) == 12 and len(resamples) == 4
+    # One plan per resample input and one for the return; a callback adds
+    # one per row.
+    assert len(builds) == len(resamples) + 1 + len(seen)
+    assert len(seen) == (len(rows) if watch else 0)
+    np.testing.assert_array_equal(plan_to_vector(out), builds[-1][0])

@@ -142,7 +142,6 @@ def test_extract_topology_merges_shared_trunk():
     flux_by_edge = {(p, c): f for p, c, _, f in topo.edges}
     assert flux_by_edge[(0, 1)] == pytest.approx(1.0)
     assert sorted(topo.leaves.values()) == pytest.approx([0.4, 0.6])
-    assert topo.subtree_mass(1) == pytest.approx(1.0)
 
 
 def test_extract_topology_rejects_doubling_back():
