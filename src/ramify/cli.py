@@ -137,10 +137,9 @@ def _kernel_payload(spec) -> dict:
 
 
 def cmd_irrigate(run_cfg, out_dir: str):
-    from .exact_cost import exact_plan_cost
+    from .exact_cost import TopologyError, exact_plan_cost
     from .optimizer import path_evaluator
-    from .plan_model import (TopologyError, build_star_plan, crossing_cluster_count,
-                             half_circle_targets)
+    from .plan_model import build_star_plan, crossing_cluster_count, half_circle_targets
 
     measure = run_cfg.measure
     targets = half_circle_targets(measure.n, measure.radius, measure.total_mass)

@@ -8,28 +8,89 @@ global search over single-bifurcation trees.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .geometry import pair_projection
-from .plan_model import PathPlan, TreeTopology, extract_topology
+from .plan_model import PathPlan
 
 
-def _flux_power(flux: float, alpha: float) -> float:
-    # 0^alpha is 0 for every alpha >= 0, and flux^0 is 1 for positive flux.
-    if flux < 0.0:
-        raise ValueError("flux must be nonnegative")
-    if flux == 0.0:
-        return 0.0
-    if alpha == 0.0:
-        return 1.0
-    return flux ** alpha
+class TopologyError(ValueError):
+    """Raised when a plan's merged image is not a tree rooted at the origin."""
+
+
+@dataclass(frozen=True)
+class TreeTopology:
+    """Merged tree image of a path plan: nodes, directed edges, leaf masses.
+
+    Only :func:`extract_topology` builds one, so it is a tree by
+    construction: every node but the root has one parent made before it.
+    """
+
+    nodes: np.ndarray                 # (N, 2) read-only positions, node 0 is the root
+    edges: tuple                      # of (parent, child, length, flux), by child
+    leaves: dict                      # node index -> delivered mass
+
+
+def extract_topology(plan: PathPlan, merge_tol: float) -> TreeTopology:
+    """Merge a path plan into a rooted tree by walking shared prefixes.
+
+    Vertices are identified greedily from the root outward: each path step
+    either follows an existing child node within ``merge_tol`` of the next
+    vertex or creates a new node. A step landing within tolerance of an
+    ancestor of the current node means the path doubles back, which is
+    rejected. Each edge is stored under its child node, and carries the
+    positive mass of every path through it.
+    """
+    if merge_tol < 0.0:
+        raise ValueError("merge_tol must be nonnegative")
+    nodes = [np.zeros(2)]
+    parent_of = [None]
+    children = [[]]
+    flux_in = [0.0]
+    leaves: dict = {}
+    for idx, path in enumerate(plan.paths):
+        current = 0
+        for vertex in path.vertices[1:]:
+            if np.hypot(*(vertex - nodes[current])) <= merge_tol:
+                continue  # repeated vertex within tolerance, stay put
+            chosen = None
+            for child in children[current]:
+                if np.hypot(*(vertex - nodes[child])) <= merge_tol:
+                    chosen = child
+                    break
+            if chosen is None:
+                anc = parent_of[current]
+                while anc is not None:
+                    if np.hypot(*(vertex - nodes[anc])) <= merge_tol:
+                        raise TopologyError(
+                            f"path {idx} doubles back onto its own trunk near node {anc}"
+                        )
+                    anc = parent_of[anc]
+                chosen = len(nodes)
+                nodes.append(np.asarray(vertex, dtype=float))
+                parent_of.append(current)
+                children.append([])
+                children[current].append(chosen)
+                flux_in.append(0.0)
+            flux_in[chosen] += path.mass
+            current = chosen
+        leaves[current] = leaves.get(current, 0.0) + path.mass
+    node_arr = np.asarray(nodes)
+    node_arr.flags.writeable = False
+    edges = tuple(
+        (parent, child, float(np.hypot(*(node_arr[child] - node_arr[parent]))), flux_in[child])
+        for child, parent in enumerate(parent_of) if parent is not None
+    )
+    return TreeTopology(nodes=node_arr, edges=edges, leaves=leaves)
 
 
 def gilbert_energy(topology: TreeTopology, alpha: float) -> float:
     """Sum over edges of length * flux^alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    return float(sum(length * _flux_power(flux, alpha) for _, _, length, flux in topology.edges))
+    return float(sum(length * flux ** alpha for _, _, length, flux in topology.edges))
 
 
 def exact_plan_cost(plan: PathPlan, alpha: float, merge_tol: float = 0.0) -> float:
@@ -59,11 +120,7 @@ def _bifurcation_cost(points: np.ndarray, p1, p2, m1: float, m2: float, alpha: f
     trunk = np.hypot(points[:, 0], points[:, 1])
     arm1 = np.hypot(points[:, 0] - p1[0], points[:, 1] - p1[1])
     arm2 = np.hypot(points[:, 0] - p2[0], points[:, 1] - p2[1])
-    return (
-        _flux_power(m1 + m2, alpha) * trunk
-        + _flux_power(m1, alpha) * arm1
-        + _flux_power(m2, alpha) * arm2
-    )
+    return (m1 + m2) ** alpha * trunk + m1 ** alpha * arm1 + m2 ** alpha * arm2
 
 
 def brute_force_bifurcation(p1, p2, m1: float, m2: float, alpha: float, grid: int = 200):
@@ -105,7 +162,7 @@ def brute_force_bifurcation(p1, p2, m1: float, m2: float, alpha: float, grid: in
         center = best_point
         half = half / 10.0
 
-    star_cost = _flux_power(m1, alpha) * float(np.hypot(*p1)) + _flux_power(m2, alpha) * float(np.hypot(*p2))
+    star_cost = m1 ** alpha * float(np.hypot(*p1)) + m2 ** alpha * float(np.hypot(*p2))
     if star_cost <= best_cost:
         return np.zeros(2), star_cost
     return best_point, best_cost

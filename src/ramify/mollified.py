@@ -477,10 +477,7 @@ def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: 
         idle = ~active
         powers[idle] = np.power(np.maximum(flux_mol[idle], f_min), alpha - 1.0)
     slope = np.zeros(table.size)
-    if f_min > 0.0:
-        unfloored = active & (flux_mol > f_min)
-    else:
-        unfloored = active
+    unfloored = active & (flux_mol > f_min)
     np.power(np.maximum(flux_mol, f_min), alpha - 2.0, out=slope, where=unfloored)
     slope *= (alpha - 1.0)
 

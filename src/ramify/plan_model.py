@@ -25,10 +25,6 @@ from .geometry import (bounding_box_diameter, cumulative_arclength, resample_pol
                        segment_lengths)
 
 
-class TopologyError(ValueError):
-    """Raised when a plan's merged image is not a tree rooted at the origin."""
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
@@ -323,97 +319,6 @@ def segment_table(plan) -> SegmentTable:
     return _table(columns, np.concatenate([v[:-1] for v in vertices] or [np.zeros((0, 2))]),
                   np.concatenate([v[1:] for v in vertices] or [np.zeros((0, 2))]),
                   np.concatenate([o.densities for o in owners] or [np.zeros(0)]))
-
-
-@dataclass(frozen=True)
-class TreeTopology:
-    """Merged tree image of a path plan: nodes, directed edges, leaf masses."""
-
-    nodes: np.ndarray                 # (N, 2) positions, node 0 is the root
-    edges: tuple                      # of (parent, child, length, flux)
-    leaves: dict                      # node index -> delivered mass
-
-    def __post_init__(self):
-        nodes = _freeze(self.nodes).reshape(-1, 2)
-        edges = tuple(self.edges)
-        children = {}
-        seen_child = set()
-        for parent, child, length, flux in edges:
-            if child in seen_child:
-                raise TopologyError(f"node {child} has two parents")
-            seen_child.add(child)
-            children.setdefault(parent, []).append(child)
-            span = float(np.hypot(*(nodes[child] - nodes[parent])))
-            if abs(span - length) > 1e-12 * max(1.0, span):
-                raise TopologyError(f"edge {parent}->{child} length mismatch")
-            if flux <= 0.0:
-                raise TopologyError(f"edge {parent}->{child} carries nonpositive flux")
-        # Reachability from the root; any unreached node would be a cycle
-        # or an orphan.
-        reached = {0}
-        stack = [0]
-        while stack:
-            for c in children.get(stack.pop(), []):
-                if c in reached:
-                    raise TopologyError("merged structure contains a cycle")
-                reached.add(c)
-                stack.append(c)
-        if len(reached) != len(nodes):
-            raise TopologyError("merged structure is not connected to the root")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "leaves", dict(self.leaves))
-
-
-def extract_topology(plan: PathPlan, merge_tol: float) -> TreeTopology:
-    """Merge a path plan into a rooted tree by walking shared prefixes.
-
-    Vertices are identified greedily from the root outward: each path step
-    either follows an existing child node within ``merge_tol`` of the next
-    vertex or creates a new node. A step landing within tolerance of an
-    ancestor of the current node means the path doubles back, which is
-    rejected.
-    """
-    if merge_tol < 0.0:
-        raise ValueError("merge_tol must be nonnegative")
-    nodes = [np.zeros(2)]
-    parent_of = {0: None}
-    children: dict = {0: []}
-    edge_flux: dict = {}
-    leaves: dict = {}
-    for idx, path in enumerate(plan.paths):
-        current = 0
-        for vertex in path.vertices[1:]:
-            if np.hypot(*(vertex - nodes[current])) <= merge_tol:
-                continue  # repeated vertex within tolerance, stay put
-            chosen = None
-            for child in children[current]:
-                if np.hypot(*(vertex - nodes[child])) <= merge_tol:
-                    chosen = child
-                    break
-            if chosen is None:
-                anc = parent_of[current]
-                while anc is not None:
-                    if np.hypot(*(vertex - nodes[anc])) <= merge_tol:
-                        raise TopologyError(
-                            f"path {idx} doubles back onto its own trunk near node {anc}"
-                        )
-                    anc = parent_of[anc]
-                chosen = len(nodes)
-                nodes.append(np.asarray(vertex, dtype=float))
-                parent_of[chosen] = current
-                children[chosen] = []
-                children[current].append(chosen)
-                edge_flux[(current, chosen)] = 0.0
-            edge_flux[(current, chosen)] += path.mass
-            current = chosen
-        leaves[current] = leaves.get(current, 0.0) + path.mass
-    node_arr = np.asarray(nodes)
-    edges = tuple(
-        (parent, child, float(np.hypot(*(node_arr[child] - node_arr[parent]))), flux)
-        for (parent, child), flux in edge_flux.items()
-    )
-    return TreeTopology(nodes=node_arr, edges=edges, leaves=leaves)
 
 
 def half_circle_targets(n: int, radius: float = 1.0, total_mass: float = 1.0) -> TargetMeasure:

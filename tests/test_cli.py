@@ -7,13 +7,17 @@ import subprocess
 import sys
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ramify
+import ramify.exact_cost as exact_cost_module
+import ramify.mollified as mollified_module
 import ramify.optimizer as optimizer_module
 from ramify.cli import main
+from ramify.exact_cost import TopologyError, exact_plan_cost
 
 TINY_IRRIGATE = {
     "experiment": "irrigate",
@@ -27,6 +31,13 @@ TINY_TREEOPT = {
     "fan": {"n": 3, "segments": 3},
     "objective": {"alpha": 0.5, "c1": 0.5, "c2": 1.5},
     "descent": {"eps_schedule": [0.5, 0.2], "j_max": 5},
+}
+
+TINY_GAMMA = {
+    "experiment": "gamma-table",
+    "measure": {"n": 5, "segments_per_path": 8},
+    "objective": {"alpha": 0.5},
+    "gamma": {"eps_values": [0.2, 0.1, 0.05]},
 }
 
 
@@ -93,6 +104,42 @@ def test_irrigate_single_atom_reaches_exact_cost(tmp_path):
     # a single straight ray is already optimal: energy mass^alpha * radius
     assert summary["final_energy"] == pytest.approx(1.0, abs=1e-6)
     assert summary["exact_cost"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_irrigate_notes_a_merged_plan_that_is_no_tree(tmp_path, monkeypatch):
+    def doubles_back(plan, alpha, merge_tol=0.0):
+        raise TopologyError("path 0 doubles back onto its own trunk near node 0")
+
+    monkeypatch.setattr(exact_cost_module, "exact_plan_cost", doubles_back)
+    out = str(tmp_path / "run")
+    assert main(["irrigate", "--config", _write_config(tmp_path, TINY_IRRIGATE),
+                 "--out", out]) == 0
+    with open(os.path.join(out, "summary.json"), "r", encoding="utf-8") as handle:
+        text = handle.read()
+    assert '"exact_cost": null' in text
+    summary = json.loads(text)
+    assert summary["exact_cost_note"] == "path 0 doubles back onto its own trunk near node 0"
+    for i in range(3):
+        assert os.path.exists(os.path.join(out, f"plan_stage_{i}.json"))
+        assert os.path.exists(os.path.join(out, f"stage_{i}.svg"))
+    lines = open(os.path.join(out, "trace.csv")).read().strip().split("\n")
+    assert len(lines) == summary["iterations"] + 1
+
+
+def test_functional_flag_overrides_the_config(tmp_path):
+    flagged = str(tmp_path / "flagged")
+    configured = str(tmp_path / "configured")
+    avg_cfg = _write_config(tmp_path, dict(TINY_IRRIGATE, functional="avg"), "avg.json")
+    max_cfg = _write_config(tmp_path, dict(TINY_IRRIGATE, functional="max"), "max.json")
+    assert main(["irrigate", "--config", avg_cfg, "--functional", "max", "--out", flagged]) == 0
+    assert main(["irrigate", "--config", max_cfg, "--out", configured]) == 0
+    assert _read_json(os.path.join(flagged, "summary.json"))["functional"] == "max"
+    names = sorted(os.listdir(flagged))
+    assert names == sorted(os.listdir(configured))
+    for name in names:
+        a = open(os.path.join(flagged, name), "rb").read()
+        b = open(os.path.join(configured, name), "rb").read()
+        assert a == b, name
 
 
 def test_treeopt_writes_summary(tmp_path):
@@ -229,15 +276,7 @@ def test_noncompact_kernel_refuses_a_pair_list_above_the_limit(tmp_path, capsys)
 
 
 def test_gamma_table_outputs_and_monotone_gap(tmp_path):
-    cfg = _write_config(
-        tmp_path,
-        {
-            "experiment": "gamma-table",
-            "measure": {"n": 5, "segments_per_path": 8},
-            "objective": {"alpha": 0.5},
-            "gamma": {"eps_values": [0.2, 0.1, 0.05]},
-        },
-    )
+    cfg = _write_config(tmp_path, TINY_GAMMA)
     out = str(tmp_path / "run")
     assert main(["gamma-table", "--config", cfg, "--out", out]) == 0
     lines = open(os.path.join(out, "gamma_table.csv")).read().strip().split("\n")
@@ -254,6 +293,27 @@ def test_gamma_table_outputs_and_monotone_gap(tmp_path):
     summary = _read_json(os.path.join(out, "summary.json"))
     assert summary["assertions_passed"]
     assert summary["failures"] == []
+
+
+@pytest.mark.parametrize("e_max, failure", [
+    (lambda exact, eps: 2.0 * exact, "upper bound violated"),
+    (lambda exact, eps: eps * exact, "gap_max grew"),
+], ids=["upper-bound", "gap-grew"])
+def test_failed_gamma_table_checks_are_written_then_exit_three(tmp_path, monkeypatch, capsys,
+                                                               e_max, failure):
+    def energy_max(plan, alpha, eps, spec):
+        return SimpleNamespace(value=e_max(exact_plan_cost(plan, alpha), eps))
+
+    monkeypatch.setattr(mollified_module, "energy_max", energy_max)
+    out = str(tmp_path / "run")
+    assert main(["gamma-table", "--config", _write_config(tmp_path, TINY_GAMMA),
+                 "--out", out]) == 3
+    summary = _read_json(os.path.join(out, "summary.json"))
+    assert summary["assertions_passed"] is False
+    assert summary["failures"]
+    assert all(f.startswith(failure) for f in summary["failures"])
+    err = capsys.readouterr().err
+    assert err.strip() == "numerical check failed: " + "; ".join(summary["failures"])
 
 
 def test_counterexample_report_values(tmp_path):

@@ -7,13 +7,13 @@ from ramify.exact_cost import (
     brute_force_bifurcation,
     exact_multiplicity,
     exact_plan_cost,
+    extract_topology,
     gilbert_energy,
 )
 from ramify.plan_model import (
     Path,
     PathPlan,
     build_star_plan,
-    extract_topology,
     half_circle_targets,
 )
 

@@ -536,12 +536,14 @@ def test_pair_list_branch_consumers_match_the_dense_grid(monkeypatch):
             _assert_close(mollified_flux(plan, eps), flux_mol)
             terms = floored_power(flux_mol, transported, 0.5, 1e-12) * transported
             _assert_close(branch_irrigation_cost(plan, 0.5, eps, 1e-12).terms, terms)
-            cfg = ObjectiveConfig(alpha=0.5, eps=eps, c1=0.2, c2=1.0)
-            sparse = tree_objective_gradient(tree_objective(plan, cfg))
-            with monkeypatch.context() as patch:
-                patch.setattr(objective_module, "_branch_cost_gradient",
-                              _dense_branch_cost_gradient)
-                _assert_close(sparse, tree_objective_gradient(tree_objective(plan, cfg)))
+            # The default flux floor and none: both sides of the unfloored mask.
+            for f_min in (1e-12, 0.0):
+                cfg = ObjectiveConfig(alpha=0.5, eps=eps, c1=0.2, c2=1.0, f_min=f_min)
+                sparse = tree_objective_gradient(tree_objective(plan, cfg))
+                with monkeypatch.context() as patch:
+                    patch.setattr(objective_module, "_branch_cost_gradient",
+                                  _dense_branch_cost_gradient)
+                    _assert_close(sparse, tree_objective_gradient(tree_objective(plan, cfg)))
 
 
 def _energy_forms(alpha, eps, spec):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ramify.exact_cost import TopologyError, extract_topology
 from ramify.objective import leaf_payoff
 from ramify.plan_model import (
     Branch,
@@ -12,11 +13,9 @@ from ramify.plan_model import (
     Path,
     PathPlan,
     TargetMeasure,
-    TopologyError,
     build_fan_branches,
     build_star_plan,
     crossing_cluster_count,
-    extract_topology,
     half_circle_targets,
     load_plan,
     plan_from_dict,

@@ -84,7 +84,7 @@ def extract_src(rev: str, dest: str) -> str:
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest)
+        tar.extractall(dest, filter="data")
     return os.path.join(dest, "src")
 
 
