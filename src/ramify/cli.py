@@ -44,7 +44,9 @@ _READ_BY = {
 _READ_BY.update({f"objective.{key}": ("treeopt", "gradcheck") for key in (
     "c1", "c2", "penalty_kernel", "beta", "gamma", "f_min", "penalty_arclength")})
 # Most pairs a non-compact kernel may list: the averaged energy and its
-# gradient peak at about 240 bytes a pair, so this caps a run near 1 GB.
+# gradient peak at the pair list's 16 bytes a pair plus about 10 MB of
+# slice temporaries (74 MB at S = 2,000 by tracemalloc), so this caps a
+# run near 75 MB.
 _MAX_DENSE_PAIRS = 4_000_000
 
 
@@ -406,7 +408,7 @@ def _check_pair_budget(run_cfg):
     if not run_cfg.kernel.compact_support and segments ** 2 > _MAX_DENSE_PAIRS:
         raise ConfigError(f"the {run_cfg.kernel.kind!r} kernel pairs every midpoint with all "
                           f"S = {segments} segments, {segments ** 2} pairs, above the limit of "
-                          f"{_MAX_DENSE_PAIRS} (about 1 GB); use a compact kernel or fewer "
+                          f"{_MAX_DENSE_PAIRS} (about 75 MB); use a compact kernel or fewer "
                           "measure.n * measure.segments_per_path")
 
 

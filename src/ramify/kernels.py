@@ -16,6 +16,7 @@ quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +178,16 @@ def bump_segment_integral_grad(a, b, x, eps: float, moments=None):
     return (val if val.ndim else float(val)), da, db, dx
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(quad_points: int):
+    """Read-only Gauss-Legendre nodes and weights mapped to [0, 1], solved
+    once per node count: a pair list's slices call the quadrature often."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _quadrature_setup(a, b, x, eps: float, quad_points: int):
     """Checked inputs as coordinate pairs (ax, ay), (xx, xy) and (dx, dy)
     of the segment vectors d = b - a, their lengths L, the broadcast shape
@@ -190,9 +201,8 @@ def _quadrature_setup(a, b, x, eps: float, quad_points: int):
     x = np.asarray(x, dtype=float)
     d = (b[..., 0] - a[..., 0], b[..., 1] - a[..., 1])
     L = np.sqrt(d[0] * d[0] + d[1] * d[1])
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     return ((a[..., 0], a[..., 1]), (x[..., 0], x[..., 1]), d, L,
-            np.broadcast(a, b, x).shape, 0.5 * (nodes + 1.0), 0.5 * weights)
+            np.broadcast(a, b, x).shape, *_gauss_legendre(quad_points))
 
 
 def kernel_segment_integral(spec: KernelSpec, a, b, x, eps: float, quad_points: int = 32):

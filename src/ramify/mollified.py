@@ -12,12 +12,17 @@ semicontinuous, which the saturated two-path closed forms below witness.
 Branch plans use a mollified downstream flux built from the same segment
 integrals; its concave power discounts crowded regions of the tree. Every
 kernel consumer pairs points with segments only through one pair list,
-:func:`_pair_list`, evaluates kernels on it only through :func:`_pairs`
-and chain-rules the pair derivatives only through :func:`_pair_pulls`.
-For a compact kernel the list holds only the pairs a cell list finds
-near each other, so no (T, S) array is formed; every per-point, per-path
-or per-segment sum is a ``np.bincount`` over the pairs. A bump-kernel value
-keeps its pairs' support moments, so its gradient skips the support solve.
+:func:`_pair_list`, and walks it in slices of at most ``_BLOCK`` pairs cut
+between points (:func:`_slices`): the value pass :func:`_value_pass`
+evaluates the kernel integrals of each slice and the gradient pass
+:func:`_pair_pulls` chain-rules their derivatives. For a compact kernel
+the list holds only the pairs a cell list finds near each other, so no
+(T, S) array is formed. Every per-point, per-path or per-segment sum over
+the pairs adds each slice into its accumulator with ``np.add.at``, in list
+order as one ``np.bincount`` would, so the slicing changes no bit and
+only slice-sized temporaries exist beside the list. A bump-kernel value
+keeps its pairs' support moments, so its gradient skips the support
+solve; each value also keeps the multiplicities its gradient reads.
 
 Energies discretize the outer arc-length integral with the midpoint rule
 on the plan's own intervals. Inner segment integrals are exact for the
@@ -102,6 +107,37 @@ def _query(field, x, plan: PathPlan, eps: float, *args):
     return float(values[0]) if pts.ndim == 1 else values
 
 
+# Pairs per slice of a pair list. Every pass over a list walks it in slices
+# of at most this many pairs (more only when one point has more), so its
+# temporaries stay this size however long the list is. Slices of 2^14 and
+# 2^15 pairs ran the bump value and gradient fastest at S = 1,600; larger
+# ones were slower, and 2^15 keeps the fig5 fan's lists in one slice.
+_BLOCK = 2 ** 15
+
+
+def _runs(ends: np.ndarray):
+    """Consecutive ranges [lo, hi) of units whose counts, given by their
+    running totals ``ends``, add up to at most ``_BLOCK``; a unit with more
+    is a range alone. With no units, one empty range."""
+    lo, units = 0, len(ends)
+    while True:
+        base = ends[lo - 1] if lo else 0
+        hi = min(max(int(np.searchsorted(ends, base + _BLOCK, "right")), lo + 1), units)
+        yield lo, hi
+        lo = hi
+        if lo >= units:
+            return
+
+
+def _slices(i: np.ndarray, count: int):
+    """Slices of a pair list sorted by point, ``i`` its point indices among
+    ``count`` points, cut between points into runs of at most ``_BLOCK``
+    pairs (or one point's pairs)."""
+    bounds = np.searchsorted(i, np.arange(count + 1))
+    for lo, hi in _runs(bounds[1:]):
+        yield slice(bounds[lo], bounds[hi])
+
+
 def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
                spec: KernelSpec):
     """Point and segment indices (i, j) of every pair the kernel can reach,
@@ -113,8 +149,9 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
     around each point, and the bounding-circle test keeps a superset of the
     pairs closer than eps without forming all T x S of them; on a grid of
     at most 2 x 2 cells, which each block covers, the candidates are all
-    T * S pairs. Non-compact kernels reach every segment, so their list
-    holds all T * S pairs.
+    T * S pairs. Candidates are formed and tested for a range of points at
+    a time, each range holding at most ``_BLOCK`` of them. Non-compact
+    kernels reach every segment, so their list holds all T * S pairs.
     """
     count, size = len(points), table.size
     if not spec.compact_support or count == 0 or size == 0:
@@ -127,7 +164,11 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
     shape = (span // width).astype(int) + 1
     one_block = bool(np.all(shape <= 2))
     if one_block:
-        i, j = _every_pair(count, size)
+        per_point = np.full(count, size)
+
+        def candidates(lo, hi):
+            i, j = _every_pair(hi - lo, size)
+            return i + lo, j
     else:
         cell = ((mids - origin) // width).astype(int)
         keys = cell[:, 0] * shape[1] + cell[:, 1]
@@ -140,19 +181,29 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
         high = np.minimum(home[:, 1:] + 1, shape[1] - 1)
         first = np.searchsorted(keys, column * shape[1] + low, "left")
         last = np.searchsorted(keys, column * shape[1] + high, "right")
-        hits = np.where((column >= 0) & (column < shape[0]) & (low <= high),
-                        last - first, 0).ravel()
-        ends = np.cumsum(hits)
-        i = np.repeat(np.arange(count), hits.reshape(count, 3).sum(axis=1))
-        j = order[np.repeat(first.ravel() - ends + hits, hits) + np.arange(ends[-1])]
-    gap = _rows(points, i)
-    gap -= _rows(mids, j)
-    gap *= gap
-    near = gap[:, 0] + gap[:, 1] <= np.take(reach * reach, j)
-    if one_block:
-        return i[near], j[near]
-    pair = np.sort(i[near] * size + j[near])
-    return pair // size, pair % size
+        hits = np.where((column >= 0) & (column < shape[0]) & (low <= high), last - first, 0)
+        per_point = hits.sum(axis=1)
+
+        def candidates(lo, hi):
+            runs = hits[lo:hi].ravel()
+            ends = np.cumsum(runs)
+            i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
+            return i, order[np.repeat(first[lo:hi].ravel() - ends + runs, runs)
+                            + np.arange(ends[-1])]
+    reach2 = reach * reach
+    found = []
+    for lo, hi in _runs(np.cumsum(per_point)):
+        i, j = candidates(lo, hi)
+        gap = _rows(points, i)
+        gap -= _rows(mids, j)
+        gap *= gap
+        near = gap[:, 0] + gap[:, 1] <= np.take(reach2, j)
+        if one_block:
+            found.append((i[near], j[near]))
+        else:
+            pair = np.sort(i[near] * size + j[near])
+            found.append((pair // size, pair % size))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def _every_pair(count: int, size: int):
@@ -166,13 +217,17 @@ def _rows(array: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take(array, index, axis=0)
 
 
-def _sum_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sums of the (P,) or (P, 2) pair ``values`` in ``size`` bins of ``index``,
-    each bin adding its pairs in list order (as floats even with no pairs,
-    where ``np.bincount`` returns integer zeros)."""
+def _add_at(total: np.ndarray, index: np.ndarray, values: np.ndarray):
+    """``total[index] += values`` for (N,) or (N, 2) ``values``, entry by
+    entry in list order: the order of one ``np.bincount`` over a whole
+    list, so a list added slice by slice sums to the same bits. An (S, 2)
+    total takes one coordinate at a time, several times faster than whole
+    rows."""
     if values.ndim == 2:
-        return np.stack([_sum_by(index, v, size) for v in values.T], axis=1)
-    return np.bincount(index, values, minlength=size).astype(float, copy=False)
+        for k in range(2):
+            np.add.at(total[:, k], index, values[:, k])
+    else:
+        np.add.at(total, index, values)
 
 
 def _nearest(points: np.ndarray, table: SegmentTable, eps: float, spec: KernelSpec):
@@ -182,19 +237,25 @@ def _nearest(points: np.ndarray, table: SegmentTable, eps: float, spec: KernelSp
     The nearest pair is given as its point, segment, projection parameter
     and distance; ties go to the lowest segment index, as ``argmin`` takes
     them. A path with no pair on the list is at infinite distance, where
-    the compact kernel that left it off is 0.
+    the compact kernel that left it off is 0. The list is walked in
+    slices, whose cuts between points never split a (point, path) run.
     """
     i, j = _pair_list(table, points, eps, spec)
-    t_par, dist = pair_projection(_rows(points, i), _rows(table.a, j), _rows(table.b, j))
     paths = len(table.group_starts)
-    run = i * paths + table.owner[j]
-    starts = np.flatnonzero(np.diff(run, prepend=-1))
-    low = np.minimum.reduceat(dist, starts)
-    at_low = dist == np.repeat(low, np.diff(starts, append=len(dist)))
-    rows = np.minimum.reduceat(np.where(at_low, np.arange(len(dist)), len(dist)), starts)
     min_dist = np.full((len(points), paths), np.inf)
-    min_dist.flat[run[starts]] = low
-    return min_dist, (i[rows], j[rows], t_par[rows], low)
+    found = []
+    for s in _slices(i, len(points)):
+        i_s, j_s = i[s], j[s]
+        t_par, dist = pair_projection(_rows(points, i_s), _rows(table.a, j_s),
+                                      _rows(table.b, j_s))
+        run = i_s * paths + table.owner[j_s]
+        starts = np.flatnonzero(np.diff(run, prepend=-1))
+        low = np.minimum.reduceat(dist, starts)
+        at_low = dist == np.repeat(low, np.diff(starts, append=len(dist)))
+        rows = np.minimum.reduceat(np.where(at_low, np.arange(len(dist)), len(dist)), starts)
+        min_dist.flat[run[starts]] = low
+        found.append((i_s[rows], j_s[rows], t_par[rows], low))
+    return min_dist, tuple(np.concatenate(part) for part in zip(*found))
 
 
 def _multiplicity_max(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
@@ -212,23 +273,12 @@ def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpe
     return _query(_multiplicity_max, x, plan, eps, spec)
 
 
-def _capped(i: np.ndarray, j: np.ndarray, value: np.ndarray, table: SegmentTable,
-            masses: np.ndarray, count: int):
-    """Mass-weighted sum of per-path arc integrals at ``count`` points, each
-    capped at 1, and the (T, n) mask of (point, path) integrals below the cap."""
-    paths = len(masses)
-    inner = _sum_by(i * paths + table.owner[j], value, count * paths).reshape(count, paths)
-    return np.minimum(inner, 1.0) @ masses, inner < 1.0
-
-
-def _pairs(table: SegmentTable, points: np.ndarray, pairs: tuple, eps: float,
-           spec: KernelSpec = KernelSpec(), quad_points: int = 32, grad: bool = False,
-           moments=None):
-    """Kernel segment integrals of ``pairs``, the (i, j) :func:`_pair_list`
-    of ``points``, and their bump support moments (None for other kernels);
-    with ``grad``, the integrals and their (P, 2) derivatives in segment
+def _pairs(table: SegmentTable, points: np.ndarray, i: np.ndarray, j: np.ndarray,
+           eps: float, spec: KernelSpec, quad_points: int, grad: bool = False, moments=None):
+    """Kernel segment integrals of the pairs (i, j) of ``points`` and
+    segments, and their bump support moments (None for other kernels);
+    with ``grad``, the integrals and their (N, 2) derivatives in segment
     start, end and point, reusing the value call's bump ``moments``."""
-    i, j = pairs
     args = (_rows(table.a, j), _rows(table.b, j), _rows(points, i), eps)
     if spec.kind == "bump":
         return bump_segment_integral_grad(*args, moments) if grad else \
@@ -238,21 +288,69 @@ def _pairs(table: SegmentTable, points: np.ndarray, pairs: tuple, eps: float,
     return kernel_segment_integral(spec, *args, quad_points), None
 
 
-def _pair_pulls(table: SegmentTable, i: np.ndarray, j: np.ndarray, weight: np.ndarray,
-                d_a: np.ndarray, d_b: np.ndarray, d_x: np.ndarray):
-    """Chain rule through the pair integrals at the segment midpoints: a
-    weight on each pair's value gives (S, 2) segment start and end pulls
-    and (S, 2) midpoint pulls."""
-    return (_sum_by(j, weight[:, None] * d_a, table.size),
-            _sum_by(j, weight[:, None] * d_b, table.size),
-            _sum_by(i, weight[:, None] * d_x, table.size))
+def _value_pass(table: SegmentTable, points: np.ndarray, pairs: tuple, eps: float, add,
+                spec: KernelSpec = KernelSpec(), quad_points: int = 32):
+    """Kernel segment integrals of ``pairs``, the (i, j) :func:`_pair_list`
+    of ``points``, slice by slice: ``add(i, j, value)`` takes each slice's
+    points, segments and integrals, in list order. Returns the pairs' bump
+    support moments (None for other kernels)."""
+    i, j = pairs
+    moments = None
+    for s in _slices(i, len(points)):
+        value, part = _pairs(table, points, i[s], j[s], eps, spec, quad_points)
+        if part is not None:
+            # Made once the first slice's temporaries are freed: kept arrays
+            # made ahead of them leave the temporaries on top of the heap,
+            # which the allocator hands back to the system after each call,
+            # and fig2-sized plans then took 2 to 3 times the page faults.
+            if moments is None:
+                moments = tuple(np.empty(len(i)) for _ in part)
+            for whole, piece in zip(moments, part):
+                whole[s] = piece
+        add(i[s], j[s], value)
+    return moments
+
+
+def _pair_pulls(table: SegmentTable, pairs: tuple, eps: float, moments, weigh,
+                spec: KernelSpec = KernelSpec(), quad_points: int = 32):
+    """Chain rule through the integrals of the midpoint ``pairs``, slice by
+    slice, reusing the value pass's bump ``moments``: ``weigh(i, j, value)``
+    gives the weight on each value of a slice, and the weighted derivatives
+    add up to (S, 2) segment start and end pulls and (S, 2) midpoint pulls.
+    No derivative array outlives its slice."""
+    i, j = pairs
+    ga, gb, gx = np.zeros((3, table.size, 2))
+    for s in _slices(i, table.size):
+        part = None if moments is None else tuple(m[s] for m in moments)
+        value, d_a, d_b, d_x = _pairs(table, table.midpoint, i[s], j[s], eps, spec,
+                                      quad_points, grad=True, moments=part)
+        weight = weigh(i[s], j[s], value)[:, None]
+        _add_at(ga, j[s], weight * d_a)
+        _add_at(gb, j[s], weight * d_b)
+        _add_at(gx, i[s], weight * d_x)
+    return ga, gb, gx
+
+
+def _capped(table: SegmentTable, points: np.ndarray, pairs: tuple, masses: np.ndarray,
+            eps: float, spec: KernelSpec, quad_points: int):
+    """Value pass of the average form: the mass-weighted sum of per-path arc
+    integrals at the points, each capped at 1, the (T, n) mask of (point,
+    path) integrals below the cap, and the pairs' bump support moments."""
+    paths = len(masses)
+    inner = np.zeros(len(points) * paths)
+
+    def add(i, j, value):
+        _add_at(inner, i * paths + table.owner[j], value)
+
+    moments = _value_pass(table, points, pairs, eps, add, spec, quad_points)
+    inner = inner.reshape(len(points), paths)
+    return np.minimum(inner, 1.0) @ masses, inner < 1.0, moments
 
 
 def _multiplicity_avg(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
                       eps: float, spec: KernelSpec, quad_points: int) -> np.ndarray:
     pairs = _pair_list(table, points, eps, spec)
-    value = _pairs(table, points, pairs, eps, spec, quad_points)[0]
-    return _capped(*pairs, value, table, masses, len(points))[0]
+    return _capped(table, points, pairs, masses, eps, spec, quad_points)[0]
 
 
 def multiplicity_avg(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec(),
@@ -324,17 +422,18 @@ def energy_avg(plan, alpha: float, eps: float,
     """Midpoint-rule energy of a path plan or its segment table, built on
     the integral-average multiplicity.
 
-    The result carries its settings, segment table, pair list and the
-    pairs' support moments for :func:`energy_avg_gradient`.
+    The result carries its settings, segment table, pair list, the pairs'
+    support moments, the multiplicities and their below-the-cap mask for
+    :func:`energy_avg_gradient`.
     """
     _check_alpha(alpha)
     _check_eps(eps)
     table, masses = _path_table(plan)
     pairs = _pair_list(table, table.midpoint, eps, spec)
-    value, moments = _pairs(table, table.midpoint, pairs, eps, spec, quad_points)
-    w = _capped(*pairs, value, table, masses, table.size)[0]
+    w, uncapped, moments = _capped(table, table.midpoint, pairs, masses, eps, spec, quad_points)
     return _midpoint_energy(table, w, alpha, "energy_avg", _Evaluation(
-        "energy_avg", (alpha, eps, spec, quad_points), (table, masses, pairs, moments)))
+        "energy_avg", (alpha, eps, spec, quad_points),
+        (table, masses, pairs, moments, w, uncapped)))
 
 
 def energy_avg_gradient(value) -> np.ndarray:
@@ -347,17 +446,15 @@ def energy_avg_gradient(value) -> np.ndarray:
     """
     record = _record(value, "energy_avg")
     alpha, eps, spec, quad_points = record.settings
-    table, masses, pairs, moments = record.data
-    integral, *pair_grads = _pairs(table, table.midpoint, pairs, eps, spec, quad_points,
-                                   grad=True, moments=moments)
-    i, j = pairs
-    w, uncapped = _capped(i, j, integral, table, masses, table.size)
+    table, masses, pairs, moments, w, uncapped = record.data
     gw, g_len = _gradient_weights(table, w, alpha, "energy_avg_gradient")
 
-    # Weight of each (midpoint, source segment) pairing in the chain rule.
-    owner = table.owner[j]
-    weight = gw[i] * (masses[owner] * uncapped[i, owner])
-    ga, gb, gx = _pair_pulls(table, i, j, weight, *pair_grads)
+    def weigh(i, j, _):
+        # Weight of each (midpoint, source segment) pairing in the chain rule.
+        owner = table.owner[j]
+        return gw[i] * (masses[owner] * uncapped[i, owner])
+
+    ga, gb, gx = _pair_pulls(table, pairs, eps, moments, weigh, spec, quad_points)
     return scatter_segment_gradients(table, ga, gb, gx, g_len)
 
 
@@ -383,10 +480,11 @@ def energy_max_gradient(value) -> np.ndarray:
     normal = np.zeros((len(seg), 2))
     normal[positive] = (points[point[positive]] - proj[positive]) / dval[positive, None]
     pull = coeff[:, None] * normal
-    ga = _sum_by(seg, -(1.0 - tp[:, None]) * pull, table.size)
-    gb = _sum_by(seg, -tp[:, None] * pull, table.size)
-    return scatter_segment_gradients(table, ga, gb, _sum_by(point, pull, table.size),
-                                     g_len)
+    ga, gb, gx = np.zeros((3, table.size, 2))
+    _add_at(ga, seg, -(1.0 - tp[:, None]) * pull)
+    _add_at(gb, seg, -tp[:, None] * pull)
+    _add_at(gx, point, pull)
+    return scatter_segment_gradients(table, ga, gb, gx, g_len)
 
 
 def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
@@ -409,9 +507,12 @@ def _branch_pairs(table: SegmentTable, eps: float) -> tuple:
 
 def _mollified_flux(table: SegmentTable, eps: float, pairs: tuple):
     """Mollified flux at the midpoints and the support moments of ``pairs``."""
-    i, j = pairs
-    value, moments = _pairs(table, table.midpoint, pairs, eps)
-    return _sum_by(i, value * table.flux[j], table.size), moments
+    flux_mol = np.zeros(table.size)
+
+    def add(i, j, value):
+        _add_at(flux_mol, i, value * table.flux[j])
+
+    return flux_mol, _value_pass(table, table.midpoint, pairs, eps, add)
 
 
 def floored_power(multiplicity: np.ndarray, transported: np.ndarray,
@@ -452,21 +553,20 @@ def branch_irrigation_cost(plan: BranchPlan, alpha: float, eps: float,
 
 def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float, f_min: float,
                        pairs: tuple):
-    """Per-segment irrigation cost terms and the support moments of ``pairs``."""
+    """Per-segment irrigation cost terms, the support moments of ``pairs``
+    and the mollified flux."""
     flux_mol, moments = _mollified_flux(table, eps, pairs)
     transported = table.flux * table.length
-    return floored_power(flux_mol, transported, alpha, f_min) * transported, moments
+    return floored_power(flux_mol, transported, alpha, f_min) * transported, moments, flux_mol
 
 
 def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: float,
-                          pairs: tuple, moments: tuple):
+                          pairs: tuple, moments: tuple, flux_mol: np.ndarray):
     """Gradient of the branch irrigation cost (F = sum of value * flux over
-    the pairs of :func:`_branch_pairs`, with the moments the cost returned):
-    pulls ga, gb, gx, direct length sensitivity g_len, and g_cell, the
-    sensitivity to each segment's own mass through the downstream flux."""
-    i, j = pairs
-    value, *pair_grads = _pairs(table, table.midpoint, pairs, eps, grad=True, moments=moments)
-    flux_mol = _sum_by(i, value * table.flux[j], table.size)
+    the pairs of :func:`_branch_pairs`, with the moments and mollified flux
+    the cost returned): pulls ga, gb, gx, direct length sensitivity g_len,
+    and g_cell, the sensitivity to each segment's own mass through the
+    downstream flux."""
     transported = table.flux * table.length
     active = transported > 0.0
     powers = floored_power(flux_mol, transported, alpha, f_min)
@@ -482,8 +582,16 @@ def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: 
     slope *= (alpha - 1.0)
 
     g_flux_mol = slope * transported
-    g_flux = _sum_by(j, value * g_flux_mol[i], table.size) + powers * table.length
-    ga, gb, gx = _pair_pulls(table, i, j, g_flux_mol[i] * table.flux[j], *pair_grads)
+    g_flux = np.zeros(table.size)
+
+    def weigh(i, j, value):
+        # Each slice also adds its pairs' share of the flux adjoint, by segment.
+        pull = g_flux_mol[i]
+        _add_at(g_flux, j, value * pull)
+        return pull * table.flux[j]
+
+    ga, gb, gx = _pair_pulls(table, pairs, eps, moments, weigh)
+    g_flux += powers * table.length
     return ga, gb, gx, powers * table.flux, _downstream_flux_adjoint(table, g_flux)
 
 

@@ -159,11 +159,12 @@ def tree_objective(plan, cfg: ObjectiveConfig) -> ObjectiveValue:
     """Evaluate J = I + c1 * P - c2 * H on a branch plan or its segment table.
 
     The result carries its config, segment table, pair list, the pairs'
-    support moments and crowding matrix for :func:`tree_objective_gradient`.
+    support moments, the mollified flux and the crowding matrix for
+    :func:`tree_objective_gradient`.
     """
     table = _branch_table(plan)
     pairs = _branch_pairs(table, cfg.eps)
-    terms, moments = _branch_cost_terms(table, cfg.alpha, cfg.eps, cfg.f_min, pairs)
+    terms, moments, flux_mol = _branch_cost_terms(table, cfg.alpha, cfg.eps, cfg.f_min, pairs)
     irrigation = float(terms.sum())
     crowding, penalty = None, 0.0
     if cfg.c1 != 0.0:
@@ -173,7 +174,8 @@ def tree_objective(plan, cfg: ObjectiveConfig) -> ObjectiveValue:
     total = irrigation + cfg.c1 * penalty - cfg.c2 * payoff
     return ObjectiveValue(total=total, irrigation=irrigation, penalty=penalty, payoff=payoff,
                           _evaluation=_Evaluation("tree_objective", (cfg,),
-                                                  (table, pairs, moments, crowding)))
+                                                  (table, pairs, moments, flux_mol,
+                                                   crowding)))
 
 
 def tree_objective_gradient(value: ObjectiveValue) -> np.ndarray:
@@ -184,11 +186,11 @@ def tree_objective_gradient(value: ObjectiveValue) -> np.ndarray:
     density entry; the root vertex is pinned to zero by the free mask.
     """
     record = _record(value, "tree_objective")
-    (cfg,), (table, pairs, moments, crowding) = record.settings, record.data
+    (cfg,), (table, pairs, moments, flux_mol, crowding) = record.settings, record.data
     density = table.density
     mids = table.midpoint
     ga, gb, gx, g_len, g_cell = _branch_cost_gradient(table, cfg.alpha, cfg.eps, cfg.f_min,
-                                                      pairs, moments)
+                                                      pairs, moments, flux_mol)
     g_density = g_cell * table.length
     g_len = g_len + g_cell * density
 

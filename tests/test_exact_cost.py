@@ -1,9 +1,10 @@
-"""Tests for exact transport costs on merged tree topologies."""
+"""Tests for merged tree topologies and their exact transport costs."""
 
 import numpy as np
 import pytest
 
 from ramify.exact_cost import (
+    TopologyError,
     brute_force_bifurcation,
     exact_multiplicity,
     exact_plan_cost,
@@ -56,6 +57,29 @@ def test_cost_merges_nearby_trunks():
     separate = exact_plan_cost(plan, 0.5, merge_tol=1e-9)
     # without merging each trunk carries only half the mass
     assert separate > merged + 0.1
+
+
+def test_extract_topology_merges_shared_trunk():
+    trunk = np.array([[0.0, 0.0], [0.0, 0.5]])
+    a = Path(vertices=np.vstack([trunk, [[-0.5, 1.0]]]), mass=0.4)
+    b = Path(vertices=np.vstack([trunk, [[0.5, 1.0]]]), mass=0.6)
+    topo = extract_topology(PathPlan(paths=(a, b)), merge_tol=1e-9)
+    assert len(topo.nodes) == 4
+    flux_by_edge = {(p, c): f for p, c, _, f in topo.edges}
+    assert flux_by_edge[(0, 1)] == pytest.approx(1.0)
+    assert sorted(topo.leaves.values()) == pytest.approx([0.4, 0.6])
+
+
+def test_extract_topology_rejects_doubling_back():
+    bad = Path(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), mass=1.0)
+    with pytest.raises(TopologyError, match="doubles back"):
+        extract_topology(PathPlan(paths=(bad,)), merge_tol=1e-6)
+
+
+def test_extract_topology_negative_tolerance():
+    p = Path(vertices=np.array([[0.0, 0.0], [1.0, 0.0]]), mass=1.0)
+    with pytest.raises(ValueError):
+        extract_topology(PathPlan(paths=(p,)), merge_tol=-1.0)
 
 
 def test_exact_multiplicity_on_and_off_support():

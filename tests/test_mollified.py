@@ -1,8 +1,11 @@
 """Tests for mollified multiplicities, energies, and their gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ramify.mollified as mollified_module
 import ramify.objective as objective_module
 from ramify.exact_cost import exact_multiplicity, exact_plan_cost
 from ramify.geometry import pair_projection
@@ -416,7 +419,7 @@ def _dense_energy_max_gradient(plan, alpha, eps, spec):
     return scatter_segment_gradients(table, ga, gb, gx, g_len)
 
 
-def _dense_branch_cost_gradient(table, alpha, eps, f_min, pairs, moments):
+def _dense_branch_cost_gradient(table, alpha, eps, f_min, pairs, moments, flux_mol):
     mat, *pair_grads = _dense_pairs(table, table.midpoint, eps, grad=True)
     flux_mol = mat @ table.flux
     transported = table.flux * table.length
@@ -544,6 +547,62 @@ def test_pair_list_branch_consumers_match_the_dense_grid(monkeypatch):
                     patch.setattr(objective_module, "_branch_cost_gradient",
                                   _dense_branch_cost_gradient)
                     _assert_close(sparse, tree_objective_gradient(tree_objective(plan, cfg)))
+
+
+def _sliced_outputs(rng_seed):
+    """Bytes of every pair-list consumer's result on random path and branch
+    plans, under the bump, triangular and exponential kernels."""
+    rng = np.random.default_rng(rng_seed)
+    out = []
+    for _ in range(2):
+        plan = _jittered_star(rng, int(rng.integers(3, 9)))
+        table = segment_table(plan)
+        probes = np.vstack([rng.uniform(-1.3, 1.3, (40, 2)), table.a[::2] + 0.002])
+        for kind in ("bump", "triangular", "exponential"):
+            spec = KernelSpec(kind)
+            for eps in (0.8, 0.1):
+                avg, top = energy_avg(plan, 0.45, eps, spec), energy_max(plan, 0.45, eps, spec)
+                out += [avg.terms, energy_avg_gradient(avg), top.terms, energy_max_gradient(top),
+                        multiplicity_avg(probes, plan, eps, spec),
+                        multiplicity_max(probes, plan, eps, spec),
+                        *_pair_list(table, table.midpoint, eps, spec)]
+    for _ in range(2):
+        plan = random_branch_plan(rng, max_branches=6, max_segments=12)
+        for eps in (0.8, 0.1):
+            value = tree_objective(plan, ObjectiveConfig(alpha=0.5, eps=eps, c1=0.2, c2=1.0))
+            out += [np.array([value.total]), tree_objective_gradient(value),
+                    mollified_flux(plan, eps), branch_irrigation_cost(plan, 0.5, eps).terms]
+    return [np.asarray(item).tobytes() for item in out]
+
+
+def test_slicing_the_pair_list_changes_no_bit(monkeypatch):
+    # Sums over slices add in list order, as one pass over the whole list
+    # does; a sum per slice added to a running total would not.
+    monkeypatch.setattr(mollified_module, "_BLOCK", 2 ** 40)
+    whole = _sliced_outputs(17)
+    for block in (1, 50):
+        monkeypatch.setattr(mollified_module, "_BLOCK", block)
+        assert _sliced_outputs(17) == whole
+
+
+def test_energy_avg_and_its_gradient_stay_within_a_slice_budget():
+    # The value record keeps the pair list and the bump moments, 40 bytes a
+    # pair, and the (T, n) path sums come with a mask; every other array
+    # lives for one slice of at most _BLOCK pairs. Whole-list temporaries
+    # took about 250 bytes a pair.
+    plan = build_star_plan(half_circle_targets(100), segments_per_path=16)
+    tracemalloc.start()
+    try:
+        value = energy_avg(plan, 0.5, 0.1)
+        energy_avg_gradient(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = len(value._evaluation.data[2][0])
+    assert pairs > 4 * mollified_module._BLOCK
+    path_sums = 9 * value.terms.size * len(plan.paths)  # float sums and their bool mask
+    slice_arrays = 48 * 8 * mollified_module._BLOCK  # 48 float arrays of one slice
+    assert peak < 40 * pairs + path_sums + slice_arrays
 
 
 def _energy_forms(alpha, eps, spec):

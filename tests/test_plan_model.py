@@ -1,11 +1,10 @@
-"""Tests for plan data structures, constructors, and topology extraction."""
+"""Tests for plan data structures, constructors, segment tables and plan files."""
 
 import json
 
 import numpy as np
 import pytest
 
-from ramify.exact_cost import TopologyError, extract_topology
 from ramify.objective import leaf_payoff
 from ramify.plan_model import (
     Branch,
@@ -130,29 +129,6 @@ def test_build_fan_branches_spread():
     np.testing.assert_allclose(np.hypot(tips[:, 0], tips[:, 1]), 1.0, atol=1e-12)
     angles = np.arctan2(tips[:, 1], tips[:, 0])
     np.testing.assert_allclose(angles.max() - angles.min(), np.pi / 2, atol=1e-12)
-
-
-def test_extract_topology_merges_shared_trunk():
-    trunk = np.array([[0.0, 0.0], [0.0, 0.5]])
-    a = Path(vertices=np.vstack([trunk, [[-0.5, 1.0]]]), mass=0.4)
-    b = Path(vertices=np.vstack([trunk, [[0.5, 1.0]]]), mass=0.6)
-    topo = extract_topology(PathPlan(paths=(a, b)), merge_tol=1e-9)
-    assert len(topo.nodes) == 4
-    flux_by_edge = {(p, c): f for p, c, _, f in topo.edges}
-    assert flux_by_edge[(0, 1)] == pytest.approx(1.0)
-    assert sorted(topo.leaves.values()) == pytest.approx([0.4, 0.6])
-
-
-def test_extract_topology_rejects_doubling_back():
-    bad = Path(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), mass=1.0)
-    with pytest.raises(TopologyError, match="doubles back"):
-        extract_topology(PathPlan(paths=(bad,)), merge_tol=1e-6)
-
-
-def test_extract_topology_negative_tolerance():
-    p = Path(vertices=np.array([[0.0, 0.0], [1.0, 0.0]]), mass=1.0)
-    with pytest.raises(ValueError):
-        extract_topology(PathPlan(paths=(p,)), merge_tol=-1.0)
 
 
 def test_crossing_cluster_count_star_vs_merged():

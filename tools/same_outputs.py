@@ -13,8 +13,9 @@ irrigate-wide benchmark workloads (configs from ``perfbench/workloads.py``,
 read only), ``treeopt --preset fig4``, ``irrigate --functional max`` on the
 irrigate-star config, ``gradcheck``, ``gamma-table`` and ``counterexample``
 with their default configs, and three short runs of the kernels and
-penalties no other run reaches (``SHORT_RUNS``). Runs go one at a time;
-irrigate-wide peaks at about 75 MB.
+penalties no other run reaches (``SHORT_RUNS``). Runs go one at a time,
+and each prints its exit code and peak resident memory; irrigate-wide,
+the largest, peaks at about 50 MB.
 """
 
 from __future__ import annotations
@@ -89,15 +90,22 @@ def extract_src(rev: str, dest: str) -> str:
 
 
 def run_all(src: str, runs: dict, out_root: str) -> dict:
-    """Run every entry against ``src``; returns run name -> exit code."""
+    """Run every entry against ``src``; returns run name -> exit code.
+
+    Prints each run's exit code and peak resident memory, from the child's
+    own resource usage (``ru_maxrss``, in kilobytes on Linux); the memory
+    is information only and takes no part in the comparison.
+    """
     env = dict(os.environ, PYTHONPATH=src, RAMIFY_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     codes = {}
     for name, argv in runs.items():
         out = os.path.join(out_root, name)
-        done = subprocess.run([sys.executable, "-m", "ramify.cli", *argv, "--out", out],
-                              env=env, cwd=out_root, capture_output=True, text=True)
-        codes[name] = done.returncode
-        print(f"  {name}: exit {done.returncode}", flush=True)
+        child = subprocess.Popen([sys.executable, "-m", "ramify.cli", *argv, "--out", out],
+                                 env=env, cwd=out_root, stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = codes[name] = os.waitstatus_to_exitcode(status)
+        print(f"  {name}: exit {codes[name]}, peak {usage.ru_maxrss / 1024:.1f} MB", flush=True)
     return codes
 
 
