@@ -45,7 +45,7 @@ _READ_BY.update({f"objective.{key}": ("treeopt", "gradcheck") for key in (
     "c1", "c2", "penalty_kernel", "beta", "gamma", "f_min", "penalty_arclength")})
 # Most pairs a non-compact kernel may list: the averaged energy and its
 # gradient peak at the pair list's 16 bytes a pair plus about 10 MB of
-# slice temporaries (74 MB at S = 2,000 by tracemalloc), so this caps a
+# block temporaries (75 MB at S = 2,000 by tracemalloc), so this caps a
 # run near 75 MB.
 _MAX_DENSE_PAIRS = 4_000_000
 

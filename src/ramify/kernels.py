@@ -181,7 +181,7 @@ def bump_segment_integral_grad(a, b, x, eps: float, moments=None):
 @lru_cache(maxsize=8)
 def _gauss_legendre(quad_points: int):
     """Read-only Gauss-Legendre nodes and weights mapped to [0, 1], solved
-    once per node count: a pair list's slices call the quadrature often."""
+    once per node count: each block of a pair list calls the quadrature."""
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
     nodes.flags.writeable = weights.flags.writeable = False

@@ -12,17 +12,19 @@ semicontinuous, which the saturated two-path closed forms below witness.
 Branch plans use a mollified downstream flux built from the same segment
 integrals; its concave power discounts crowded regions of the tree. Every
 kernel consumer pairs points with segments only through one pair list,
-:func:`_pair_list`, and walks it in slices of at most ``_BLOCK`` pairs cut
-between points (:func:`_slices`): the value pass :func:`_value_pass`
-evaluates the kernel integrals of each slice and the gradient pass
-:func:`_pair_pulls` chain-rules their derivatives. For a compact kernel
-the list holds only the pairs a cell list finds near each other, so no
-(T, S) array is formed. Every per-point, per-path or per-segment sum over
-the pairs adds each slice into its accumulator with ``np.add.at``, in list
-order as one ``np.bincount`` would, so the slicing changes no bit and
-only slice-sized temporaries exist beside the list. A bump-kernel value
-keeps its pairs' support moments, so its gradient skips the support
-solve; each value also keeps the multiplicities its gradient reads.
+:func:`_pair_list`, which comes in the blocks it is built in: each block
+holds the pairs of one range of points, cut where the range's candidates
+fill ``_BLOCK``. The value pass :func:`_value_pass` evaluates the kernel
+integrals of each block and the gradient pass :func:`_pair_pulls`
+chain-rules their derivatives. For a compact kernel the list holds only
+the pairs a cell list finds near each other, so no (T, S) array is
+formed. Every per-point, per-path or per-segment sum over the pairs adds
+each block into its accumulator with ``np.add.at``, in list order as one
+``np.bincount`` over the joined list would, so the block size changes no
+bit and only block-sized temporaries exist beside the list. A bump-kernel
+value keeps each block's support moments, so its gradient skips the
+support solve; each value also keeps the multiplicities its gradient
+reads.
 
 Energies discretize the outer arc-length integral with the midpoint rule
 on the plan's own intervals. Inner segment integrals are exact for the
@@ -107,11 +109,12 @@ def _query(field, x, plan: PathPlan, eps: float, *args):
     return float(values[0]) if pts.ndim == 1 else values
 
 
-# Pairs per slice of a pair list. Every pass over a list walks it in slices
-# of at most this many pairs (more only when one point has more), so its
-# temporaries stay this size however long the list is. Slices of 2^14 and
-# 2^15 pairs ran the bump value and gradient fastest at S = 1,600; larger
-# ones were slower, and 2^15 keeps the fig5 fan's lists in one slice.
+# Candidate pairs per block of a pair list. A list is built and walked in
+# blocks, each the pairs of a range of points with at most this many
+# candidates (more only when one point has more), so its temporaries stay
+# this size however long the list is. Blocks of 2^14 and 2^15 candidates
+# ran the bump value and gradient fastest at S = 1,600; larger ones were
+# slower, and 2^15 keeps the fig5 fan's lists in one block.
 _BLOCK = 2 ** 15
 
 
@@ -129,47 +132,40 @@ def _runs(ends: np.ndarray):
             return
 
 
-def _slices(i: np.ndarray, count: int):
-    """Slices of a pair list sorted by point, ``i`` its point indices among
-    ``count`` points, cut between points into runs of at most ``_BLOCK``
-    pairs (or one point's pairs)."""
-    bounds = np.searchsorted(i, np.arange(count + 1))
-    for lo, hi in _runs(bounds[1:]):
-        yield slice(bounds[lo], bounds[hi])
-
-
 def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
-               spec: KernelSpec):
+               spec: KernelSpec) -> list:
     """Point and segment indices (i, j) of every pair the kernel can reach,
-    sorted by point and then by segment.
+    in blocks: each holds the pairs of one range of points, sorted by point
+    and then by segment, and the ranges follow each other.
 
     A point within eps of a segment lies within eps plus half the segment's
     length of its midpoint. For a compact kernel a uniform grid of cells
-    that wide (a cell list) yields the midpoints in the 3 x 3 block of cells
+    that wide (a cell list) yields the midpoints in the 3 x 3 square of cells
     around each point, and the bounding-circle test keeps a superset of the
     pairs closer than eps without forming all T x S of them; on a grid of
-    at most 2 x 2 cells, which each block covers, the candidates are all
-    T * S pairs. Candidates are formed and tested for a range of points at
-    a time, each range holding at most ``_BLOCK`` of them. Non-compact
-    kernels reach every segment, so their list holds all T * S pairs.
+    at most 2 x 2 cells, which each square covers, the candidates are all
+    T * S pairs. A range holds at most ``_BLOCK`` candidates (more only
+    when one point has more), formed and tested together. Non-compact
+    kernels reach every segment, so their blocks keep every candidate.
     """
     count, size = len(points), table.size
-    if not spec.compact_support or count == 0 or size == 0:
-        return _every_pair(count, size)
-    reach = (eps + 0.5 * table.length) * (1.0 + 1e-9)  # slack for rounding
-    mids = table.midpoint
-    origin = mids.min(axis=0)
-    span = mids.max(axis=0) - origin
-    width = max(reach.max(), span.max() / 2.0 ** 20)  # at most 2^20 cells a side
-    shape = (span // width).astype(int) + 1
-    one_block = bool(np.all(shape <= 2))
-    if one_block:
-        per_point = np.full(count, size)
+    compact = spec.compact_support and count > 0 and size > 0
+    cells = False
+    per_point = np.full(count, size)
 
-        def candidates(lo, hi):
-            i, j = _every_pair(hi - lo, size)
-            return i + lo, j
-    else:
+    def candidates(lo, hi):
+        return np.repeat(np.arange(lo, hi), size), np.tile(np.arange(size), hi - lo)
+
+    if compact:
+        reach = (eps + 0.5 * table.length) * (1.0 + 1e-9)  # slack for rounding
+        reach2 = reach * reach
+        mids = table.midpoint
+        origin = mids.min(axis=0)
+        span = mids.max(axis=0) - origin
+        width = max(reach.max(), span.max() / 2.0 ** 20)  # at most 2^20 cells a side
+        shape = (span // width).astype(int) + 1
+        cells = not np.all(shape <= 2)
+    if cells:
         cell = ((mids - origin) // width).astype(int)
         keys = cell[:, 0] * shape[1] + cell[:, 1]
         order = np.argsort(keys, kind="stable")
@@ -190,25 +186,20 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
             i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
             return i, order[np.repeat(first[lo:hi].ravel() - ends + runs, runs)
                             + np.arange(ends[-1])]
-    reach2 = reach * reach
-    found = []
+    blocks = []
     for lo, hi in _runs(np.cumsum(per_point)):
         i, j = candidates(lo, hi)
-        gap = _rows(points, i)
-        gap -= _rows(mids, j)
-        gap *= gap
-        near = gap[:, 0] + gap[:, 1] <= np.take(reach2, j)
-        if one_block:
-            found.append((i[near], j[near]))
-        else:
-            pair = np.sort(i[near] * size + j[near])
-            found.append((pair // size, pair % size))
-    return tuple(np.concatenate(part) for part in zip(*found))
-
-
-def _every_pair(count: int, size: int):
-    """Indices (i, j) of all ``count`` x ``size`` pairs, by point then segment."""
-    return np.repeat(np.arange(count), size), np.tile(np.arange(size), count)
+        if compact:
+            gap = _rows(points, i)
+            gap -= _rows(mids, j)
+            gap *= gap
+            near = gap[:, 0] + gap[:, 1] <= np.take(reach2, j)
+            i, j = i[near], j[near]
+        if cells:
+            pair = np.sort(i * size + j)
+            i, j = pair // size, pair % size
+        blocks.append((i, j))
+    return blocks
 
 
 def _rows(array: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -220,7 +211,7 @@ def _rows(array: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _add_at(total: np.ndarray, index: np.ndarray, values: np.ndarray):
     """``total[index] += values`` for (N,) or (N, 2) ``values``, entry by
     entry in list order: the order of one ``np.bincount`` over a whole
-    list, so a list added slice by slice sums to the same bits. An (S, 2)
+    list, so a list added block by block sums to the same bits. An (S, 2)
     total takes one coordinate at a time, several times faster than whole
     rows."""
     if values.ndim == 2:
@@ -234,28 +225,26 @@ def _nearest(points: np.ndarray, table: SegmentTable, eps: float, spec: KernelSp
     """Each point's minimum distance to each path, as a (T, n) array, and
     the nearest pair of every (point, path) with pairs on the list.
 
-    The nearest pair is given as its point, segment, projection parameter
-    and distance; ties go to the lowest segment index, as ``argmin`` takes
-    them. A path with no pair on the list is at infinite distance, where
-    the compact kernel that left it off is 0. The list is walked in
-    slices, whose cuts between points never split a (point, path) run.
+    The nearest pairs come as one tuple per block of :func:`_pair_list`:
+    their points, segments, projection parameters and distances. Ties go
+    to the lowest segment index, as ``argmin`` takes them. A path with no
+    pair on the list is at infinite distance, where the compact kernel
+    that left it off is 0. Blocks are cut between points, so none splits
+    a (point, path) run.
     """
-    i, j = _pair_list(table, points, eps, spec)
     paths = len(table.group_starts)
     min_dist = np.full((len(points), paths), np.inf)
     found = []
-    for s in _slices(i, len(points)):
-        i_s, j_s = i[s], j[s]
-        t_par, dist = pair_projection(_rows(points, i_s), _rows(table.a, j_s),
-                                      _rows(table.b, j_s))
-        run = i_s * paths + table.owner[j_s]
+    for i, j in _pair_list(table, points, eps, spec):
+        t_par, dist = pair_projection(_rows(points, i), _rows(table.a, j), _rows(table.b, j))
+        run = i * paths + table.owner[j]
         starts = np.flatnonzero(np.diff(run, prepend=-1))
         low = np.minimum.reduceat(dist, starts)
         at_low = dist == np.repeat(low, np.diff(starts, append=len(dist)))
         rows = np.minimum.reduceat(np.where(at_low, np.arange(len(dist)), len(dist)), starts)
         min_dist.flat[run[starts]] = low
-        found.append((i_s[rows], j_s[rows], t_par[rows], low))
-    return min_dist, tuple(np.concatenate(part) for part in zip(*found))
+        found.append((i[rows], j[rows], t_par[rows], low))
+    return min_dist, found
 
 
 def _multiplicity_max(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
@@ -263,7 +252,7 @@ def _multiplicity_max(points: np.ndarray, table: SegmentTable, masses: np.ndarra
     return kernel_eval(spec, _nearest(points, table, eps, spec)[0] / eps) @ masses
 
 
-def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec()) :
+def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec()):
     """Max-form mollified multiplicity at the query points.
 
     Sums mass times the scaled kernel of the exact point-to-polyline
@@ -288,54 +277,43 @@ def _pairs(table: SegmentTable, points: np.ndarray, i: np.ndarray, j: np.ndarray
     return kernel_segment_integral(spec, *args, quad_points), None
 
 
-def _value_pass(table: SegmentTable, points: np.ndarray, pairs: tuple, eps: float, add,
-                spec: KernelSpec = KernelSpec(), quad_points: int = 32):
-    """Kernel segment integrals of ``pairs``, the (i, j) :func:`_pair_list`
-    of ``points``, slice by slice: ``add(i, j, value)`` takes each slice's
-    points, segments and integrals, in list order. Returns the pairs' bump
-    support moments (None for other kernels)."""
-    i, j = pairs
-    moments = None
-    for s in _slices(i, len(points)):
-        value, part = _pairs(table, points, i[s], j[s], eps, spec, quad_points)
-        if part is not None:
-            # Made once the first slice's temporaries are freed: kept arrays
-            # made ahead of them leave the temporaries on top of the heap,
-            # which the allocator hands back to the system after each call,
-            # and fig2-sized plans then took 2 to 3 times the page faults.
-            if moments is None:
-                moments = tuple(np.empty(len(i)) for _ in part)
-            for whole, piece in zip(moments, part):
-                whole[s] = piece
-        add(i[s], j[s], value)
+def _value_pass(table: SegmentTable, points: np.ndarray, pairs: list, eps: float, add,
+                spec: KernelSpec = KernelSpec(), quad_points: int = 32) -> list:
+    """Kernel segment integrals of ``pairs``, the blocks :func:`_pair_list`
+    gave for ``points``, block by block: ``add(i, j, value)`` takes each
+    block's points, segments and integrals, in list order. Returns each
+    block's bump support moments (None for other kernels)."""
+    moments = []
+    for i, j in pairs:
+        value, part = _pairs(table, points, i, j, eps, spec, quad_points)
+        moments.append(part)
+        add(i, j, value)
     return moments
 
 
-def _pair_pulls(table: SegmentTable, pairs: tuple, eps: float, moments, weigh,
+def _pair_pulls(table: SegmentTable, pairs: list, eps: float, moments: list, weigh,
                 spec: KernelSpec = KernelSpec(), quad_points: int = 32):
-    """Chain rule through the integrals of the midpoint ``pairs``, slice by
-    slice, reusing the value pass's bump ``moments``: ``weigh(i, j, value)``
-    gives the weight on each value of a slice, and the weighted derivatives
-    add up to (S, 2) segment start and end pulls and (S, 2) midpoint pulls.
-    No derivative array outlives its slice."""
-    i, j = pairs
+    """Chain rule through the integrals of the midpoint ``pairs``, block by
+    block, reusing each block's bump ``moments`` from the value pass:
+    ``weigh(i, j, value)`` gives the weight on each value of a block, and
+    the weighted derivatives add up to (S, 2) segment start and end pulls
+    and (S, 2) midpoint pulls. No derivative array outlives its block."""
     ga, gb, gx = np.zeros((3, table.size, 2))
-    for s in _slices(i, table.size):
-        part = None if moments is None else tuple(m[s] for m in moments)
-        value, d_a, d_b, d_x = _pairs(table, table.midpoint, i[s], j[s], eps, spec,
-                                      quad_points, grad=True, moments=part)
-        weight = weigh(i[s], j[s], value)[:, None]
-        _add_at(ga, j[s], weight * d_a)
-        _add_at(gb, j[s], weight * d_b)
-        _add_at(gx, i[s], weight * d_x)
+    for (i, j), part in zip(pairs, moments):
+        value, d_a, d_b, d_x = _pairs(table, table.midpoint, i, j, eps, spec, quad_points,
+                                      grad=True, moments=part)
+        weight = weigh(i, j, value)[:, None]
+        _add_at(ga, j, weight * d_a)
+        _add_at(gb, j, weight * d_b)
+        _add_at(gx, i, weight * d_x)
     return ga, gb, gx
 
 
-def _capped(table: SegmentTable, points: np.ndarray, pairs: tuple, masses: np.ndarray,
+def _capped(table: SegmentTable, points: np.ndarray, pairs: list, masses: np.ndarray,
             eps: float, spec: KernelSpec, quad_points: int):
     """Value pass of the average form: the mass-weighted sum of per-path arc
     integrals at the points, each capped at 1, the (T, n) mask of (point,
-    path) integrals below the cap, and the pairs' bump support moments."""
+    path) integrals below the cap, and each block's bump support moments."""
     paths = len(masses)
     inner = np.zeros(len(points) * paths)
 
@@ -405,16 +383,16 @@ def energy_max(plan, alpha: float, eps: float,
 
     Sum over segments of w(mid)^(alpha-1) * mass * length, where w is
     :func:`multiplicity_max`. Bounded above by the exact plan cost. The
-    result carries its settings, segment table and nearest pairs for
-    :func:`energy_max_gradient`.
+    result carries its settings, segment table, nearest pairs and
+    multiplicities for :func:`energy_max_gradient`.
     """
     _check_alpha(alpha)
     _check_eps(eps)
     table, masses = _path_table(plan)
-    nearest = _nearest(table.midpoint, table, eps, spec)
-    w = kernel_eval(spec, nearest[0] / eps) @ masses
+    min_dist, nearest = _nearest(table.midpoint, table, eps, spec)
+    w = kernel_eval(spec, min_dist / eps) @ masses
     return _midpoint_energy(table, w, alpha, "energy_max", _Evaluation(
-        "energy_max", (alpha, eps, spec), (table, masses, nearest)))
+        "energy_max", (alpha, eps, spec), (table, masses, nearest, w)))
 
 
 def energy_avg(plan, alpha: float, eps: float,
@@ -422,7 +400,7 @@ def energy_avg(plan, alpha: float, eps: float,
     """Midpoint-rule energy of a path plan or its segment table, built on
     the integral-average multiplicity.
 
-    The result carries its settings, segment table, pair list, the pairs'
+    The result carries its settings, segment table, pair blocks, their
     support moments, the multiplicities and their below-the-cap mask for
     :func:`energy_avg_gradient`.
     """
@@ -467,23 +445,20 @@ def energy_max_gradient(value) -> np.ndarray:
     derivative there, which matches the flat own-path direction.
     """
     record = _record(value, "energy_max")
-    (alpha, eps, spec), (table, masses, nearest) = record.settings, record.data
-    min_dist, (point, seg, tp, dval) = nearest
-    points = table.midpoint
-    w = kernel_eval(spec, min_dist / eps) @ masses
+    (alpha, eps, spec), (table, masses, nearest, w) = record.settings, record.data
     gw, g_len = _gradient_weights(table, w, alpha, "energy_max_gradient")
-
-    # One pull per (point, path) run, through the nearest segment of the path.
-    coeff = gw[point] * masses[table.owner[seg]] * kernel_derivative(spec, dval / eps) / eps
-    positive = dval > 0.0
-    proj = table.a[seg] + tp[:, None] * (table.b[seg] - table.a[seg])
-    normal = np.zeros((len(seg), 2))
-    normal[positive] = (points[point[positive]] - proj[positive]) / dval[positive, None]
-    pull = coeff[:, None] * normal
     ga, gb, gx = np.zeros((3, table.size, 2))
-    _add_at(ga, seg, -(1.0 - tp[:, None]) * pull)
-    _add_at(gb, seg, -tp[:, None] * pull)
-    _add_at(gx, point, pull)
+    # One pull per (point, path) run, through the nearest segment of the path.
+    for point, seg, tp, dval in nearest:
+        coeff = gw[point] * masses[table.owner[seg]] * kernel_derivative(spec, dval / eps) / eps
+        positive = dval > 0.0
+        proj = table.a[seg] + tp[:, None] * (table.b[seg] - table.a[seg])
+        normal = np.zeros((len(seg), 2))
+        normal[positive] = (table.midpoint[point] - proj)[positive] / dval[positive, None]
+        pull = coeff[:, None] * normal
+        _add_at(ga, seg, -(1.0 - tp[:, None]) * pull)
+        _add_at(gb, seg, -tp[:, None] * pull)
+        _add_at(gx, point, pull)
     return scatter_segment_gradients(table, ga, gb, gx, g_len)
 
 
@@ -499,14 +474,14 @@ def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
     return _mollified_flux(table, eps, _branch_pairs(table, eps))[0]
 
 
-def _branch_pairs(table: SegmentTable, eps: float) -> tuple:
+def _branch_pairs(table: SegmentTable, eps: float) -> list:
     """Pair list of the mollified flux: midpoints against segments under
     the bump kernel."""
     return _pair_list(table, table.midpoint, eps, KernelSpec())
 
 
-def _mollified_flux(table: SegmentTable, eps: float, pairs: tuple):
-    """Mollified flux at the midpoints and the support moments of ``pairs``."""
+def _mollified_flux(table: SegmentTable, eps: float, pairs: list):
+    """Mollified flux at the midpoints and each block's support moments."""
     flux_mol = np.zeros(table.size)
 
     def add(i, j, value):
@@ -552,16 +527,16 @@ def branch_irrigation_cost(plan: BranchPlan, alpha: float, eps: float,
 
 
 def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float, f_min: float,
-                       pairs: tuple):
-    """Per-segment irrigation cost terms, the support moments of ``pairs``
-    and the mollified flux."""
+                       pairs: list):
+    """Per-segment irrigation cost terms, the support moments of each block
+    of ``pairs`` and the mollified flux."""
     flux_mol, moments = _mollified_flux(table, eps, pairs)
     transported = table.flux * table.length
     return floored_power(flux_mol, transported, alpha, f_min) * transported, moments, flux_mol
 
 
 def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: float,
-                          pairs: tuple, moments: tuple, flux_mol: np.ndarray):
+                          pairs: list, moments: list, flux_mol: np.ndarray):
     """Gradient of the branch irrigation cost (F = sum of value * flux over
     the pairs of :func:`_branch_pairs`, with the moments and mollified flux
     the cost returned): pulls ga, gb, gx, direct length sensitivity g_len,
@@ -585,7 +560,7 @@ def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: 
     g_flux = np.zeros(table.size)
 
     def weigh(i, j, value):
-        # Each slice also adds its pairs' share of the flux adjoint, by segment.
+        # Each block also adds its pairs' share of the flux adjoint, by segment.
         pull = g_flux_mol[i]
         _add_at(g_flux, j, value * pull)
         return pull * table.flux[j]

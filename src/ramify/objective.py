@@ -158,7 +158,7 @@ def crowding_penalty(plan: BranchPlan, cfg: ObjectiveConfig) -> float:
 def tree_objective(plan, cfg: ObjectiveConfig) -> ObjectiveValue:
     """Evaluate J = I + c1 * P - c2 * H on a branch plan or its segment table.
 
-    The result carries its config, segment table, pair list, the pairs'
+    The result carries its config, segment table, pair blocks, their
     support moments, the mollified flux and the crowding matrix for
     :func:`tree_objective_gradient`.
     """

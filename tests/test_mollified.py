@@ -474,6 +474,12 @@ def _bounding_circle_pairs(table, points, eps):
     return t_in * table.size + s_in
 
 
+def _joined_pairs(table, points, eps, spec):
+    """The blocks of the pair list joined into one pair of (i, j) arrays."""
+    blocks = _pair_list(table, points, eps, spec)
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
 def test_pair_list_holds_every_pair_within_eps():
     rng = np.random.default_rng(11)
     for trial in range(12):
@@ -487,14 +493,41 @@ def test_pair_list_holds_every_pair_within_eps():
                                    table.b[None, :, :])[1]
             for eps in PAIR_EPS:
                 for kind in ("bump", "triangular"):
-                    i, j = _pair_list(table, points, eps, KernelSpec(kind))
+                    i, j = _joined_pairs(table, points, eps, KernelSpec(kind))
                     listed = i * table.size + j
                     assert np.all(np.diff(listed) > 0)  # sorted by point, then segment
                     t_near, s_near = np.nonzero(dist < eps)
                     assert np.all(np.isin(t_near * table.size + s_near, listed))
                     assert np.array_equal(listed, _bounding_circle_pairs(table, points, eps))
-                i, j = _pair_list(table, points, eps, KernelSpec("exponential"))
+                i, j = _joined_pairs(table, points, eps, KernelSpec("exponential"))
                 assert np.array_equal(i * table.size + j, np.arange(dist.size))
+
+
+@pytest.mark.parametrize("block", [1, 50, mollified_module._BLOCK])
+def test_pair_list_blocks_are_whole_point_ranges(monkeypatch, block):
+    # _nearest reads each (point, path) run from one block, and the memory
+    # budget counts on no block passing _BLOCK pairs but one point's.
+    monkeypatch.setattr(mollified_module, "_BLOCK", block)
+    rng = np.random.default_rng(19)
+    table = segment_table(_jittered_star(rng, 8))
+    points = table.midpoint
+    # eps 3.0 gives a grid of at most 2 x 2 cells, 0.1 a cell list.
+    for kind, eps in [("bump", 3.0), ("bump", 0.1), ("triangular", 3.0), ("triangular", 0.1),
+                      ("exponential", 0.1)]:
+        blocks = _pair_list(table, points, eps, KernelSpec(kind))
+        if block < mollified_module._BLOCK:
+            assert len(blocks) > 1
+        ranges = []
+        for i, j in blocks:
+            # Every midpoint pairs with its own segment, so each appears.
+            ranges.append(np.arange(i[0], i[-1] + 1))
+            assert np.array_equal(np.unique(i), ranges[-1])
+            assert len(i) <= block or i[0] == i[-1]
+        assert np.array_equal(np.concatenate(ranges), np.arange(len(points)))
+        i, j = _joined_pairs(table, points, eps, KernelSpec(kind))
+        expected = np.arange(len(points) * table.size) if kind == "exponential" else \
+            _bounding_circle_pairs(table, points, eps)
+        assert np.array_equal(i * table.size + j, expected)
 
 
 def test_pair_list_consumers_match_the_dense_grid():
@@ -565,7 +598,7 @@ def _sliced_outputs(rng_seed):
                 out += [avg.terms, energy_avg_gradient(avg), top.terms, energy_max_gradient(top),
                         multiplicity_avg(probes, plan, eps, spec),
                         multiplicity_max(probes, plan, eps, spec),
-                        *_pair_list(table, table.midpoint, eps, spec)]
+                        *_joined_pairs(table, table.midpoint, eps, spec)]
     for _ in range(2):
         plan = random_branch_plan(rng, max_branches=6, max_segments=12)
         for eps in (0.8, 0.1):
@@ -588,7 +621,7 @@ def test_slicing_the_pair_list_changes_no_bit(monkeypatch):
 def test_energy_avg_and_its_gradient_stay_within_a_slice_budget():
     # The value record keeps the pair list and the bump moments, 40 bytes a
     # pair, and the (T, n) path sums come with a mask; every other array
-    # lives for one slice of at most _BLOCK pairs. Whole-list temporaries
+    # lives for one block of at most _BLOCK pairs. Whole-list temporaries
     # took about 250 bytes a pair.
     plan = build_star_plan(half_circle_targets(100), segments_per_path=16)
     tracemalloc.start()
@@ -598,10 +631,10 @@ def test_energy_avg_and_its_gradient_stay_within_a_slice_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    pairs = len(value._evaluation.data[2][0])
+    pairs = sum(len(i) for i, _ in value._evaluation.data[2])
     assert pairs > 4 * mollified_module._BLOCK
     path_sums = 9 * value.terms.size * len(plan.paths)  # float sums and their bool mask
-    slice_arrays = 48 * 8 * mollified_module._BLOCK  # 48 float arrays of one slice
+    slice_arrays = 48 * 8 * mollified_module._BLOCK  # 48 float arrays of one block
     assert peak < 40 * pairs + path_sums + slice_arrays
 
 

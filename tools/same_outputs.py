@@ -14,8 +14,8 @@ read only), ``treeopt --preset fig4``, ``irrigate --functional max`` on the
 irrigate-star config, ``gradcheck``, ``gamma-table`` and ``counterexample``
 with their default configs, and three short runs of the kernels and
 penalties no other run reaches (``SHORT_RUNS``). Runs go one at a time,
-and each prints its exit code and peak resident memory; irrigate-wide,
-the largest, peaks at about 50 MB.
+and each prints its exit code, peak resident memory and minor page
+faults; irrigate-wide, the largest, peaks at about 50 MB.
 """
 
 from __future__ import annotations
@@ -92,9 +92,10 @@ def extract_src(rev: str, dest: str) -> str:
 def run_all(src: str, runs: dict, out_root: str) -> dict:
     """Run every entry against ``src``; returns run name -> exit code.
 
-    Prints each run's exit code and peak resident memory, from the child's
-    own resource usage (``ru_maxrss``, in kilobytes on Linux); the memory
-    is information only and takes no part in the comparison.
+    Prints each run's exit code, peak resident memory and minor page
+    faults, from the child's own resource usage (``ru_maxrss``, in
+    kilobytes on Linux, and ``ru_minflt``); the memory and faults are
+    information only and take no part in the comparison.
     """
     env = dict(os.environ, PYTHONPATH=src, RAMIFY_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     codes = {}
@@ -105,7 +106,8 @@ def run_all(src: str, runs: dict, out_root: str) -> dict:
                                  stderr=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = codes[name] = os.waitstatus_to_exitcode(status)
-        print(f"  {name}: exit {codes[name]}, peak {usage.ru_maxrss / 1024:.1f} MB", flush=True)
+        print(f"  {name}: exit {codes[name]}, peak {usage.ru_maxrss / 1024:.1f} MB, "
+              f"{usage.ru_minflt} minor faults", flush=True)
     return codes
 
 
