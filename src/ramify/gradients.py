@@ -91,11 +91,16 @@ def plan_to_vector(plan) -> np.ndarray:
     return Layout.of(plan).base
 
 
+def owner_slices(vector: np.ndarray, layout: Layout) -> list:
+    """Each owner's x, y and density slots of a flat vector, as views into
+    it (writable when the vector is); a path's density slice is empty."""
+    return [(vector[lo:lo + count], vector[lo + count:lo + 2 * count], vector[lo + 2 * count:hi])
+            for lo, hi, count in zip(layout.offsets, layout.offsets[1:], layout.counts)]
+
+
 def vector_to_plan(vector: np.ndarray, layout: Layout):
     """The plan at a flat vector, validated like every plan."""
-    vector = np.asarray(vector, dtype=float)
-    pieces = [(vector[lo:lo + count], vector[lo + count:lo + 2 * count], vector[lo + 2 * count:hi])
-              for lo, hi, count in zip(layout.offsets, layout.offsets[1:], layout.counts)]
+    pieces = owner_slices(np.asarray(vector, dtype=float), layout)
     _, _, _, pinned, masses = layout.columns
     if masses is None:
         return BranchPlan(tuple(Branch(x=xs, y=ys, m=ms) for xs, ys, ms in pieces))

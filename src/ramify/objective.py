@@ -95,12 +95,6 @@ def _parameter_steps(table: SegmentTable) -> np.ndarray:
     return (1.0 / table.segments)[table.owner]
 
 
-def leaf_payoff(plan: BranchPlan) -> float:
-    """Total leaf mass of the plan: sum of density times segment length."""
-    table = _branch_table(plan)
-    return float((table.density * table.length).sum())
-
-
 def _square_distances(midpoints: np.ndarray) -> np.ndarray:
     """(S, S) squared distances between midpoints, the x part plus the y
     part: the order of a sum over the coordinate axis, without its cost."""

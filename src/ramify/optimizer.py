@@ -26,11 +26,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gradients import Layout, plan_to_vector, vector_to_plan
+from .geometry import cumulative_arclength, resample_polyline, segment_lengths
+from .gradients import Layout, owner_slices, vector_to_plan
 from .kernels import KernelSpec
 from .mollified import energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
 from .objective import ObjectiveConfig, ObjectiveValue, tree_objective, tree_objective_gradient
-from .plan_model import _owners
 
 TRACE_FIELDS = ("iter", "eps", "J", "I", "P", "H", "tau", "gnorm", "backtracks")
 TRACE_HEADER = ",".join(TRACE_FIELDS)
@@ -120,7 +120,8 @@ class RunTrace:
 class Evaluator:
     """Objective and gradient callables over one plan type.
 
-    ``objective(plan)`` returns an :class:`ObjectiveValue`;
+    ``objective(table)`` returns an :class:`ObjectiveValue`; the descent
+    hands it segment tables only, though a plan is taken as well.
     ``gradient(value)`` returns the flat gradient at the plan of ``value``,
     a result of that objective.
     """
@@ -178,13 +179,39 @@ def project_plan(plan):
     return vector_to_plan(feasibility_project(layout.base, layout), layout)
 
 
-def rediscretize_plan(plan):
-    """Re-sample every path or branch to equal arc length between knots.
+def rediscretize_plan(x: np.ndarray, layout: Layout) -> np.ndarray:
+    """A copy of the flat vector ``x`` with every path or branch re-sampled
+    to equal arc length between its knots.
 
-    Knot counts, endpoints and leaf mass are unchanged; see ``Path.resampled``
-    and ``Branch.resampled``.
+    Knot counts and endpoints are unchanged. The density of each new branch
+    interval carries the mass of the old arc span it covers. A zero-length
+    branch, or one whose remapped leaf mass drifts by more than 1e-9
+    relative, keeps its slots.
     """
-    return type(plan)(tuple(owner.resampled() for owner in _owners(plan)))
+    out = np.array(x, dtype=float)
+    for xs, ys, ms in owner_slices(out, layout):
+        vertices = np.column_stack([xs, ys])
+        if not len(ms):  # a path
+            new_vertices, _ = resample_polyline(vertices, len(xs))
+        else:
+            arcs = cumulative_arclength(vertices)
+            if float(arcs[-1]) == 0.0:
+                continue
+            new_vertices, new_arcs = resample_polyline(vertices, len(xs))
+            new_lengths = segment_lengths(new_vertices)
+            # overlap[q, p]: arc length shared by old interval q and new interval p.
+            overlap = (np.minimum(new_arcs[None, 1:], arcs[1:, None])
+                       - np.maximum(new_arcs[None, :-1], arcs[:-1, None]))
+            # Reducing along axis 0 adds the old intervals in order, one row at
+            # a time; a pairwise sum would change the last bits of the result.
+            acc = np.where(overlap > 0.0, ms[:, None] * overlap, 0.0).sum(axis=0)
+            new_m = np.divide(acc, new_lengths, out=np.zeros(len(ms)), where=new_lengths > 0.0)
+            old_mass = float((ms * segment_lengths(vertices)).sum())
+            if abs(float((new_m * new_lengths).sum()) - old_mass) > 1e-9 * max(1.0, old_mass):
+                continue
+            ms[:] = new_m
+        xs[:], ys[:] = new_vertices[:, 0], new_vertices[:, 1]
+    return out
 
 
 def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad: np.ndarray,
@@ -239,11 +266,11 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     its start, and one that finds no decrease ends the stage.
 
     The state is the iterate, a flat vector in the starting plan's layout,
-    and its objective value; the start and every trial are evaluated on
-    tables built from the vector. A plan is built from it only where one
-    is read: as the input to a resample, for ``on_iteration`` when one is
-    given, and for the return. Each gradient is taken of the objective
-    value of the accepted iterate (the accepted trial or resample).
+    and its objective value; the start, every trial and every resample are
+    evaluated on tables built from the vector. A plan is built from it only
+    where one is read: for ``on_iteration`` when one is given, and for the
+    return. Each gradient is taken of the objective value of the accepted
+    iterate (the accepted trial or resample).
     """
     evals = rejected = 0
 
@@ -276,12 +303,12 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
             break
         x, tau_prev = trial, tau
         if cfg.rediscretize_every > 0 and it % cfg.rediscretize_every == 0:
-            resampled = rediscretize_plan(vector_to_plan(x, layout))
-            resampled_value = counted.objective(resampled)
+            resampled = rediscretize_plan(x, layout)
+            resampled_value = counted.objective(layout.table(resampled))
             if not np.isfinite(resampled_value.total):
                 reason = "nonfinite"  # the accepted trial still gets its row
             elif resampled_value.total <= new_value.total:
-                x, new_value = plan_to_vector(resampled), resampled_value
+                x, new_value = resampled, resampled_value
             # A rejected resample's evaluation would otherwise be held until the next one.
             del resampled, resampled_value
         row = TraceRow(

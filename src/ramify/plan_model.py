@@ -6,8 +6,8 @@ the source at the origin to the atom position. A branch plan carries
 polylines with a piecewise-constant leaf density along each branch, so
 mass is shed continuously instead of delivered at terminals.
 
-A plan's ``owners`` (its paths or branches) validate, resample and
-serialize themselves; each kind's flux rule lives in the table builder.
+A plan's ``owners`` (its paths or branches) validate and serialize
+themselves; each kind's flux rule lives in the table builder.
 
 All value objects freeze their arrays after validation; operations that
 modify a plan build a new one.
@@ -21,8 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import (bounding_box_diameter, cumulative_arclength, resample_polyline,
-                       segment_lengths)
+from .geometry import bounding_box_diameter
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -92,11 +91,6 @@ class Path:
     @property
     def segments(self) -> int:
         return self.vertices.shape[0] - 1
-
-    def resampled(self) -> "Path":
-        """The same curve with its knots at equal arc length."""
-        verts, _ = resample_polyline(self.vertices, self.vertices.shape[0])
-        return Path(vertices=verts, mass=self.mass, terminal_fixed=self.terminal_fixed)
 
     def to_dict(self) -> dict:
         return {"mass": float(self.mass), "terminal_fixed": bool(self.terminal_fixed),
@@ -185,33 +179,6 @@ class Branch:
     @property
     def densities(self) -> np.ndarray:
         return self.m
-
-    def resampled(self) -> "Branch":
-        """The same curve with its knots at equal arc length.
-
-        The mass of each new interval is the mass of the old arc span it
-        covers. A zero-length branch, or one whose remapped leaf mass
-        drifts by more than 1e-9 relative, comes back unchanged.
-        """
-        vertices = self.vertices
-        arcs = cumulative_arclength(vertices)
-        if float(arcs[-1]) == 0.0:
-            return self
-        count = len(self.m)
-        new_vertices, new_arcs = resample_polyline(vertices, count + 1)
-        new_lengths = segment_lengths(new_vertices)
-        # overlap[q, p]: arc length shared by old interval q and new interval p.
-        overlap = (np.minimum(new_arcs[None, 1:], arcs[1:, None])
-                   - np.maximum(new_arcs[None, :-1], arcs[:-1, None]))
-        # Reducing along axis 0 adds the old intervals in order, one row at
-        # a time; a pairwise sum would change the last bits of the result.
-        acc = np.where(overlap > 0.0, self.m[:, None] * overlap, 0.0).sum(axis=0)
-        new_m = np.divide(acc, new_lengths, out=np.zeros(count), where=new_lengths > 0.0)
-        old_mass = float((self.m * segment_lengths(vertices)).sum())
-        new_mass = float((new_m * new_lengths).sum())
-        if abs(new_mass - old_mass) > 1e-9 * max(1.0, old_mass):
-            return self
-        return Branch(x=new_vertices[:, 0], y=new_vertices[:, 1], m=new_m)
 
     def to_dict(self) -> dict:
         return {key: [float(v) for v in getattr(self, key)] for key in ("x", "y", "m")}

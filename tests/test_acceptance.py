@@ -19,6 +19,7 @@ from ramify.exact_cost import (
     exact_multiplicity,
     exact_plan_cost,
 )
+from ramify.gradients import Layout, plan_to_vector, vector_to_plan
 from ramify.mollified import (
     energy_avg,
     energy_max,
@@ -246,7 +247,8 @@ def test_descent_contracts_hold_exactly():
     rng = np.random.default_rng(7)
     for _ in range(10):
         plan = random_branch_plan(rng)
-        fresh = rediscretize_plan(plan)
+        layout = Layout.of(plan)
+        fresh = vector_to_plan(rediscretize_plan(plan_to_vector(plan), layout), layout)
         for old, new in zip(plan.branches, fresh.branches):
             seg_old = np.diff(np.column_stack([old.x, old.y]), axis=0)
             seg_new = np.diff(np.column_stack([new.x, new.y]), axis=0)

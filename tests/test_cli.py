@@ -229,7 +229,7 @@ def _streamed_trace(command, config):
 @pytest.mark.parametrize("command, config", [("irrigate", TINY_IRRIGATE),
                                              ("treeopt", TINY_TREEOPT)],
                          ids=["irrigate", "treeopt"])
-def test_runs_build_plans_only_for_resamples_stage_ends_and_the_start(
+def test_runs_build_plans_only_for_stage_ends_and_the_start(
         tmp_path, monkeypatch, command, config):
     expected = _streamed_trace(command, config)
     builds, resamples = [], []
@@ -249,8 +249,8 @@ def test_runs_build_plans_only_for_resamples_stage_ends_and_the_start(
     assert main([command, "--config", _write_config(tmp_path, config), "--out", out]) == 0
     summary = _read_json(os.path.join(out, "summary.json"))
     assert len(resamples) > 0
-    # project_plan's one, one per resample input and one per stage end.
-    assert len(builds) == 1 + len(resamples) + len(summary["stage_reasons"])
+    # project_plan's one and one per stage end; a resample builds none.
+    assert len(builds) == 1 + len(summary["stage_reasons"])
     with open(os.path.join(out, "trace.csv"), "rb") as handle:
         assert handle.read() == expected
 

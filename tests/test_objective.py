@@ -10,7 +10,6 @@ from ramify.objective import (
     _penalty_slopes,
     crowding_penalty,
     fd_gradient,
-    leaf_payoff,
     tree_objective,
     tree_objective_gradient,
 )
@@ -21,6 +20,7 @@ from ramify.plan_model import (
     PathPlan,
     build_fan_branches,
     random_branch_plan,
+    segment_table,
 )
 
 
@@ -56,7 +56,7 @@ def test_path_plans_are_rejected_with_type_error():
     path = Path(vertices=np.array([[0.0, 0.0], [1.0, 0.0]]), mass=1.0)
     plan = PathPlan(paths=(path,))
     cfg = ObjectiveConfig(alpha=0.5, eps=0.3, c1=1.0)
-    for entry in (leaf_payoff, lambda p: crowding_penalty(p, cfg),
+    for entry in (lambda p: crowding_penalty(p, cfg),
                   lambda p: tree_objective(p, cfg),
                   lambda p: tree_objective_gradient(tree_objective(p, cfg))):
         with pytest.raises(TypeError, match="branch plans"):
@@ -65,7 +65,8 @@ def test_path_plans_are_rejected_with_type_error():
 
 def test_leaf_payoff_hand_sum():
     # densities 2 and 3 on intervals of length 1 and sqrt(2)
-    assert leaf_payoff(_two_branch_plan()) == pytest.approx(2.0 + 3.0 * np.sqrt(2.0), abs=1e-12)
+    payoff = tree_objective(_two_branch_plan(), ObjectiveConfig()).payoff
+    assert payoff == pytest.approx(2.0 + 3.0 * np.sqrt(2.0), abs=1e-12)
 
 
 def test_gaussian_penalty_two_intervals():
@@ -111,7 +112,8 @@ def test_objective_combines_components():
     assert val.total == pytest.approx(
         val.irrigation + 0.7 * val.penalty - 1.3 * val.payoff, abs=1e-12
     )
-    assert val.payoff == pytest.approx(leaf_payoff(plan), abs=1e-12)
+    table = segment_table(plan)
+    assert val.payoff == pytest.approx(float((table.density * table.length).sum()), abs=1e-12)
     assert val.penalty == pytest.approx(crowding_penalty(plan, cfg), abs=1e-12)
     assert val.irrigation > 0.0
 

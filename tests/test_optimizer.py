@@ -7,7 +7,7 @@ import pytest
 
 import ramify.optimizer as optimizer_module
 from ramify.geometry import cumulative_arclength, resample_polyline, segment_lengths
-from ramify.gradients import Layout, plan_to_vector, vector_to_plan
+from ramify.gradients import Layout, owner_slices, plan_to_vector, vector_to_plan
 from ramify.mollified import (
     _Evaluation,
     energy_avg,
@@ -18,7 +18,6 @@ from ramify.mollified import (
 from ramify.objective import (
     ObjectiveConfig,
     ObjectiveValue,
-    leaf_payoff,
     tree_objective,
     tree_objective_gradient,
 )
@@ -47,6 +46,7 @@ from ramify.plan_model import (
     build_star_plan,
     half_circle_targets,
     random_branch_plan,
+    segment_table,
 )
 
 
@@ -319,9 +319,21 @@ def test_resolve_tau0_defaults_to_diameter_fraction():
     assert resolve_tau0(plan, DescentConfig(tau0=None)) == pytest.approx(expected)
 
 
+def _resampled(plan):
+    """The plan at the re-discretized flat vector of ``plan``."""
+    layout = Layout.of(plan)
+    return vector_to_plan(rediscretize_plan(plan_to_vector(plan), layout), layout)
+
+
+def _leaf_mass(plan) -> float:
+    """Total leaf mass of a branch plan: density times segment length, summed."""
+    table = segment_table(plan)
+    return float((table.density * table.length).sum())
+
+
 def test_rediscretize_path_plan_equalizes_arcs():
     p = Path(vertices=np.array([[0.0, 0.0], [0.2, 0.0], [1.0, 0.0], [1.0, 1.0]]), mass=1.0)
-    out = rediscretize_plan(PathPlan(paths=(p,)))
+    out = _resampled(PathPlan(paths=(p,)))
     q = out.paths[0]
     np.testing.assert_allclose(q.vertices[0], [0.0, 0.0])
     np.testing.assert_allclose(q.vertices[-1], [1.0, 1.0])
@@ -332,7 +344,7 @@ def test_rediscretize_path_plan_equalizes_arcs():
 
 def test_rediscretize_is_fixed_point_on_equal_arcs():
     p = Path(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), mass=1.0)
-    out = rediscretize_plan(PathPlan(paths=(p,)))
+    out = _resampled(PathPlan(paths=(p,)))
     np.testing.assert_allclose(out.paths[0].vertices, p.vertices, atol=1e-12)
 
 
@@ -344,8 +356,8 @@ def test_rediscretize_branch_conserves_leaf_mass():
         y = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.5, k))])
         m = rng.uniform(0.0, 2.0, k)
         plan = BranchPlan(branches=(Branch(x=x, y=y, m=m),))
-        out = rediscretize_plan(plan)
-        assert leaf_payoff(out) == pytest.approx(leaf_payoff(plan), abs=1e-9)
+        out = _resampled(plan)
+        assert _leaf_mass(out) == pytest.approx(_leaf_mass(plan), abs=1e-9)
         b = out.branches[0]
         assert b.x[-1] == pytest.approx(x[-1], abs=1e-12)
         assert b.y[-1] == pytest.approx(y[-1], abs=1e-12)
@@ -386,14 +398,52 @@ def test_rediscretize_branch_matches_the_interval_loop_bit_for_bit():
     zero_length = Branch(x=np.zeros(4), y=np.zeros(4), m=[0.3, 0.6, 0.1])
     plans.append(BranchPlan(branches=(collapsed, zero_length)))
     for plan in plans:
-        out = rediscretize_plan(plan)
+        out = _resampled(plan)
         for old, new in zip(plan.branches, out.branches):
             expected = _reference_branch_remap(old)
             np.testing.assert_array_equal(new.x, expected.x)
             np.testing.assert_array_equal(new.y, expected.y)
             np.testing.assert_array_equal(new.m, expected.m)
-        assert abs(leaf_payoff(out) - leaf_payoff(plan)) <= 1e-12
-    assert rediscretize_plan(plans[-1]).branches[1] is zero_length
+        assert abs(_leaf_mass(out) - _leaf_mass(plan)) <= 1e-12
+    layout = Layout.of(plans[-1])
+    x = plan_to_vector(plans[-1])
+    kept, slots = owner_slices(rediscretize_plan(x, layout), layout)[1], owner_slices(x, layout)[1]
+    assert [s.tobytes() for s in kept] == [s.tobytes() for s in slots]  # the zero-length branch
+
+
+def test_rediscretize_resamples_every_owner_in_the_flat_vector():
+    rng = np.random.default_rng(23)
+    # Enough long branches that a sum in any other order changes some bit.
+    random_branches = sum((random_branch_plan(rng, max_segments=30).branches
+                           for _ in range(12)), ())
+    assert any(b.segments > 8 for b in random_branches)  # past numpy's sequential sum
+    collapsed = Branch(x=[0.0, 0.3, 0.3, 0.8, 1.1], y=[0.0, 0.4, 0.4, 0.5, 0.9],
+                       m=[0.5, 0.7, 0.2, 0.9])
+    zero_length = Branch(x=np.zeros(4), y=np.zeros(4), m=[0.3, 0.6, 0.1])
+    # Out 1.5 and back: the middle new interval runs from arc 1 to arc 2,
+    # both at (0, 1), so the remap drops its mass and the branch is kept.
+    rigged = Branch(x=np.zeros(4), y=[0.0, 1.0, 1.5, 0.0], m=[0.4, 0.5, 0.6])
+    assert _reference_branch_remap(rigged) is rigged
+    branches = BranchPlan(branches=random_branches + (collapsed, zero_length, rigged))
+    paths = PathPlan(paths=tuple(
+        Path(vertices=np.vstack([np.zeros((1, 2)), rng.uniform(-1.0, 1.0, (k, 2))]),
+             mass=0.25, terminal_fixed=bool(k % 2)) for k in (1, 3, 6, 11)))
+    for plan in (branches, paths):
+        layout = Layout.of(plan)
+        x = plan_to_vector(plan).copy()
+        before = x.tobytes()
+        out = rediscretize_plan(x, layout)
+        assert x.tobytes() == before
+        assert out[~layout.free].tobytes() == x[~layout.free].tobytes()
+        for owner, slots in zip(plan.owners, owner_slices(out, layout)):
+            if isinstance(owner, Branch):
+                expected = _reference_branch_remap(owner)
+                expected = (expected.x, expected.y, expected.m)
+            else:
+                vertices, _ = resample_polyline(owner.vertices, len(owner.vertices))
+                expected = (vertices[:, 0], vertices[:, 1], np.zeros(0))
+            assert [s.tobytes() for s in slots] == [np.ascontiguousarray(e).tobytes()
+                                                    for e in expected]
 
 
 def test_eps_continuation_stages_and_numbering():
@@ -448,10 +498,10 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
         handed.append(value)
         return inner.gradient(value)
 
-    def resample(current):
+    def resample(x, layout):
         # Alternately an equal copy, whose objective ties and is accepted,
         # and the starting plan, whose objective is higher and is rejected.
-        out = type(current)(current.owners) if len(resamples) % 2 == 0 else plan
+        out = x.copy() if len(resamples) % 2 == 0 else plan_to_vector(plan)
         resamples.append(out)
         return out
 
@@ -476,10 +526,12 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
     # The accepted copies are the plans of iterations 2 and 6; the value of
     # the rejected start plan is never differentiated. The callback gets a
     # plan built from the iterate, so a copy is matched by its coordinates.
-    assert [[k for k, at in enumerate(accepted)
-             if np.array_equal(plan_to_vector(at), plan_to_vector(copy))]
+    assert [[k for k, at in enumerate(accepted) if np.array_equal(plan_to_vector(at), copy)]
             for copy in resamples[::2]] == [[1], [5]]
-    rejected = [value for at, value in evaluated if at is plan]
+    # Every evaluation is of a table; the rejected resamples are those at
+    # the starting plan's coordinates, after the stage start.
+    start = plan_to_vector(plan)
+    rejected = [value for at, value in evaluated[1:] if np.array_equal(plan_to_vector(at), start)]
     assert len(rejected) == 2
     assert not any(value is taken for value in rejected for taken in handed)
 
@@ -590,20 +642,23 @@ def _ladder_evaluator(plan, thresholds):
     read back from its vector. An accepted trial lowers the total by one;
     a rejected one ties it, which the strict-decrease rule must refuse.
     Resamples alternately tie the accepted trial (kept) and exceed it
-    (dropped). Returns the evaluator and the steps of every search.
+    (dropped); an evaluation after a search's accepted trial and before the
+    next gradient is a resample. Returns the evaluator and the steps of
+    every search.
     """
     direction = Layout.of(plan).free.astype(float)
     searches, resamples, state = [], [], {}
 
     def objective(current):
         vector = plan_to_vector(current)
-        if isinstance(current, PathPlan):  # a resample; trials arrive as tables
+        if state.get("accepted"):  # a resample
             total = state["last"] + len(resamples) % 2
             resamples.append(total)
         elif searches:
             tau = float((state["origin"] - vector) @ direction / (direction @ direction))
             searches[-1].append(tau)
-            total = state["total"] - float(tau <= thresholds[len(searches) - 1])
+            state["accepted"] = tau <= thresholds[len(searches) - 1]
+            total = state["total"] - float(state["accepted"])
             state["last"] = total
         else:  # the stage start
             total = 0.0
@@ -612,6 +667,7 @@ def _ladder_evaluator(plan, thresholds):
 
     def gradient(value):
         state["origin"], state["total"] = value._evaluation.data[0], value.total
+        state["accepted"] = False
         searches.append([])
         return direction
 
@@ -690,8 +746,8 @@ def test_run_descent_builds_a_plan_only_where_one_is_read(monkeypatch, watch):
         plan, ev, cfg, eps=0.5, tau0=0.02,
         on_iteration=(lambda row, current: seen.append(current)) if watch else None)
     assert len(rows) == 12 and len(resamples) == 4
-    # One plan per resample input and one for the return; a callback adds
+    # One plan for the return; a resample builds none, and a callback adds
     # one per row.
-    assert len(builds) == len(resamples) + 1 + len(seen)
+    assert len(builds) == 1 + len(seen)
     assert len(seen) == (len(rows) if watch else 0)
     np.testing.assert_array_equal(plan_to_vector(out), builds[-1][0])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ramify.objective import leaf_payoff
+from ramify.objective import ObjectiveConfig, tree_objective
 from ramify.plan_model import (
     Branch,
     BranchPlan,
@@ -70,7 +70,7 @@ def test_branch_plan_total_leaf_mass():
     b = Branch(x=np.array([0.0, 1.0, 1.0]), y=np.array([0.0, 0.0, 2.0]), m=np.array([0.5, 0.25]))
     plan = BranchPlan(branches=(b,))
     # densities times segment lengths: 0.5 * 1 + 0.25 * 2
-    assert leaf_payoff(plan) == pytest.approx(1.0)
+    assert tree_objective(plan, ObjectiveConfig()).payoff == pytest.approx(1.0)
 
 
 def test_segment_table_path_fluxes():
@@ -190,12 +190,10 @@ def test_plan_to_dict_is_json_serializable():
 
 def test_plan_kind_consumers_reject_a_non_plan():
     from ramify.gradients import Layout, plan_to_vector
-    from ramify.optimizer import rediscretize_plan
     from ramify.svg import render_svg
 
     not_a_plan = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    for consumer in (segment_table, plan_to_dict, Layout.of, plan_to_vector,
-                     rediscretize_plan, render_svg):
+    for consumer in (segment_table, plan_to_dict, Layout.of, plan_to_vector, render_svg):
         with pytest.raises(TypeError, match="expected a PathPlan or BranchPlan"):
             consumer(not_a_plan)
 
@@ -319,15 +317,19 @@ def _scalars(value) -> tuple:
 
 
 def test_layout_table_matches_the_table_of_its_plan():
-    from ramify.gradients import Layout, vector_to_plan
+    from ramify.gradients import Layout, plan_to_vector, vector_to_plan
     from ramify.mollified import energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
-    from ramify.objective import ObjectiveConfig, tree_objective, tree_objective_gradient
+    from ramify.objective import tree_objective_gradient
     from ramify.optimizer import feasibility_project, rediscretize_plan
+
+    def resampled(plan):
+        layout = Layout.of(plan)
+        return vector_to_plan(rediscretize_plan(plan_to_vector(plan), layout), layout)
 
     rng = np.random.default_rng(47)
     plans = [_random_path_plan(rng) for _ in range(12)]
     plans += [random_branch_plan(rng, max_branches=5, max_segments=9) for _ in range(12)]
-    plans += [rediscretize_plan(plan) for plan in plans]
+    plans += [resampled(plan) for plan in plans]
     plans += [build_fan_branches(15, segments=10),
               build_star_plan(half_circle_targets(13), segments_per_path=16)]
     assert any(len(set(segment_table(p).segments)) > 1 for p in plans if isinstance(p, BranchPlan))
