@@ -18,13 +18,14 @@ fill ``_BLOCK``. The value pass :func:`_value_pass` evaluates the kernel
 integrals of each block and the gradient pass :func:`_pair_pulls`
 chain-rules their derivatives. For a compact kernel the list holds only
 the pairs a cell list finds near each other, so no (T, S) array is
-formed. Every per-point, per-path or per-segment sum over the pairs adds
-each block into its accumulator with ``np.add.at``, in list order as one
-``np.bincount`` over the joined list would, so the block size changes no
-bit and only block-sized temporaries exist beside the list. A bump-kernel
-value keeps each block's support moments, so its gradient skips the
-support solve; each value also keeps the multiplicities its gradient
-reads.
+formed; a stage filters one list kept with a skin (:class:`_KeptPairs`)
+into the same pairs on each call. Every per-point, per-path or
+per-segment sum over the pairs adds each block into its accumulator with
+``np.add.at``, in list order as one ``np.bincount`` over the joined list
+would, so the block size changes no bit and only block-sized temporaries
+exist beside the list. A bump-kernel value keeps each block's support
+moments, so its gradient skips the support solve; each value also keeps
+the multiplicities its gradient reads.
 
 Energies discretize the outer arc-length integral with the midpoint rule
 on the plan's own intervals. Inner segment integrals are exact for the
@@ -111,10 +112,10 @@ def _query(field, x, plan: PathPlan, eps: float, *args):
 
 # Candidate pairs per block of a pair list. A list is built and walked in
 # blocks, each the pairs of a range of points with at most this many
-# candidates (more only when one point has more), so its temporaries stay
-# this size however long the list is. Blocks of 2^14 and 2^15 candidates
-# ran the bump value and gradient fastest at S = 1,600; larger ones were
-# slower, and 2^15 keeps the fig5 fan's lists in one block.
+# candidates (more only when one point has more; a kept list is cut before
+# its filter), so temporaries stay this size however long the list is.
+# Blocks of 2^14 and 2^15 ran the bump value and gradient fastest at
+# S = 1,600; larger ones were slower, and 2^15 keeps fig5's lists in one block.
 _BLOCK = 2 ** 15
 
 
@@ -132,8 +133,8 @@ def _runs(ends: np.ndarray):
             return
 
 
-def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
-               spec: KernelSpec) -> list:
+def _pair_list(table: SegmentTable, points: np.ndarray, eps: float, spec: KernelSpec,
+               skin: float = 0.0, pack=None) -> list:
     """Point and segment indices (i, j) of every pair the kernel can reach,
     in blocks: each holds the pairs of one range of points, sorted by point
     and then by segment, and the ranges follow each other.
@@ -145,8 +146,9 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
     pairs closer than eps without forming all T x S of them; on a grid of
     at most 2 x 2 cells, which each square covers, the candidates are all
     T * S pairs. A range holds at most ``_BLOCK`` candidates (more only
-    when one point has more), formed and tested together. Non-compact
-    kernels reach every segment, so their blocks keep every candidate.
+    when one point has more), formed and tested together. A ``skin`` adds
+    to every reach; ``pack(i, j)`` stores a block as it is made. Non-compact
+    kernels keep every candidate.
     """
     count, size = len(points), table.size
     compact = spec.compact_support and count > 0 and size > 0
@@ -157,7 +159,7 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
         return np.repeat(np.arange(lo, hi), size), np.tile(np.arange(size), hi - lo)
 
     if compact:
-        reach = (eps + 0.5 * table.length) * (1.0 + 1e-9)  # slack for rounding
+        reach = (eps + 0.5 * table.length) * (1.0 + 1e-9) + skin  # slack for rounding
         reach2 = reach * reach
         mids = table.midpoint
         origin = mids.min(axis=0)
@@ -190,22 +192,74 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float,
     for lo, hi in _runs(np.cumsum(per_point)):
         i, j = candidates(lo, hi)
         if compact:
-            gap = _rows(points, i)
-            gap -= _rows(mids, j)
-            gap *= gap
-            near = gap[:, 0] + gap[:, 1] <= np.take(reach2, j)
+            near = _within(points, mids, i, j, reach2)
             i, j = i[near], j[near]
         if cells:
             pair = np.sort(i * size + j)
             i, j = pair // size, pair % size
-        blocks.append((i, j))
+        blocks.append((i, j) if pack is None else pack(i, j))
     return blocks
+
+
+def _within(points: np.ndarray, mids: np.ndarray, i, j, reach2: np.ndarray) -> np.ndarray:
+    """Which pairs (i, j) lie within the squared reach of their segment's midpoint."""
+    gap = _rows(points, i)
+    gap -= _rows(mids, j)
+    gap *= gap
+    return gap[:, 0] + gap[:, 1] <= np.take(reach2, j)
 
 
 def _rows(array: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``array[index]`` for an (N, 2) array; ``np.take`` gathers rows several
     times faster than fancy indexing."""
     return np.take(array, index, axis=0)
+
+
+# Skin of a kept pair list, in units of eps (see _KeptPairs). Skins of 0.5 to
+# 2 ran the benchmark's solves about equally fast; 0.5 keeps the fewest pairs.
+_SKIN = 0.5
+
+
+class _KeptPairs:
+    """One stage's midpoint pair list for one eps and kernel (a Verlet list,
+    Phys. Rev. 159, 1967): built with a skin of ``_SKIN * eps``, kept in its
+    blocks as first point, int32 counts per point and int32 segments, and
+    filtered by :meth:`blocks` with the list's own test into a fresh list's
+    pairs. It is rebuilt, the old list dropped first, on a new segment count
+    or once twice the largest midpoint move plus the largest half-length
+    growth since its table passes the skin. Non-compact kernels get a fresh list."""
+
+    def __init__(self, eps: float, spec: KernelSpec):
+        self.eps, self.spec, self.built = eps, spec, None  # built: (table, blocks)
+
+    def blocks(self, table: SegmentTable) -> list:
+        """The pair blocks of ``table``'s midpoints, in :func:`_pair_list`'s format."""
+        mids, skin = table.midpoint, _SKIN * self.eps
+        if not (self.spec.compact_support and table.size):
+            return _pair_list(table, mids, self.eps, self.spec)
+        ref = self.built[0] if self.built else None
+        if (ref is None or ref.size != table.size
+                or 2.0 * np.hypot(*(mids - ref.midpoint).T).max()  # less 1e-6, for rounding
+                + max(0.5 * (table.length - ref.length).max(), 0.0) >= skin * (1 - 1e-6)):
+            self.built = None  # Each block holds its first midpoint's own pair.
+            self.built = (table, _pair_list(table, mids, self.eps, self.spec, skin, lambda i, j: (
+                i[0], np.bincount(i - i[0]).astype(np.int32), j.astype(np.int32))))
+        reach2 = ((self.eps + 0.5 * table.length) * (1.0 + 1e-9)) ** 2
+        out = []
+        for first, counts, segs in self.built[1]:
+            i = np.repeat(np.arange(first, first + len(counts)), counts)
+            near = _within(mids, mids, i, segs, reach2)
+            out.append((i[near], segs[near].astype(np.intp)))
+        return out
+
+
+def _midpoint_pairs(table: SegmentTable, eps: float, spec=KernelSpec(), kept=None) -> list:
+    """Pair blocks of the table's midpoints: fresh, or from ``kept``, a kept list."""
+    if kept is None:
+        return _pair_list(table, table.midpoint, eps, spec)
+    if (kept.eps, kept.spec) != (eps, spec):
+        raise ValueError("a kept pair list serves only its own eps and kernel")
+    return kept.blocks(table)
 
 
 def _add_at(total: np.ndarray, index: np.ndarray, values: np.ndarray):
@@ -221,21 +275,21 @@ def _add_at(total: np.ndarray, index: np.ndarray, values: np.ndarray):
         np.add.at(total, index, values)
 
 
-def _nearest(points: np.ndarray, table: SegmentTable, eps: float, spec: KernelSpec):
+def _nearest(points: np.ndarray, table: SegmentTable, pairs: list):
     """Each point's minimum distance to each path, as a (T, n) array, and
     the nearest pair of every (point, path) with pairs on the list.
 
-    The nearest pairs come as one tuple per block of :func:`_pair_list`:
-    their points, segments, projection parameters and distances. Ties go
-    to the lowest segment index, as ``argmin`` takes them. A path with no
-    pair on the list is at infinite distance, where the compact kernel
-    that left it off is 0. Blocks are cut between points, so none splits
-    a (point, path) run.
+    The nearest pairs come as one tuple per block of ``pairs``, the pair
+    blocks of ``points``: their points, segments, projection parameters
+    and distances. Ties go to the lowest segment index, as ``argmin``
+    takes them. A path with no pair on the list is at infinite distance,
+    where the compact kernel that left it off is 0. Blocks are cut between
+    points, so none splits a (point, path) run.
     """
     paths = len(table.group_starts)
     min_dist = np.full((len(points), paths), np.inf)
     found = []
-    for i, j in _pair_list(table, points, eps, spec):
+    for i, j in pairs:
         t_par, dist = pair_projection(_rows(points, i), _rows(table.a, j), _rows(table.b, j))
         run = i * paths + table.owner[j]
         starts = np.flatnonzero(np.diff(run, prepend=-1))
@@ -249,7 +303,8 @@ def _nearest(points: np.ndarray, table: SegmentTable, eps: float, spec: KernelSp
 
 def _multiplicity_max(points: np.ndarray, table: SegmentTable, masses: np.ndarray,
                       eps: float, spec: KernelSpec) -> np.ndarray:
-    return kernel_eval(spec, _nearest(points, table, eps, spec)[0] / eps) @ masses
+    min_dist = _nearest(points, table, _pair_list(table, points, eps, spec))[0]
+    return kernel_eval(spec, min_dist / eps) @ masses
 
 
 def multiplicity_max(x, plan: PathPlan, eps: float, spec: KernelSpec = KernelSpec()):
@@ -376,38 +431,39 @@ def _gradient_weights(table: SegmentTable, w: np.ndarray, alpha: float, what: st
     return gw, powers * table.flux
 
 
-def energy_max(plan, alpha: float, eps: float,
-               spec: KernelSpec = KernelSpec()) -> MollifiedEval:
+def energy_max(plan, alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
+               kept=None) -> MollifiedEval:
     """Midpoint-rule energy of a path plan or its segment table, built on
     the max-form multiplicity.
 
     Sum over segments of w(mid)^(alpha-1) * mass * length, where w is
     :func:`multiplicity_max`. Bounded above by the exact plan cost. The
     result carries its settings, segment table, nearest pairs and
-    multiplicities for :func:`energy_max_gradient`.
+    multiplicities for :func:`energy_max_gradient`. ``kept``, a stage's
+    kept pair list for this eps and kernel, saves building the pair list.
     """
     _check_alpha(alpha)
     _check_eps(eps)
     table, masses = _path_table(plan)
-    min_dist, nearest = _nearest(table.midpoint, table, eps, spec)
+    min_dist, nearest = _nearest(table.midpoint, table, _midpoint_pairs(table, eps, spec, kept))
     w = kernel_eval(spec, min_dist / eps) @ masses
     return _midpoint_energy(table, w, alpha, "energy_max", _Evaluation(
         "energy_max", (alpha, eps, spec), (table, masses, nearest, w)))
 
 
-def energy_avg(plan, alpha: float, eps: float,
-               spec: KernelSpec = KernelSpec(), quad_points: int = 32) -> MollifiedEval:
+def energy_avg(plan, alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
+               quad_points: int = 32, kept=None) -> MollifiedEval:
     """Midpoint-rule energy of a path plan or its segment table, built on
     the integral-average multiplicity.
 
     The result carries its settings, segment table, pair blocks, their
     support moments, the multiplicities and their below-the-cap mask for
-    :func:`energy_avg_gradient`.
+    :func:`energy_avg_gradient`. ``kept`` is as in :func:`energy_max`.
     """
     _check_alpha(alpha)
     _check_eps(eps)
     table, masses = _path_table(plan)
-    pairs = _pair_list(table, table.midpoint, eps, spec)
+    pairs = _midpoint_pairs(table, eps, spec, kept)
     w, uncapped, moments = _capped(table, table.midpoint, pairs, masses, eps, spec, quad_points)
     return _midpoint_energy(table, w, alpha, "energy_avg", _Evaluation(
         "energy_avg", (alpha, eps, spec, quad_points),
@@ -471,13 +527,7 @@ def mollified_flux(plan: BranchPlan, eps: float) -> np.ndarray:
     """
     _check_eps(eps)
     table = segment_table(plan)
-    return _mollified_flux(table, eps, _branch_pairs(table, eps))[0]
-
-
-def _branch_pairs(table: SegmentTable, eps: float) -> list:
-    """Pair list of the mollified flux: midpoints against segments under
-    the bump kernel."""
-    return _pair_list(table, table.midpoint, eps, KernelSpec())
+    return _mollified_flux(table, eps, _midpoint_pairs(table, eps))[0]
 
 
 def _mollified_flux(table: SegmentTable, eps: float, pairs: list):
@@ -522,7 +572,7 @@ def branch_irrigation_cost(plan: BranchPlan, alpha: float, eps: float,
     if f_min < 0.0:
         raise ValueError("f_min must be nonnegative")
     table = segment_table(plan)
-    terms = _branch_cost_terms(table, alpha, eps, f_min, _branch_pairs(table, eps))[0]
+    terms = _branch_cost_terms(table, alpha, eps, f_min, _midpoint_pairs(table, eps))[0]
     return MollifiedEval(value=float(terms.sum()), terms=terms)
 
 
@@ -538,7 +588,7 @@ def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float, f_min: flo
 def _branch_cost_gradient(table: SegmentTable, alpha: float, eps: float, f_min: float,
                           pairs: list, moments: list, flux_mol: np.ndarray):
     """Gradient of the branch irrigation cost (F = sum of value * flux over
-    the pairs of :func:`_branch_pairs`, with the moments and mollified flux
+    the bump-kernel pairs of the midpoints, with the moments and mollified flux
     the cost returned): pulls ga, gb, gx, direct length sensitivity g_len,
     and g_cell, the sensitivity to each segment's own mass through the
     downstream flux."""

@@ -25,8 +25,8 @@ from .gradients import central_difference, scatter_segment_gradients
 from .mollified import (
     _branch_cost_gradient,
     _branch_cost_terms,
-    _branch_pairs,
     _Evaluation,
+    _midpoint_pairs,
     _record,
 )
 from .plan_model import BranchPlan, SegmentTable, segment_table
@@ -149,15 +149,15 @@ def crowding_penalty(plan: BranchPlan, cfg: ObjectiveConfig) -> float:
     return float(weights @ m_mat @ weights)
 
 
-def tree_objective(plan, cfg: ObjectiveConfig) -> ObjectiveValue:
+def tree_objective(plan, cfg: ObjectiveConfig, kept=None) -> ObjectiveValue:
     """Evaluate J = I + c1 * P - c2 * H on a branch plan or its segment table.
 
     The result carries its config, segment table, pair blocks, their
     support moments, the mollified flux and the crowding matrix for
-    :func:`tree_objective_gradient`.
+    :func:`tree_objective_gradient`. ``kept`` is as in ``energy_max``.
     """
     table = _branch_table(plan)
-    pairs = _branch_pairs(table, cfg.eps)
+    pairs = _midpoint_pairs(table, cfg.eps, kept=kept)
     terms, moments, flux_mol = _branch_cost_terms(table, cfg.alpha, cfg.eps, cfg.f_min, pairs)
     irrigation = float(terms.sum())
     crowding, penalty = None, 0.0

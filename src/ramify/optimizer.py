@@ -29,7 +29,7 @@ import numpy as np
 from .geometry import cumulative_arclength, resample_polyline, segment_lengths
 from .gradients import Layout, owner_slices, vector_to_plan
 from .kernels import KernelSpec
-from .mollified import energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
+from .mollified import _KeptPairs, energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
 from .objective import ObjectiveConfig, ObjectiveValue, tree_objective, tree_objective_gradient
 
 TRACE_FIELDS = ("iter", "eps", "J", "I", "P", "H", "tau", "gnorm", "backtracks")
@@ -140,24 +140,26 @@ def path_evaluator(alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
                    functional: str = "avg", quad_points: int = 32) -> Evaluator:
     """Evaluator minimizing a mollified irrigation energy over path plans.
 
-    Each call reads the gradient from this module's names, so a wrapper
-    set over them after import (as a tracer does) is the one used.
+    Its objective keeps one pair list over its calls, so it serves one
+    stage. Each call reads the energy from this module's names, so a
+    wrapper set over them after import (as a tracer does) is the one used.
     """
+    kept = _KeptPairs(eps, spec)
     if functional == "avg":
         def objective(plan):
-            return _energy_value(energy_avg(plan, alpha, eps, spec, quad_points))
+            return _energy_value(energy_avg(plan, alpha, eps, spec, quad_points, kept=kept))
         return Evaluator(objective=objective, gradient=energy_avg_gradient)
     if functional == "max":
         def objective(plan):
-            return _energy_value(energy_max(plan, alpha, eps, spec))
+            return _energy_value(energy_max(plan, alpha, eps, spec, kept=kept))
         return Evaluator(objective=objective, gradient=energy_max_gradient)
     raise ValueError("functional must be 'avg' or 'max'")
 
 
 def branch_evaluator(obj_cfg: ObjectiveConfig, eps: float) -> Evaluator:
-    """Evaluator for the branch-shape objective at the given smoothing."""
-    cfg = obj_cfg.with_eps(eps)
-    return Evaluator(objective=lambda plan: tree_objective(plan, cfg),
+    """Evaluator for the branch-shape objective at one stage's smoothing."""
+    cfg, kept = obj_cfg.with_eps(eps), _KeptPairs(eps, KernelSpec())
+    return Evaluator(objective=lambda plan: tree_objective(plan, cfg, kept=kept),
                      gradient=tree_objective_gradient)
 
 

@@ -1,6 +1,8 @@
 """Tests for mollified multiplicities, energies, and their gradients."""
 
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +27,10 @@ from ramify.kernels import (
     kernel_segment_integral_grad,
 )
 from ramify.mollified import (
+    _SKIN,
     _downstream_flux_adjoint,
     _gradient_weights,
+    _KeptPairs,
     _midpoint_energy,
     _pair_list,
     branch_irrigation_cost,
@@ -47,6 +51,7 @@ from ramify.objective import (
     tree_objective,
     tree_objective_gradient,
 )
+from ramify.optimizer import path_evaluator
 from ramify.plan_model import (
     Branch,
     BranchPlan,
@@ -636,6 +641,175 @@ def test_energy_avg_and_its_gradient_stay_within_a_slice_budget():
     path_sums = 9 * value.terms.size * len(plan.paths)  # float sums and their bool mask
     slice_arrays = 48 * 8 * mollified_module._BLOCK  # 48 float arrays of one block
     assert peak < 40 * pairs + path_sums + slice_arrays
+
+
+def _star_and_moved_tables():
+    """Tables of the 100-atom star and of the star with every free vertex
+    moved by 0.03 in x and y, past the skin of a kept list at eps 0.1."""
+    plan = build_star_plan(half_circle_targets(100), segments_per_path=16)
+    layout = Layout.of(plan)
+    moved = np.where(layout.free, layout.base + 0.03, layout.base)
+    return plan, layout.table(layout.base), layout.table(moved)
+
+
+def test_a_stage_evaluator_stays_within_the_slice_budget_plus_its_kept_list():
+    # The budget above, plus what a stage evaluator keeps between calls: an
+    # int32 segment index per pair of its skin-wide list and an int32 count
+    # per point. Its reference table is the value's own, so costs nothing.
+    # The second call moves past the skin, so it rebuilds the list.
+    plan, *tables = _star_and_moved_tables()
+    replica, kept_pairs = _KeptPairs(0.1, KernelSpec()), []
+    for table in tables:
+        assert _kept_blocks(replica, table)[1]
+        kept_pairs.append(sum(len(segments) for _, _, segments in replica.built[1]))
+    evaluator = path_evaluator(0.5, 0.1)
+    tracemalloc.start()
+    try:
+        for table, kept in zip(tables, kept_pairs):
+            tracemalloc.reset_peak()
+            value = evaluator.objective(table)
+            evaluator.gradient(value)
+            peak = tracemalloc.get_traced_memory()[1]
+            pairs = sum(len(i) for i, _ in value._evaluation.data[2])
+            del value
+            assert kept > pairs > 4 * mollified_module._BLOCK
+            path_sums = 9 * table.size * len(plan.paths)
+            slice_arrays = 48 * 8 * mollified_module._BLOCK
+            assert peak < 40 * pairs + path_sums + slice_arrays + 4 * kept + 4 * table.size
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_kept_list_rebuild_holds_its_new_list_and_one_block(monkeypatch):
+    # A rebuild drops the old list before it builds the new one, and packs
+    # each block as it is made. So at its peak it holds the new list (4
+    # bytes a kept pair and a point), the intp pairs it returns (16 bytes a
+    # pair), the cell list (16 int64 arrays a point and a segment), one
+    # block's temporaries (16 int64 arrays of _BLOCK candidates) and the
+    # blocks' objects (1 kB a block). The whole new list as intp pairs
+    # would add 16 bytes a kept pair, and the old list 4.
+    monkeypatch.setattr(mollified_module, "_BLOCK", 2 ** 12)
+    _, start, moved = _star_and_moved_tables()
+    kept = _KeptPairs(0.1, KernelSpec())
+    tracemalloc.start()
+    try:
+        kept.blocks(start)
+        tracemalloc.reset_peak()
+        blocks = kept.blocks(moved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept.built[0] is moved
+    pairs = sum(len(i) for i, _ in blocks)
+    kept_pairs = sum(len(segments) for _, _, segments in kept.built[1])
+    assert kept_pairs > pairs > 4 * mollified_module._BLOCK
+    lists = 4 * kept_pairs + 4 * moved.size + 16 * pairs
+    cells = 16 * 8 * 2 * moved.size
+    block = 16 * 8 * mollified_module._BLOCK + 1024 * 2 * len(blocks)
+    assert peak < lists + cells + block
+    # No array of the old list is alive when the new one starts.
+    old = weakref.ref(kept.built[1][0][2])
+    build = mollified_module._pair_list
+
+    def checked(*args):
+        assert old() is None
+        return build(*args)
+
+    monkeypatch.setattr(mollified_module, "_pair_list", checked)
+    kept.blocks(start)
+    assert kept.built[0] is start
+
+
+def _kept_blocks(kept, table):
+    """The joined blocks a kept list gives for ``table``, and whether it was
+    rebuilt for them."""
+    before = kept.built
+    blocks = kept.blocks(table)
+    return tuple(np.concatenate(part) for part in zip(*blocks)), kept.built is not before
+
+
+def _assert_same_pairs(got, table, eps, spec):
+    fresh = _joined_pairs(table, table.midpoint, eps, spec)
+    assert all(part.dtype == np.intp for part in got)
+    assert np.array_equal(got[0], fresh[0]) and np.array_equal(got[1], fresh[1])
+
+
+def test_kept_pair_list_gives_a_fresh_lists_pairs_at_every_step():
+    rng = np.random.default_rng(23)
+    for trial in range(4):
+        plan = _jittered_star(rng, int(rng.integers(5, 14))) if trial % 2 else \
+            random_branch_plan(rng, max_branches=6, max_segments=12)
+        layout = Layout.of(plan)
+        for kind in ("bump", "triangular"):
+            for eps in (0.25, 0.1):
+                spec, x = KernelSpec(kind), layout.base.copy()
+                kept, rebuilds = _KeptPairs(eps, spec), []
+                for _ in range(40):
+                    # Steps of a tenth of the skin, in every free coordinate.
+                    step = rng.normal(0.0, 0.1 * _SKIN * eps, x.shape)
+                    x = np.where(layout.free, x + step, x)
+                    x[layout.clamp] = np.maximum(x[layout.clamp], 0.0)
+                    table = layout.table(x)
+                    got, rebuilt = _kept_blocks(kept, table)
+                    rebuilds.append(rebuilt)
+                    _assert_same_pairs(got, table, eps, spec)
+                assert rebuilds[0] and 1 < sum(rebuilds) < len(rebuilds) - 10
+                # A new segment count rebuilds the list; a new eps gets a new one.
+                other = segment_table(_jittered_star(rng, 3))
+                got, rebuilt = _kept_blocks(kept, other)
+                assert rebuilt
+                _assert_same_pairs(got, other, eps, spec)
+                got, _ = _kept_blocks(_KeptPairs(0.5 * eps, spec), other)
+                _assert_same_pairs(got, other, 0.5 * eps, spec)
+        table = layout.table(layout.base)
+        kept = _KeptPairs(0.1, KernelSpec("exponential"))
+        got, _ = _kept_blocks(kept, table)
+        assert kept.built is None
+        assert np.array_equal(got[0] * table.size + got[1], np.arange(table.size ** 2))
+
+
+def _segments(table, mids, lengths):
+    """``table`` with horizontal segments at these midpoints and lengths."""
+    half = np.column_stack([0.5 * lengths, np.zeros(len(lengths))])
+    return replace(table, a=mids - half, b=mids + half, length=lengths, midpoint=mids)
+
+
+@pytest.mark.parametrize("kind", ["bump", "triangular"])
+def test_kept_pair_list_is_rebuilt_just_past_its_skin(kind):
+    # Two segments of length 0.2 on a line, their midpoints just beyond the
+    # reach of the list's build (eps + 0.1, plus the skin) apart: a pair
+    # appears once they close in by the skin, or once one grows by it.
+    eps, spec = 0.1, KernelSpec(kind)
+    skin = _SKIN * eps
+    base = segment_table(_jittered_star(np.random.default_rng(29), 2))
+    gap = eps + 0.1 + 1.0005 * skin
+    start = _segments(base, np.array([[0.0, 0.0], [gap, 0.0]]), np.full(2, 0.2))
+    for factor, rebuild in ((0.999, False), (1.001, True)):
+        # Both midpoints move toward each other, each by half the skin.
+        move = 0.5 * factor * skin
+        closer = _segments(base, np.array([[move, 0.0], [gap - move, 0.0]]), np.full(2, 0.2))
+        # One segment's half length grows by the skin; midpoints stay.
+        longer = _segments(base, start.midpoint, np.array([0.2 + 2.0 * factor * skin, 0.2]))
+        for moved in (closer, longer):
+            kept = _KeptPairs(eps, spec)
+            got, _ = _kept_blocks(kept, start)
+            _assert_same_pairs(got, start, eps, spec)
+            got, rebuilt = _kept_blocks(kept, moved)
+            assert rebuilt == rebuild
+            _assert_same_pairs(got, moved, eps, spec)
+            assert len(got[0]) == (4 if rebuild else 2) - (moved is longer and rebuild)
+
+
+def test_energies_refuse_a_kept_list_of_another_eps_or_kernel():
+    plan = _jittered_star(np.random.default_rng(31), 4)
+    branches = build_fan_branches(4, segments=3, m_init=0.1)
+    for kept in (_KeptPairs(0.2, KernelSpec()), _KeptPairs(0.1, KernelSpec("triangular"))):
+        for call in (lambda: energy_avg(plan, 0.5, 0.1, kept=kept),
+                     lambda: energy_max(plan, 0.5, 0.1, kept=kept),
+                     lambda: tree_objective(branches, ObjectiveConfig(eps=0.1), kept=kept)):
+            with pytest.raises(ValueError, match="kept pair list"):
+                call()
+        assert kept.built is None
 
 
 def _energy_forms(alpha, eps, spec):

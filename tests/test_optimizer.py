@@ -1,6 +1,7 @@
 """Tests for projected descent, line search, projection, and resampling."""
 
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ramify.geometry import cumulative_arclength, resample_polyline, segment_len
 from ramify.gradients import Layout, owner_slices, plan_to_vector, vector_to_plan
 from ramify.mollified import (
     _Evaluation,
+    _KeptPairs,
     energy_avg,
     energy_avg_gradient,
     energy_max,
@@ -27,6 +29,7 @@ from ramify.optimizer import (
     Evaluator,
     StageCounts,
     TraceRow,
+    _energy_value,
     backtracking_step,
     branch_evaluator,
     eps_continuation,
@@ -751,3 +754,40 @@ def test_run_descent_builds_a_plan_only_where_one_is_read(monkeypatch, watch):
     assert len(builds) == 1 + len(seen)
     assert len(seen) == (len(rows) if watch else 0)
     np.testing.assert_array_equal(plan_to_vector(out), builds[-1][0])
+
+
+@pytest.mark.parametrize("form", ["avg", "max", "tree"])
+def test_descent_with_a_kept_pair_list_is_bit_identical(monkeypatch, form):
+    # Each stage evaluator keeps one pair list; an evaluator that calls the
+    # same objective with no kept list must give the same bits throughout.
+    if form == "tree":
+        plan, eps = build_fan_branches(5, segments=6, m_init=0.1), 0.2
+        obj_cfg = ObjectiveConfig(alpha=0.5, c1=0.2, c2=1.0).with_eps(eps)
+        kept = branch_evaluator(obj_cfg, eps)
+        fresh = Evaluator(lambda table: tree_objective(table, obj_cfg), tree_objective_gradient)
+    else:
+        plan, eps = build_star_plan(half_circle_targets(6), segments_per_path=8), 0.1
+        energy, gradient = {"avg": (energy_avg, energy_avg_gradient),
+                            "max": (energy_max, energy_max_gradient)}[form]
+        kept = path_evaluator(0.5, eps, functional=form)
+        fresh = Evaluator(lambda table: _energy_value(energy(table, 0.5, eps)), gradient)
+    builds = []
+    blocks = _KeptPairs.blocks
+
+    def counted(self, table):
+        before = self.built
+        out = blocks(self, table)
+        builds.append(self.built is not before)
+        return out
+
+    monkeypatch.setattr(_KeptPairs, "blocks", counted)
+    cfg = DescentConfig(j_max=25, rediscretize_every=5)
+    runs = [run_descent(plan, evaluator, cfg, eps, tau0=0.5) for evaluator in (kept, fresh)]
+    (ends, values, rows, reasons, counts) = zip(*runs)
+    # The tau0 is large enough that the skin is passed on some evaluations.
+    assert len(builds) == counts[0].objective_evals and 2 < sum(builds) < len(builds)
+    assert len(rows[1]) > 5 and reasons[0] == reasons[1] and counts[0] == counts[1]
+    assert [np.array([astuple(row) for row in side]).tobytes() for side in rows] == \
+        [np.array([astuple(row) for row in rows[1]]).tobytes()] * 2
+    assert plan_to_vector(ends[0]).tobytes() == plan_to_vector(ends[1]).tobytes()
+    assert np.float64(values[0].total).tobytes() == np.float64(values[1].total).tobytes()
