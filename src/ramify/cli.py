@@ -9,7 +9,10 @@ configuration problems, 3 on failed checks (each named on stderr) or
 degenerate evaluations.
 
 Heavy numeric imports happen inside the command functions so that the
-RAMIFY_THREADS cap can be applied to the BLAS thread pools first.
+RAMIFY_THREADS cap can be applied to the BLAS thread pools first. On
+glibc, ``main`` also raises the heap's trim and mmap thresholds once per
+process, so the block temporaries each evaluation frees stay in the heap
+for the next one instead of going back to the system.
 """
 
 from __future__ import annotations
@@ -43,11 +46,18 @@ _READ_BY = {
 # Path energies read objective.alpha only; the branch objective reads every field.
 _READ_BY.update({f"objective.{key}": ("treeopt", "gradcheck") for key in (
     "c1", "c2", "penalty_kernel", "beta", "gamma", "f_min", "penalty_arclength")})
-# Most pairs a non-compact kernel may list: the averaged energy and its
-# gradient peak at the pair list's 16 bytes a pair plus about 10 MB of
-# block temporaries (75 MB at S = 2,000 by tracemalloc), so this caps a
-# run near 75 MB.
+# Most pairs a non-compact kernel may list. Its list keeps only point
+# ranges, so the averaged energy and its gradient peak at about 10 MB of
+# block temporaries at any S (by tracemalloc: 9.9 MB at S = 400 and 800,
+# 10.3 MB at S = 2,000). Their time grows with the pairs, to about 4 s at
+# S = 2,000 on a 2-core x86-64 host, so this caps the time of an evaluation.
 _MAX_DENSE_PAIRS = 4_000_000
+# glibc mallopt(3) settings: M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3),
+# so the block temporaries each evaluation frees stay in the heap. Setting
+# either turns off glibc's adaptive mmap threshold: on fig5 the trim
+# threshold alone took 4.6M minor faults and twice the wall time, as every
+# block array above the default 128 kB went to mmap; both took 7k.
+_MALLOC_SETTINGS = ((-1, 256 << 20), (-3, 32 << 20))
 
 
 def _apply_thread_env():
@@ -69,6 +79,28 @@ def _apply_thread_env():
         for name in _THREAD_VARS:
             os.environ[name] = str(count)
     return None
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Raise glibc's heap trim and mmap thresholds (``_MALLOC_SETTINGS``);
+    once per process, and nothing off glibc or without ``mallopt``.
+
+    ``ctypes`` is imported here because importing the CLI must stay cheap.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOC_SETTINGS:
+        mallopt(param, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +440,7 @@ def _check_pair_budget(run_cfg):
     if not run_cfg.kernel.compact_support and segments ** 2 > _MAX_DENSE_PAIRS:
         raise ConfigError(f"the {run_cfg.kernel.kind!r} kernel pairs every midpoint with all "
                           f"S = {segments} segments, {segments ** 2} pairs, above the limit of "
-                          f"{_MAX_DENSE_PAIRS} (about 75 MB); use a compact kernel or fewer "
+                          f"{_MAX_DENSE_PAIRS} (S = 2,000); use a compact kernel or fewer "
                           "measure.n * measure.segments_per_path")
 
 
@@ -445,6 +477,7 @@ def main(argv=None) -> int:
     if env_error is not None:
         print(f"configuration error: {env_error}", file=sys.stderr)
         return 2
+    _keep_freed_memory()
 
     from .config import ConfigError, load_config_file, resolve_config, validate_config
     from .plan_model import _write_json

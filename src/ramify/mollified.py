@@ -19,7 +19,9 @@ integrals of each block and the gradient pass :func:`_pair_pulls`
 chain-rules their derivatives. For a compact kernel the list holds only
 the pairs a cell list finds near each other, so no (T, S) array is
 formed; a stage filters one list kept with a skin (:class:`_KeptPairs`)
-into the same pairs on each call. Every per-point, per-path or
+into the same pairs on each call. A non-compact kernel's list keeps only
+its blocks' point ranges (:class:`_AllPairs`) and makes each block's
+pairs as a pass reaches it. Every per-point, per-path or
 per-segment sum over the pairs adds each block into its accumulator with
 ``np.add.at``, in list order as one ``np.bincount`` over the joined list
 would, so the block size changes no bit and only block-sized temporaries
@@ -134,7 +136,7 @@ def _runs(ends: np.ndarray):
 
 
 def _pair_list(table: SegmentTable, points: np.ndarray, eps: float, spec: KernelSpec,
-               skin: float = 0.0, pack=None) -> list:
+               skin: float = 0.0, pack=None):
     """Point and segment indices (i, j) of every pair the kernel can reach,
     in blocks: each holds the pairs of one range of points, sorted by point
     and then by segment, and the ranges follow each other.
@@ -146,27 +148,23 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float, spec: Kernel
     pairs closer than eps without forming all T x S of them; on a grid of
     at most 2 x 2 cells, which each square covers, the candidates are all
     T * S pairs. A range holds at most ``_BLOCK`` candidates (more only
-    when one point has more), formed and tested together. A ``skin`` adds
-    to every reach; ``pack(i, j)`` stores a block as it is made. Non-compact
-    kernels keep every candidate.
+    when one point has more), formed and tested together, and the blocks
+    come as a list. A ``skin`` adds to every reach; ``pack(i, j)`` stores a
+    block as it is made. A non-compact kernel reaches every pair, so it
+    gets an :class:`_AllPairs` of the ranges instead.
     """
     count, size = len(points), table.size
-    compact = spec.compact_support and count > 0 and size > 0
-    cells = False
-    per_point = np.full(count, size)
-
-    def candidates(lo, hi):
-        return np.repeat(np.arange(lo, hi), size), np.tile(np.arange(size), hi - lo)
-
-    if compact:
-        reach = (eps + 0.5 * table.length) * (1.0 + 1e-9) + skin  # slack for rounding
-        reach2 = reach * reach
-        mids = table.midpoint
-        origin = mids.min(axis=0)
-        span = mids.max(axis=0) - origin
-        width = max(reach.max(), span.max() / 2.0 ** 20)  # at most 2^20 cells a side
-        shape = (span // width).astype(int) + 1
-        cells = not np.all(shape <= 2)
+    ranges = _runs(np.cumsum(np.full(count, size)))
+    if not (spec.compact_support and count and size):
+        return _AllPairs(list(ranges), size)
+    reach = (eps + 0.5 * table.length) * (1.0 + 1e-9) + skin  # slack for rounding
+    reach2 = reach * reach
+    mids = table.midpoint
+    origin = mids.min(axis=0)
+    span = mids.max(axis=0) - origin
+    width = max(reach.max(), span.max() / 2.0 ** 20)  # at most 2^20 cells a side
+    shape = (span // width).astype(int) + 1
+    cells = not np.all(shape <= 2)
     if cells:
         cell = ((mids - origin) // width).astype(int)
         keys = cell[:, 0] * shape[1] + cell[:, 1]
@@ -181,24 +179,43 @@ def _pair_list(table: SegmentTable, points: np.ndarray, eps: float, spec: Kernel
         last = np.searchsorted(keys, column * shape[1] + high, "right")
         hits = np.where((column >= 0) & (column < shape[0]) & (low <= high), last - first, 0)
         per_point = hits.sum(axis=1)
-
-        def candidates(lo, hi):
+        ranges = _runs(np.cumsum(per_point))
+    blocks = []
+    for lo, hi in ranges:
+        if cells:
             runs = hits[lo:hi].ravel()
             ends = np.cumsum(runs)
             i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
-            return i, order[np.repeat(first[lo:hi].ravel() - ends + runs, runs)
-                            + np.arange(ends[-1])]
-    blocks = []
-    for lo, hi in _runs(np.cumsum(per_point)):
-        i, j = candidates(lo, hi)
-        if compact:
-            near = _within(points, mids, i, j, reach2)
-            i, j = i[near], j[near]
+            j = order[np.repeat(first[lo:hi].ravel() - ends + runs, runs) + np.arange(ends[-1])]
+        else:
+            i, j = _range_pairs(lo, hi, size)
+        near = _within(points, mids, i, j, reach2)
+        i, j = i[near], j[near]
         if cells:
             pair = np.sort(i * size + j)
             i, j = pair // size, pair % size
         blocks.append((i, j) if pack is None else pack(i, j))
     return blocks
+
+
+def _range_pairs(lo: int, hi: int, size: int):
+    """(i, j) of every pair of the points ``lo:hi`` with ``size`` segments."""
+    return np.repeat(np.arange(lo, hi), size), np.tile(np.arange(size), hi - lo)
+
+
+class _AllPairs:
+    """Every pair of a non-compact kernel, in :func:`_pair_list`'s blocks,
+    kept as the blocks' point ranges: each walk over it makes each block's
+    (i, j) in turn, so a list of all T x S pairs never exists."""
+
+    def __init__(self, ranges: list, size: int):
+        self.ranges, self.size = ranges, size
+
+    def __len__(self):
+        return len(self.ranges)
+
+    def __iter__(self):
+        return (_range_pairs(lo, hi, self.size) for lo, hi in self.ranges)
 
 
 def _within(points: np.ndarray, mids: np.ndarray, i, j, reach2: np.ndarray) -> np.ndarray:
@@ -232,7 +249,7 @@ class _KeptPairs:
     def __init__(self, eps: float, spec: KernelSpec):
         self.eps, self.spec, self.built = eps, spec, None  # built: (table, blocks)
 
-    def blocks(self, table: SegmentTable) -> list:
+    def blocks(self, table: SegmentTable):
         """The pair blocks of ``table``'s midpoints, in :func:`_pair_list`'s format."""
         mids, skin = table.midpoint, _SKIN * self.eps
         if not (self.spec.compact_support and table.size):
@@ -253,7 +270,7 @@ class _KeptPairs:
         return out
 
 
-def _midpoint_pairs(table: SegmentTable, eps: float, spec=KernelSpec(), kept=None) -> list:
+def _midpoint_pairs(table: SegmentTable, eps: float, spec=KernelSpec(), kept=None):
     """Pair blocks of the table's midpoints: fresh, or from ``kept``, a kept list."""
     if kept is None:
         return _pair_list(table, table.midpoint, eps, spec)

@@ -419,6 +419,71 @@ def test_thread_env_validation(tmp_path, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
+class _FakeLibc:
+    """A C library whose ``mallopt``, if it has one, records its calls."""
+
+    def __init__(self, has_mallopt=True):
+        self.calls = []
+        if has_mallopt:
+            def mallopt(param, value):
+                self.calls.append((param, value))
+                return 1
+            self.mallopt = mallopt
+
+
+def _raise(error):
+    def confstr(name):
+        raise error
+    return confstr
+
+
+def test_malloc_thresholds_are_set_once_and_only_through_glibc_mallopt(tmp_path, monkeypatch):
+    import ctypes
+
+    from ramify import cli
+
+    libraries = []
+
+    def load(name):
+        assert name is None  # the process's own symbols; find_library would start subprocesses
+        return libraries[-1]
+
+    def glibc(name):
+        return "glibc 2.36" if name == "CS_GNU_LIBC_VERSION" else None
+
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    try:
+        for confstr, has_mallopt, expected in [
+                (glibc, True, [(-1, 256 * 2 ** 20), (-3, 32 * 2 ** 20)]),
+                (glibc, False, []),
+                (_raise(ValueError("unrecognized configuration name")), True, []),
+                (_raise(OSError(22, "Invalid argument")), True, []),
+                (lambda name: None, True, []),
+                (None, True, [])]:
+            if confstr is None:
+                monkeypatch.delattr(os, "confstr")
+            else:
+                monkeypatch.setattr(os, "confstr", confstr)
+            libraries.append(_FakeLibc(has_mallopt))
+            cli._keep_freed_memory.cache_clear()
+            cli._keep_freed_memory()
+            cli._keep_freed_memory()  # a second call is a no-op
+            assert libraries[-1].calls == expected
+            if expected:
+                assert libraries[-1].mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    finally:
+        cli._keep_freed_memory.cache_clear()
+    # main calls it once the RAMIFY_THREADS check has passed.
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+    monkeypatch.setenv("RAMIFY_THREADS", "lots")
+    assert main(["counterexample", "--out", str(tmp_path / "x")]) == 2
+    assert calls == []
+    monkeypatch.setenv("RAMIFY_THREADS", "1")
+    assert main(["counterexample", "--out", str(tmp_path / "y")]) == 0
+    assert calls == [1]
+
+
 def test_zero_iteration_budget_emits_initial_plan_only(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -542,10 +607,12 @@ def test_nonfinite_stage_start_writes_outputs_and_exits_three(tmp_path, monkeypa
 
 
 def test_importing_the_package_and_the_cli_leaves_numpy_unloaded():
-    # RAMIFY_THREADS must reach the environment before numpy loads.
+    # RAMIFY_THREADS must reach the environment before numpy loads, and
+    # ctypes (about 1 ms to import) loads only when main sets the allocator.
     src = os.path.dirname(os.path.dirname(os.path.abspath(ramify.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, ramify, ramify.cli; print(sorted(m for m in sys.modules if 'numpy' in m))"
+    code = ("import sys, ramify, ramify.cli; "
+            "print(sorted(m for m in sys.modules if 'numpy' in m or 'ctypes' in m))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           check=True)
     assert done.stdout.strip() == "[]"

@@ -643,6 +643,27 @@ def test_energy_avg_and_its_gradient_stay_within_a_slice_budget():
     assert peak < 40 * pairs + path_sums + slice_arrays
 
 
+def test_a_noncompact_kernels_value_and_gradient_hold_no_whole_list_array():
+    # A non-compact kernel pairs all T x S points and segments; its list
+    # keeps point ranges only, so the budget above holds with no term per
+    # pair. The whole list as intp pairs took 16 bytes a pair (10 MB here).
+    plan = build_star_plan(half_circle_targets(50), segments_per_path=16)
+    spec = KernelSpec("exponential")
+    tracemalloc.start()
+    try:
+        value = energy_avg(plan, 0.5, 0.1, spec)
+        energy_avg_gradient(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = value._evaluation.data[2]
+    assert sum(len(i) for i, _ in blocks) == value.terms.size ** 2
+    assert len(blocks) > 4
+    path_sums = 9 * value.terms.size * len(plan.paths)
+    slice_arrays = 48 * 8 * mollified_module._BLOCK
+    assert peak < path_sums + slice_arrays
+
+
 def _star_and_moved_tables():
     """Tables of the 100-atom star and of the star with every free vertex
     moved by 0.03 in x and y, past the skin of a kept list at eps 0.1."""

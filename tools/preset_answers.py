@@ -8,11 +8,13 @@ Extracts the ``src/`` tree of git revision REV (default ``HEAD``) with
 fig3`` and ``treeopt --preset fig4`` and ``fig5``, each once against REV's
 ``src/`` and once against the working tree's, under ``RAMIFY_THREADS=1``.
 Runs go one at a time, REV's first. For each run it prints the wall time,
-iterations, stage reasons, rejected line-search trials per accepted
-iteration, final energy (J for treeopt), exact cost and cluster counts,
-then the median fig2 final energy and exact cost of each tree. The exact
-cost of a branch tree is the unsmoothed sum of flux^alpha * length over its
-final segments. Exits 1 if a run fails, 0 otherwise; it compares nothing.
+peak resident memory and minor page faults (the child's ``ru_maxrss``, in
+kilobytes on Linux, and ``ru_minflt``, from ``os.wait4``), iterations,
+stage reasons, rejected line-search trials per accepted iteration, final
+energy (J for treeopt), exact cost and cluster counts, then the median
+fig2 final energy and exact cost of each tree. The exact cost of a branch
+tree is the unsmoothed sum of flux^alpha * length over its final segments.
+Exits 1 if a run fails, 0 otherwise; it compares nothing.
 """
 
 from __future__ import annotations
@@ -81,17 +83,24 @@ def solve(src: str, name: str, run: tuple, out_root: str):
         argv += ["--config", cfg_path]
     env = dict(os.environ, PYTHONPATH=src, RAMIFY_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    if done.returncode != 0:
-        print(f"  {name}: exit {done.returncode}: {done.stderr.strip()}", flush=True)
-        return None
-    return wall, answers(out, command, preset, config)
+    with tempfile.TemporaryFile("w+") as stderr:
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        code = child.returncode = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            stderr.seek(0)
+            print(f"  {name}: exit {code}: {stderr.read().strip()}", flush=True)
+            return None
+    found = answers(out, command, preset, config)
+    found.update(peak_mb=usage.ru_maxrss / 1024, minor_faults=usage.ru_minflt)
+    return wall, found
 
 
 def describe(wall: float, found: dict) -> str:
     exact = found["exact_cost"]
-    return (f"{wall:6.1f} s  {found['iterations']:5d} it  "
+    return (f"{wall:6.1f} s  {found['peak_mb']:5.1f} MB  {found['minor_faults']:7d} faults  "
+            f"{found['iterations']:5d} it  "
             f"{found['rejected_per_iter']:5.2f} rej/it  E {found['final_energy']:.6g}  "
             f"exact {'-' if exact is None else format(exact, '.6g')}  "
             f"clusters {found['cluster_counts']}  {found['stage_reasons']}")
