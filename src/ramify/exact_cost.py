@@ -8,6 +8,7 @@ global search over single-bifurcation trees.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,31 +46,40 @@ def extract_topology(plan: PathPlan, merge_tol: float) -> TreeTopology:
     """
     if merge_tol < 0.0:
         raise ValueError("merge_tol must be nonnegative")
-    nodes = [np.zeros(2)]
+    # The squared distance decides outside a relative band of 1e-9 around
+    # merge_tol**2, far wider than its rounding; inside the band, and for a
+    # merge_tol whose square is subnormal, np.hypot decides, as it always did.
+    tol2 = merge_tol * merge_tol
+    below, above = (tol2 * (1.0 - 1e-9), tol2 * (1.0 + 1e-9)) \
+        if tol2 == 0.0 or tol2 >= sys.float_info.min else (-1.0, np.inf)
+    nodes = [(0.0, 0.0)]
     parent_of = [None]
     children = [[]]
     flux_in = [0.0]
     leaves: dict = {}
+
+    def within(x: float, y: float, node: int) -> bool:
+        node_x, node_y = nodes[node]
+        dx, dy = x - node_x, y - node_y
+        d2 = dx * dx + dy * dy
+        return d2 < below or (d2 <= above and bool(np.hypot(dx, dy) <= merge_tol))
+
     for idx, path in enumerate(plan.paths):
         current = 0
-        for vertex in path.vertices[1:]:
-            if np.hypot(*(vertex - nodes[current])) <= merge_tol:
+        for x, y in path.vertices[1:].tolist():
+            if within(x, y, current):
                 continue  # repeated vertex within tolerance, stay put
-            chosen = None
-            for child in children[current]:
-                if np.hypot(*(vertex - nodes[child])) <= merge_tol:
-                    chosen = child
-                    break
+            chosen = next((child for child in children[current] if within(x, y, child)), None)
             if chosen is None:
                 anc = parent_of[current]
                 while anc is not None:
-                    if np.hypot(*(vertex - nodes[anc])) <= merge_tol:
+                    if within(x, y, anc):
                         raise TopologyError(
                             f"path {idx} doubles back onto its own trunk near node {anc}"
                         )
                     anc = parent_of[anc]
                 chosen = len(nodes)
-                nodes.append(np.asarray(vertex, dtype=float))
+                nodes.append((x, y))
                 parent_of.append(current)
                 children.append([])
                 children[current].append(chosen)
@@ -77,12 +87,12 @@ def extract_topology(plan: PathPlan, merge_tol: float) -> TreeTopology:
             flux_in[chosen] += path.mass
             current = chosen
         leaves[current] = leaves.get(current, 0.0) + path.mass
-    node_arr = np.asarray(nodes)
+    node_arr = np.array(nodes)
     node_arr.flags.writeable = False
-    edges = tuple(
-        (parent, child, float(np.hypot(*(node_arr[child] - node_arr[parent]))), flux_in[child])
-        for child, parent in enumerate(parent_of) if parent is not None
-    )
+    parents = np.array(parent_of[1:], dtype=int)
+    lengths = np.hypot(*(node_arr[1:] - node_arr[parents]).T).tolist()
+    edges = tuple((parent, child, length, flux_in[child])
+                  for child, (parent, length) in enumerate(zip(parents.tolist(), lengths), 1))
     return TreeTopology(nodes=node_arr, edges=edges, leaves=leaves)
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar
 
 import numpy as np
@@ -94,7 +96,7 @@ class Path:
 
     def to_dict(self) -> dict:
         return {"mass": float(self.mass), "terminal_fixed": bool(self.terminal_fixed),
-                "vertices": [[float(x), float(y)] for x, y in self.vertices]}
+                "vertices": self.vertices.tolist()}
 
     @classmethod
     def from_dict(cls, entry: dict) -> "Path":
@@ -181,7 +183,7 @@ class Branch:
         return self.m
 
     def to_dict(self) -> dict:
-        return {key: [float(v) for v in getattr(self, key)] for key in ("x", "y", "m")}
+        return {key: getattr(self, key).tolist() for key in ("x", "y", "m")}
 
     @classmethod
     def from_dict(cls, entry: dict) -> "Branch":
@@ -448,38 +450,40 @@ def crossing_cluster_count(plan: PathPlan, radius: float = 0.2, tol: float = 0.0
     joining the first existing cluster seed within ``tol``. Paths that
     never reach the radius are skipped.
     """
-    seeds = []
-    for path in plan.paths:
-        crossing = _first_radius_crossing(path.vertices, radius)
-        if crossing is None:
-            continue
-        for seed in seeds:
-            if np.hypot(*(crossing - seed)) <= tol:
-                break
-        else:
-            seeds.append(crossing)
-    return len(seeds)
+    crossings = _first_radius_crossings(plan, radius)
+    seeds = np.empty_like(crossings)
+    count = 0
+    for crossing in crossings:
+        if not (np.hypot(*(crossing - seeds[:count]).T) <= tol).any():
+            seeds[count] = crossing
+            count += 1
+    return count
 
 
-def _first_radius_crossing(vertices: np.ndarray, radius: float):
-    r2 = radius * radius
-    for i in range(len(vertices) - 1):
-        a, b = vertices[i], vertices[i + 1]
-        if (a * a).sum() >= r2:
-            break
-        if (b * b).sum() < r2:
-            continue
-        d = b - a
-        qa = (d * d).sum()
-        if qa == 0.0:
-            continue
-        qb = 2.0 * (a * d).sum()
-        qc = (a * a).sum() - r2
-        disc = qb * qb - 4.0 * qa * qc
-        t = (-qb + np.sqrt(max(disc, 0.0))) / (2.0 * qa)
-        t = min(max(t, 0.0), 1.0)
-        return a + t * d
-    return None
+def _first_radius_crossings(plan: PathPlan, radius: float) -> np.ndarray:
+    """(k, 2) first crossings of the circle of ``radius``, in path order.
+
+    A path crosses on the segment into its first vertex v with
+    x*x + y*y >= radius**2, unless that is its first vertex or the segment
+    has zero length.
+    """
+    vertices = plan.all_vertices()
+    counts = np.array([len(p.vertices) for p in plan.paths])
+    starts = np.cumsum(counts) - counts
+    x, y = vertices.T
+    outside = np.flatnonzero(x * x + y * y >= radius * radius)
+    # Each path's first vertex on or outside the circle, or the next path's start.
+    first = np.append(outside, len(vertices))[np.searchsorted(outside, starts)]
+    ends = first[(first > starts) & (first < starts + counts)]  # crossing segments' ends
+    a = vertices[ends - 1]
+    d = vertices[ends] - a
+    qa = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    a, d, qa = a[qa != 0.0], d[qa != 0.0], qa[qa != 0.0]
+    qb = 2.0 * (a[:, 0] * d[:, 0] + a[:, 1] * d[:, 1])
+    qc = (a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1]) - radius * radius
+    disc = qb * qb - 4.0 * qa * qc
+    t = np.clip((-qb + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * qa), 0.0, 1.0)
+    return a + t[:, None] * d
 
 
 def plan_to_dict(plan) -> dict:
@@ -494,11 +498,68 @@ def plan_from_dict(data: dict):
     raise ValueError("plan dictionary needs a 'paths' or 'branches' key")
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, level: int = 0) -> str:
+    """``value`` as the json module writes it with ``indent=2`` and
+    ``sort_keys=True``, for a value nested ``level`` containers deep."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_WORDS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_WORDS.get(text, text)
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = [encode_basestring_ascii(key) + ": " + _json_text(item, level + 1)
+                 for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        text = _float_list_text(value, level)
+        if text is not None:
+            return text
+        items = [_json_text(item, level + 1) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+    return _bracketed(brackets, items, level) if items else brackets
+
+
+def _bracketed(brackets: str, items: list, level: int) -> str:
+    """``items`` inside ``brackets``, one a line, indented as json indents a
+    container ``level`` deep."""
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _float_list_text(values, level: int):
+    """The JSON text of a list of Python floats, or of [float, float] lists,
+    from one ``%`` template over the floats' reprs; None for any other list
+    and for a non-finite float, which JSON spells NaN or Infinity."""
+    types = set(map(type, values))
+    if types == {float}:
+        floats, item = tuple(values), "%r"
+    elif types == {list} and set(map(len, values)) == {2}:
+        floats = tuple(chain.from_iterable(values))
+        if set(map(type, floats)) != {float}:
+            return None
+        item = _bracketed("[]", ["%r", "%r"], level + 1)
+    else:
+        return None
+    text = _bracketed("[]", [item] * len(values), level) % floats
+    return None if "n" in text else text  # repr spells both nan and inf with an n
+
+
 def _write_json(path: str, payload: dict):
     """Write ``payload`` as indented, key-sorted JSON; every JSON output goes here."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(_json_text(payload) + "\n")
 
 
 def save_plan(plan, path: str):

@@ -43,6 +43,13 @@ def _stroke_width(flux: float, alpha: float, scale: float) -> float:
     return scale * (WIDTH_MIN_FRACTION + WIDTH_SCALE_FRACTION * flux ** alpha)
 
 
+def _rows(template: str, columns: np.ndarray) -> str:
+    """``template`` filled from each row of the float array ``columns``, one
+    line a row; a quoted -0.000000 reads 0.000000, as :func:`_fmt` writes it."""
+    text = "\n".join([template] * len(columns)) % tuple(columns.ravel().tolist())
+    return text.replace('"-0.000000"', '"0.000000"')
+
+
 def render_svg(plan, alpha: float = 0.5, targets=None, pixel_width: int = 640) -> str:
     """Render a plan to an SVG document string.
 
@@ -55,9 +62,8 @@ def render_svg(plan, alpha: float = 0.5, targets=None, pixel_width: int = 640) -
     scale = float(max(span[0], span[1]))
     pixel_height = max(1, round(pixel_width * span[1] / span[0]))
 
-    # Flip y so larger y renders upward.
-    def pt(p):
-        return _fmt(p[0]), _fmt(hi[1] - p[1] + lo[1])
+    def flip(y):  # so that larger y renders upward
+        return hi[1] - y + lo[1]
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{pixel_width}" '
@@ -66,22 +72,21 @@ def render_svg(plan, alpha: float = 0.5, targets=None, pixel_width: int = 640) -
         f'<rect x="{_fmt(lo[0])}" y="{_fmt(lo[1])}" width="{_fmt(span[0])}" '
         f'height="{_fmt(span[1])}" fill="{BACKGROUND}"/>',
     ]
-    for i in range(table.size):
-        ax, ay = pt(table.a[i])
-        bx, by = pt(table.b[i])
-        width = _stroke_width(float(table.flux[i]), alpha, scale)
-        lines.append(
-            f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" stroke="{LINE_COLOR}" '
-            f'stroke-width="{_fmt(width)}" stroke-linecap="round"/>')
+    if table.size:
+        # Python-float powers, one a segment: numpy's vector power may round differently.
+        widths = [_stroke_width(flux, alpha, scale) for flux in table.flux.tolist()]
+        lines.append(_rows(
+            f'<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="{LINE_COLOR}" '
+            'stroke-width="%.6f" stroke-linecap="round"/>',
+            np.column_stack([table.a[:, 0], flip(table.a[:, 1]),
+                             table.b[:, 0], flip(table.b[:, 1]), widths])))
     if targets is not None:
-        radius = ATOM_RADIUS_FRACTION * scale
-        for pos in np.asarray(targets.positions, dtype=float):
-            cx, cy = pt(pos)
-            lines.append(f'<circle cx="{cx}" cy="{cy}" r="{_fmt(radius)}" '
-                         f'fill="{ATOM_COLOR}"/>')
-    rx, ry = pt(np.zeros(2))
-    lines.append(f'<circle cx="{rx}" cy="{ry}" r="{_fmt(ROOT_RADIUS_FRACTION * scale)}" '
-                 f'fill="{ROOT_COLOR}"/>')
+        positions = np.asarray(targets.positions, dtype=float)
+        lines.append(_rows(
+            f'<circle cx="%.6f" cy="%.6f" r="{_fmt(ATOM_RADIUS_FRACTION * scale)}" '
+            f'fill="{ATOM_COLOR}"/>', np.column_stack([positions[:, 0], flip(positions[:, 1])])))
+    lines.append(f'<circle cx="{_fmt(0.0)}" cy="{_fmt(flip(0.0))}" '
+                 f'r="{_fmt(ROOT_RADIUS_FRACTION * scale)}" fill="{ROOT_COLOR}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -60,8 +60,28 @@ def test_bench_delta_is_against_the_newest_other_record(bench, tmp_path):
     assert previous == str(tmp_path / "BENCH_22.json")
     with open(previous, encoding="utf-8") as handle:
         lines = bench.delta_lines(json.load(handle), json.loads(current.read_text()))
-    # A written record lists its metrics by name.
-    assert lines == ["irrigate-star peak_rss_mb: 37.5 -> 37.5 MB (+0.0%)",
-                     "irrigate-star wall_s: 0.25 -> 0.19 s (-24.0%)"]
+    # A written record lists its metrics by name. The host drift sets this
+    # record's parent medians (37.0 MB, 0.23 s) against BENCH_22's change.
+    assert lines == [
+        "irrigate-star peak_rss_mb: 37.5 -> 37.5 MB (+0.0%), host drift 37.5 -> 37 MB (-1.3%)",
+        "irrigate-star wall_s: 0.25 -> 0.19 s (-24.0%), host drift 0.25 -> 0.23 s (-8.0%)"]
     # A workload or metric the earlier record lacks is left out.
     assert bench.delta_lines({"workloads": {}}, _record(bench, [0.2] * 2, [0.2] * 2)) == []
+
+
+def test_bench_host_drift_reads_the_same_src_across_two_records(bench):
+    # The earlier record's change and this record's parent ran the same src/.
+    # Here the host ran it 20% slower, so a change that reads 4% below the
+    # earlier change is 20% below its own parent.
+    previous = _record(bench, [0.35, 0.35, 0.35], [0.25, 0.25, 0.25])
+    record = _record(bench, [0.30, 0.31, 0.29], [0.24, 0.25, 0.23])
+    wall = bench.delta_lines(previous, record)[0]
+    assert wall == "irrigate-star wall_s: 0.25 -> 0.24 s (-4.0%), host drift 0.25 -> 0.3 s (+20.0%)"
+    # A zero earlier median prints the difference in place of a ratio.
+    previous["workloads"]["irrigate-star"]["metrics"]["wall_s"]["change"]["median"] = 0.0
+    assert bench.delta_lines(previous, record)[0] == \
+        "irrigate-star wall_s: 0 -> 0.24 s (+0.24), host drift 0 -> 0.3 s (+0.3)"
+
+
+def test_bench_runs_ten_pairs_on_every_workload(bench):
+    assert bench.PAIRS == 10

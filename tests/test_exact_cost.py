@@ -131,3 +131,55 @@ def test_gilbert_energy_concave_in_alpha_on_fluxes_below_one():
     topo = extract_topology(_y_plan(), merge_tol=1e-9)
     values = [gilbert_energy(topo, a) for a in (0.2, 0.4, 0.6, 0.8)]
     assert np.all(np.diff(values) < 0.0)
+
+
+def test_merging_at_exactly_merge_tol_follows_hypot():
+    # The vertex sits at exactly merge_tol from node (1, 0) by np.hypot, while
+    # the sum of squares reads just above merge_tol**2.
+    vertex = np.array([1.042, 0.042])
+    merge_tol = float(np.hypot(vertex[0] - 1.0, vertex[1]))
+    dx, dy = vertex[0] - 1.0, vertex[1]
+    assert dx * dx + dy * dy > merge_tol * merge_tol
+    out = np.array([vertex[0], np.nextafter(vertex[1], 1.0)])  # one ulp further out
+    assert np.hypot(out[0] - 1.0, out[1]) > merge_tol
+    trunk = Path(vertices=np.array([[0.0, 0.0], [1.0, 0.0]]), mass=1.0)
+    for tail, merged in ((vertex, True), (out, False)):
+        # Within tolerance of the current node, and of a child of the current node.
+        for head in ([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]):
+            path = Path(vertices=np.vstack([head, [tail]]), mass=0.5)
+            topo = extract_topology(PathPlan(paths=(trunk, path)), merge_tol)
+            assert len(topo.nodes) == (2 if merged else 3)
+            assert topo.leaves == ({1: 1.5} if merged else {1: 1.0, 2: 0.5})
+        # Within tolerance of an ancestor: the path doubles back.
+        back = Path(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], tail]), mass=0.5)
+        if merged:
+            with pytest.raises(TopologyError, match="path 1 doubles back onto its own trunk "
+                                                   "near node 1$"):
+                extract_topology(PathPlan(paths=(trunk, back)), merge_tol)
+        else:
+            assert len(extract_topology(PathPlan(paths=(trunk, back)), merge_tol).nodes) == 4
+
+
+def test_a_merge_tol_with_a_subnormal_square_is_decided_by_hypot():
+    # The sum of squares rounds above merge_tol**2 by more than the 1e-9 band,
+    # yet the vertex sits at exactly merge_tol from the root by np.hypot.
+    dx, dy = 5.366718769884716e-162, 9.82663479821115e-162
+    merge_tol = float(np.hypot(dx, dy))
+    assert dx * dx + dy * dy > merge_tol * merge_tol * (1.0 + 1e-9)
+    path = Path(vertices=np.array([[0.0, 0.0], [dx, dy]]), mass=1.0)
+    topo = extract_topology(PathPlan(paths=(path,)), merge_tol)
+    assert len(topo.nodes) == 1 and topo.leaves == {0: 1.0}
+
+
+def test_topology_nodes_edges_and_leaves():
+    plan = PathPlan(paths=(
+        Path(vertices=np.array([[0.0, 0.0], [0.3, 0.4], [0.3, 0.4], [1.0, 1.0]]), mass=0.25),
+        Path(vertices=np.array([[0.0, 0.0], [0.3, 0.4 + 1e-8], [-1.0, 1.0]]), mass=0.75)))
+    topo = extract_topology(plan, merge_tol=1e-6)
+    assert not topo.nodes.flags.writeable
+    np.testing.assert_array_equal(topo.nodes, [[0.0, 0.0], [0.3, 0.4], [1.0, 1.0], [-1.0, 1.0]])
+    assert topo.edges == ((0, 1, float(np.hypot(0.3, 0.4)), 1.0),
+                          (1, 2, float(np.hypot(0.7, 0.6)), 0.25),
+                          (1, 3, float(np.hypot(-1.0 - 0.3, 1.0 - 0.4)), 0.75))
+    assert all(type(v) is float for edge in topo.edges for v in edge[2:])
+    assert topo.leaves == {2: 0.25, 3: 0.75}

@@ -357,3 +357,89 @@ def test_layout_table_matches_the_table_of_its_plan():
             wrong(table)
         with pytest.raises(TypeError, match=message):
             wrong(plan_at_x)
+
+
+def _first_crossing_by_loop(vertices, radius):
+    """The first crossing of a path with the circle, one segment at a time."""
+    r2 = radius * radius
+    for a, b in zip(vertices[:-1], vertices[1:]):
+        if (a * a).sum() >= r2:
+            return None
+        if (b * b).sum() < r2:
+            continue
+        d = b - a
+        qa = (d * d).sum()
+        if qa == 0.0:
+            return None
+        qb = 2.0 * (a * d).sum()
+        disc = qb * qb - 4.0 * qa * ((a * a).sum() - r2)
+        return a + min(max((-qb + np.sqrt(max(disc, 0.0))) / (2.0 * qa), 0.0), 1.0) * d
+    return None
+
+
+def _clusters_by_loop(plan, radius, tol):
+    seeds = []
+    for path in plan.paths:
+        crossing = _first_crossing_by_loop(path.vertices, radius)
+        if crossing is not None and all(np.hypot(*(crossing - s)) > tol for s in seeds):
+            seeds.append(crossing)
+    return len(seeds)
+
+
+def test_crossing_cluster_count_at_a_vertex_on_the_circle_and_from_outside():
+    # (0.2, 0) sits exactly on the circle of radius 0.2: x*x + y*y == 0.2 * 0.2.
+    on = Path(vertices=np.array([[0.0, 0.0], [0.2, 0.0], [0.5, 0.0]]), mass=1.0)
+    up = Path(vertices=np.array([[0.0, 0.0], [0.0, 0.2], [0.0, 0.5]]), mass=1.0)
+    plan = PathPlan(paths=(on, up))
+    assert crossing_cluster_count(plan, radius=0.2, tol=0.01) == 2
+    assert crossing_cluster_count(plan, radius=0.2, tol=0.3) == 1
+    # Every path starts at the origin, which is already on a circle of radius 0.
+    assert crossing_cluster_count(plan, radius=0.0, tol=0.01) == 0
+    # A path that leaves the circle on its first segment still crosses it.
+    far = Path(vertices=np.array([[0.0, 0.0], [0.0, -1.0]]), mass=1.0)
+    assert crossing_cluster_count(PathPlan(paths=(far, on)), radius=0.2, tol=0.01) == 2
+
+
+def test_crossing_cluster_count_matches_a_path_by_path_scan():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        paths = []
+        for _ in range(int(rng.integers(1, 9))):
+            steps = rng.normal(0.0, 0.08, (int(rng.integers(1, 7)), 2))
+            steps[rng.random(len(steps)) < 0.2] = 0.0  # some zero-length segments
+            paths.append(Path(vertices=np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)]),
+                              mass=1.0))
+        plan = PathPlan(paths=tuple(paths))
+        for radius, tol in ((0.1, 0.02), (0.2, 0.05), (0.05, 0.5), (0.0, 0.1)):
+            assert crossing_cluster_count(plan, radius, tol) == _clusters_by_loop(plan, radius, tol)
+
+
+def test_the_json_writer_writes_what_json_dumps_writes(tmp_path):
+    from ramify.plan_model import _write_json
+
+    targets = half_circle_targets(3)
+    payload = {
+        "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e22, 0.1],
+        "pairs": [[0.0, -0.0], [1e-7, 2.5]],
+        "pairs_with_nan": [[0.0, float("nan")]],
+        "float_subclass": [np.float64(0.1), 1.0],
+        "numpy_scalar": np.float64(1.0 / 3.0),
+        "ints": [0, -1, 2 ** 70, -(10 ** 30)],
+        "mixed": [True, False, None, 1, 1.5, "s", [1.0, 2], [[1.0]], (3.0, 4.0)],
+        "strings": ["", "plain", "quote \" and \\ and \n\t", "café ☃ \U0001f600", "\x00"],
+        "empty": {"list": [], "dict": {}, "tuple": (), "nested": [[], {}, [[]]]},
+        "tuple": (1.0, 2.0),
+        "B": 1, "a": 2, "é": 3, "": 4,
+        "path_plan": plan_to_dict(build_star_plan(targets, segments_per_path=3)),
+        "branch_plan": plan_to_dict(random_branch_plan(np.random.default_rng(3))),
+        "deep": {"x": {"y": {"z": [[1.0, 2.0], [3.0, 4.0]]}}},
+    }
+    path = tmp_path / "payload.json"
+    for value in (payload, payload["path_plan"], payload["branch_plan"], [], {}, 1.0, "x"):
+        _write_json(str(path), value)
+        assert path.read_text(encoding="utf-8") == \
+            json.dumps(value, indent=2, sort_keys=True) + "\n"
+    # Objects json cannot write, and non-str keys, which no output uses.
+    for bad in ({"n": np.int64(1)}, {(1, 2): 1.0}, {"s": {1.0}}, {1: "one"}):
+        with pytest.raises(TypeError):
+            _write_json(str(path), bad)

@@ -60,3 +60,24 @@ def test_save_svg_writes_file(tmp_path):
     out = tmp_path / "plan.svg"
     save_svg(plan, str(out))
     assert out.read_text().startswith("<svg")
+
+
+def test_a_one_path_document_with_a_negative_zero_coordinate():
+    from ramify.plan_model import TargetMeasure
+
+    # x = -1e-9 prints as -0.000000, which the document writes as 0.000000.
+    plan = PathPlan(paths=(Path(vertices=np.array([[0.0, 0.0], [-1e-9, 1.0], [1.0, 1.0]]),
+                                mass=1.0),))
+    targets = TargetMeasure(positions=np.array([[1.0, 1.0]]), masses=np.array([1.0]))
+    line = ('<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="#1f4e79" stroke-width="0.016820" '
+            'stroke-linecap="round"/>')
+    assert render_svg(plan, alpha=0.5, targets=targets) == "\n".join([
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+        'viewBox="-0.080000 -0.080000 1.160000 1.160000">',
+        '<rect x="-0.080000" y="-0.080000" width="1.160000" height="1.160000" fill="#ffffff"/>',
+        line.format("0.000000", "1.000000", "0.000000", "0.000000"),
+        line.format("0.000000", "0.000000", "1.000000", "0.000000"),
+        '<circle cx="1.000000" cy="0.000000" r="0.009280" fill="#b22222"/>',
+        '<circle cx="0.000000" cy="1.000000" r="0.012760" fill="#111111"/>',
+        "</svg>",
+        ""])

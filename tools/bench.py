@@ -7,15 +7,18 @@ copies the working tree's ``src/``; beside each it puts a copy of the
 working tree's ``perfbench/``. For each workload of ``BENCHMARK.json`` it
 then runs the benchmark's command with ``--trace 0`` and the benchmark's
 ``run_seconds`` as a subprocess on both sides, pair by pair: pair k uses
-seed ``SEED`` + k, and the side that runs first alternates. ``PAIRS`` sets
-the pair counts.
+seed ``SEED`` + k, and the side that runs first alternates. Every workload
+runs ``PAIRS`` pairs, enough for a "lower in at least 9 of 10" claim.
 
 Writes ``BENCH_<N>.json`` at the root of the checkout: for every workload
 and end-to-end metric, the median and quartiles of each side, and in how
 many of the pairs the change was lower than REV, with every sample. Then
 prints that summary and the delta of the change's medians against the
-newest other ``BENCH_*.json``. Runs go one at a time; a run takes about
-``run_seconds`` plus ten seconds of set-up timing.
+newest other ``BENCH_*.json``. Beside each delta it prints the host drift:
+REV's median here against the earlier record's change median. When REV
+is the change that record measured, both ran the same ``src/``, so the
+drift is what the host alone moved. Runs go one at a time; a run takes
+about ``run_seconds`` plus ten seconds of set-up timing.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import tempfile
 
 from same_outputs import ROOT, extract_src
 
-PAIRS = {"irrigate-star": 10}  # pairs per workload; 5 for any other
+PAIRS = 10  # pairs per workload
 SEED = 901  # pair k runs seed SEED + k
 SIDES = ("parent", "change")
 
@@ -91,18 +94,24 @@ def newest_bench(root: str, exclude: str):
     return max(found)[1] if found else None
 
 
+def _move(old: float, new: float, unit: str) -> str:
+    change = f"{(new - old) / abs(old):+.1%}" if old else f"{new - old:+.6g}"
+    return f"{old:.6g} -> {new:.6g} {unit} ({change})"
+
+
 def delta_lines(previous: dict, record: dict) -> list:
     """The change's medians in ``record`` against those in ``previous``,
-    for every workload and metric the two share."""
+    for every workload and metric the two share, each beside the host
+    drift: ``record``'s parent median against ``previous``'s change median."""
     lines = []
     for workload, summary in record["workloads"].items():
         before = previous["workloads"].get(workload, {}).get("metrics", {})
         for name, m in summary["metrics"].items():
             if name not in before:
                 continue
-            old, new = before[name]["change"]["median"], m["change"]["median"]
-            change = f"{(new - old) / abs(old):+.1%}" if old else f"{new - old:+.6g}"
-            lines.append(f"{workload} {name}: {old:.6g} -> {new:.6g} {m['unit']} ({change})")
+            old = before[name]["change"]["median"]
+            lines.append(f"{workload} {name}: {_move(old, m['change']['median'], m['unit'])},"
+                         f" host drift {_move(old, m['parent']['median'], m['unit'])}")
     return lines
 
 
@@ -148,18 +157,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         checkouts = {side: _side(tmp, side, rev) for side in SIDES}
         for workload in (entry["name"] for entry in benchmark["workloads"]):
-            count, runs = PAIRS.get(workload, 5), {side: [] for side in SIDES}
-            for k in range(count):
+            runs = {side: [] for side in SIDES}
+            for k in range(PAIRS):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 for side in order:
                     result, run_record = run_once(checkouts[side], benchmark["command"],
                                                   workload, SEED + k, seconds)
                     runs[side].append(result)
                     record.setdefault("machine", run_record["machine"])
-                    print(f"{workload} pair {k + 1}/{count} {side}: wall_s "
+                    print(f"{workload} pair {k + 1}/{PAIRS} {side}: wall_s "
                           f"{result['metrics']['wall_s']['value']:.4g}", flush=True)
             record["workloads"][workload] = dict(summarize(runs), first=[
-                SIDES[k % 2] for k in range(count)])
+                SIDES[k % 2] for k in range(PAIRS)])
     write_record(out, record)
     print(f"wrote {os.path.relpath(out, ROOT)}")
     print("\n".join(summary_lines(record)))
@@ -168,7 +177,7 @@ def main(argv=None) -> int:
         print("no earlier BENCH_*.json to compare with")
     else:
         with open(previous, encoding="utf-8") as handle:
-            print(f"change against {os.path.basename(previous)} (medians):")
+            print(f"change against {os.path.basename(previous)} (medians), with host drift:")
             print("\n".join(delta_lines(json.load(handle), record)))
     return 0
 

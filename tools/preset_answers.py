@@ -12,7 +12,8 @@ peak resident memory and minor page faults (the child's ``ru_maxrss``, in
 kilobytes on Linux, and ``ru_minflt``, from ``os.wait4``), iterations,
 stage reasons, rejected line-search trials per accepted iteration, final
 energy (J for treeopt), exact cost and cluster counts, then the median
-fig2 final energy and exact cost of each tree. The exact cost of a branch
+and the min-max of fig2's final energy and exact cost over its radii, for
+each tree. The exact cost of a branch
 tree is the unsmoothed sum of flux^alpha * length over its final segments.
 Exits 1 if a run fails, 0 otherwise; it compares nothing.
 """
@@ -106,6 +107,13 @@ def describe(wall: float, found: dict) -> str:
             f"clusters {found['cluster_counts']}  {found['stage_reasons']}")
 
 
+def spread(values: list) -> str:
+    """The median and min-max of ``values``, or "-" when there are none."""
+    if not values:
+        return "-"
+    return f"{statistics.median(values):.6g} (min-max {min(values):.6g}-{max(values):.6g})"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) > 1:
@@ -129,10 +137,10 @@ def main(argv=None) -> int:
                     fig2[label].append(result[1])
     for label, found in fig2.items():
         if found:
+            energy = [f["final_energy"] for f in found]
             exact = [f["exact_cost"] for f in found if f["exact_cost"] is not None]
-            print(f"fig2 median over {len(found)} radii, {label}: "
-                  f"E {statistics.median(f['final_energy'] for f in found):.6g}, "
-                  f"exact {statistics.median(exact) if exact else float('nan'):.6g}")
+            print(f"fig2 over {len(found)} radii, {label}: "
+                  f"E median {spread(energy)}, exact median {spread(exact)}")
     return 1 if failed else 0
 
 
