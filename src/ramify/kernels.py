@@ -84,53 +84,81 @@ def kernel_derivative(spec: KernelSpec, r):
     return out if out.ndim else float(out)
 
 
-def _bump_closed_form(a, b, x, eps: float, moments=None):
+def _bump_closed_form(a, b, x, eps: float, moments=None, grad: bool = False):
     """Shared body of the bump segment integral and its gradient.
 
     With d = b - a, w = a - x and L = |d| the squared distance is
     A u^2 + B u + C, and s0, s1, s2 are the moments of u where it stays
-    below eps^2. Returns the cast a and x, the coordinates (dx, dy) of d,
-    L, active, (s0, s1, s2), inner and the value (L/eps) inner, clipped at
-    0 and 0 off the support. Given the ``moments`` of an earlier call on
-    the same inputs it skips the support solve; active is then s0 > 0.
+    below eps^2. Returns the broadcast shape of the pairs, d and (when
+    ``grad`` is set, else None) w with the coordinate axis first, L,
+    active, (s0, s1, s2), inner and the value (L/eps) inner, clipped at 0
+    and 0 off the support. Given the ``moments`` of an earlier call on the
+    same inputs it skips the support solve; active is then s0 > 0. A
+    single pair is worked as an array of one, which the callers reshape.
 
     Every dot product is written per coordinate, x part plus y part: that
     is the order in which a sum over the length-2 coordinate axis adds,
-    at a fraction of its cost.
+    at a fraction of its cost. Factors that two terms share are computed
+    once, and arrays no later step reads are overwritten in place.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
-    dx, dy = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
-    wx, wy = a[..., 0] - x[..., 0], a[..., 1] - x[..., 1]
-    A = dx * dx + dy * dy
-    B = 2.0 * (wx * dx + wy * dy)
-    C = wx * wx + wy * wy
-    del wx, wy  # temporaries held to the end cost about 1.5x the page faults
+    if not a.shape == b.shape == x.shape:  # the in-place steps below need one shape
+        a, b, x = np.broadcast_arrays(a, b, x)
+    shape = a.shape[:-1]
+    if not shape:  # one pair: the in-place steps need arrays
+        a, b, x = a[None], b[None], x[None]
+        moments = moments and np.reshape(moments, (3, 1))
+    a = np.moveaxis(a, -1, 0)
+    d = np.subtract(np.moveaxis(b, -1, 0), a, order="C")
+    w = np.subtract(a, np.moveaxis(x, -1, 0), order="C")
+    A = d[0] * d[0] + d[1] * d[1]
+    B = 2.0 * (w[0] * d[0] + w[1] * d[1])
+    C = w[0] * w[0] + w[1] * w[1]
+    w = w if grad else None  # a value call holds no w through the support solve
     L = np.sqrt(A)
     if moments is None:
-        disc = B * B - 4.0 * A * (C - eps * eps)
+        disc = B * B
+        disc -= 4.0 * A * (C - eps * eps)
         pos = (A > 0.0) & (disc > 0.0)
-        sq = np.sqrt(np.where(pos, disc, 0.0))
+        disc[~pos] = 0.0
+        sq, two_a, lo = np.sqrt(disc, out=disc), 2.0 * A, np.negative(B)
+        # Off pos the roots may be inf or nan: active is False there, and
+        # both limits are zeroed.
         with np.errstate(invalid="ignore", divide="ignore"):
-            u1 = np.where(pos, (-B - sq) / (2.0 * A), 0.0)
-            u2 = np.where(pos, (-B + sq) / (2.0 * A), 0.0)
-        lo = np.maximum(u1, 0.0)
-        hi = np.minimum(u2, 1.0)
-        active = pos & (lo < hi)
-        del disc, sq, u1, u2, pos
-        lo = np.where(active, lo, 0.0)
-        hi = np.where(active, hi, 0.0)
-        moments = (hi - lo, 0.5 * (hi * hi - lo * lo), (hi * hi * hi - lo * lo * lo) / 3.0)
+            hi = np.add(lo, sq)
+            lo -= sq
+            lo /= two_a
+            hi /= two_a
+            np.maximum(lo, 0.0, out=lo)
+            np.minimum(hi, 1.0, out=hi)
+            active = pos & (lo < hi)
+        del disc, sq, two_a, pos
+        lo[~active] = hi[~active] = 0.0
+        hh, ll = hi * hi, lo * lo
+        s1 = np.multiply(0.5, hh - ll)
+        hh *= hi
+        hh -= np.multiply(ll, lo, out=ll)
+        moments = (np.subtract(hi, lo, out=hi), s1, np.divide(hh, 3.0, out=hh))
+        del lo, ll
     else:
         active = moments[0] > 0.0  # lo < hi makes hi - lo positive
     s0, s1, s2 = moments
     inv2 = 1.0 / (eps * eps)
-    inner = (1.0 - C * inv2) * s0 - B * inv2 * s1 - A * inv2 * s2
-    val = np.where(active, np.maximum((L / eps) * inner, 0.0), 0.0)
-    return a, x, (dx, dy), L, active, moments, inner, val
+    # inner = (1 - C inv2) s0 - B inv2 s1 - A inv2 s2, in the arrays of C, B and A.
+    inner = np.subtract(1.0, np.multiply(C, inv2, out=C), out=C)
+    inner *= s0
+    inner -= np.multiply(np.multiply(B, inv2, out=B), s1, out=B)
+    inner -= np.multiply(np.multiply(A, inv2, out=A), s2, out=A)
+    del A, B
+    val = L / eps
+    val *= inner
+    np.maximum(val, 0.0, out=val)
+    val[~active] = 0.0
+    return shape, d, w, L, active, moments, inner, val
 
 
 def bump_segment_integral(a, b, x, eps: float, with_moments: bool = False):
@@ -143,8 +171,9 @@ def bump_segment_integral(a, b, x, eps: float, with_moments: bool = False):
     ``with_moments`` returns (value, moments), the moments (s0, s1, s2) of
     u over the support that :func:`bump_segment_integral_grad` can reuse.
     """
-    *_, moments, _, val = _bump_closed_form(a, b, x, eps)
-    val = val if val.ndim else float(val)
+    shape, *_, moments, _, val = _bump_closed_form(a, b, x, eps)
+    if not shape:
+        val, moments = float(val[0]), tuple(np.reshape(moments, (3,)))
     return (val, moments) if with_moments else val
 
 
@@ -159,23 +188,35 @@ def bump_segment_integral_grad(a, b, x, eps: float, moments=None):
     with a segment endpoint. Given the ``moments`` of a value call on the
     same inputs it skips the support solve, with the same result bit for bit.
     """
-    a, x, d, L, active, (s0, s1, s2), inner, val = _bump_closed_form(a, b, x, eps, moments)
-    inv2 = 1.0 / (eps * eps)
+    shape, d, w, L, active, (s0, s1, s2), inner, val = _bump_closed_form(
+        a, b, x, eps, moments, True)
     # Partials of the integral with respect to the quadratic coefficients.
-    gA = np.where(active, -(L / eps) * inv2 * s2, 0.0)
-    gB = np.where(active, -(L / eps) * inv2 * s1, 0.0)
-    gC = np.where(active, -(L / eps) * inv2 * s0, 0.0)
+    scale = -(L / eps) * (1.0 / (eps * eps))
+    gA, gB, gC = scale * s2, scale * s1, np.multiply(scale, s0, out=scale)
+    idle, length = ~active, L > 0.0
+    for g in (gA, gB, gC):
+        g[idle] = 0.0
+    gB2, gC2 = gB * 2.0, gC * 2.0
+    gL = np.divide(inner, eps, out=inner)
+    gL[~(active & length)] = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        gL = np.where(active & (L > 0.0), inner / eps, 0.0)
-        unit = [np.where(L > 0.0, dc / L, 0.0) for dc in d]
-
-    da, db, dx = (np.empty(active.shape + (2,)) for _ in range(3))
-    for k in range(2):
-        dk, wk, uk = d[k], a[..., k] - x[..., k], unit[k]
-        da[..., k] = gA * (-2.0 * dk) + gB * 2.0 * (dk - wk) + gC * 2.0 * wk + gL * (-uk)
-        db[..., k] = gA * (2.0 * dk) + gB * 2.0 * wk + gL * uk
-        dx[..., k] = gB * (-2.0 * dk) + gC * (-2.0 * wk)
-    return (val if val.ndim else float(val)), da, db, dx
+        unit = d / L
+    unit[:, ~length] = 0.0
+    del inner, idle, active, L
+    # da = gA (-2 d) + gB 2 (d - w) + gC 2 w + gL (-unit), db = gA (2 d) + gB 2 w + gL unit
+    # and dx = gB (-2 d) + gC (-2 w), each in a (2, ...) array, added left to right.
+    da, db, dx, term = (np.empty(d.shape) for _ in range(4))
+    np.multiply(gA, np.multiply(-2.0, d, out=dx), out=da)
+    np.multiply(gB, dx, out=dx)
+    dx += np.multiply(gC, np.multiply(-2.0, w, out=term), out=term)
+    da += np.multiply(gB2, np.subtract(d, w, out=term), out=term)
+    da += np.multiply(gC2, w, out=term)
+    da += np.multiply(gL, np.negative(unit, out=term), out=term)
+    np.multiply(gA, np.multiply(2.0, d, out=db), out=db)
+    db += np.multiply(gB2, w, out=term)
+    db += np.multiply(gL, unit, out=term)
+    da, db, dx = (np.moveaxis(g, 0, -1).reshape(shape + (2,)) for g in (da, db, dx))
+    return (val if shape else float(val[0])), da, db, dx
 
 
 @lru_cache(maxsize=8)

@@ -22,12 +22,11 @@ smaller radii sharpen the geometry toward the unsmoothed cost.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import cumulative_arclength, resample_polyline, segment_lengths
-from .gradients import Layout, owner_slices, vector_to_plan
+from .gradients import Layout, vector_to_plan
 from .kernels import KernelSpec
 from .mollified import _KeptPairs, energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
 from .objective import ObjectiveConfig, ObjectiveValue, tree_objective, tree_objective_gradient
@@ -96,8 +95,7 @@ class TraceRow:
                         for v in astuple(self))
 
 
-@dataclass(frozen=True)
-class StageCounts:
+class StageCounts(NamedTuple):
     """Line-search work of one stage: every objective evaluation (start,
     trials and resamples) and every trial that failed to decrease."""
 
@@ -175,10 +173,17 @@ def feasibility_project(vector: np.ndarray, layout: Layout) -> np.ndarray:
     return out
 
 
-def project_plan(plan):
-    """Return the nearest feasible plan (identity on feasible input)."""
-    layout = Layout.of(plan)
-    return vector_to_plan(feasibility_project(layout.base, layout), layout)
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x[r], xp[r], fp[r])`` for each row r of nondecreasing ``xp``
+    and finite ``fp``, with no x below xp[r, 0]: fp at the last knot at or
+    below x where x lies on it or past the end, else the slope to the next
+    knot times the distance plus fp, in np.interp's order and without warnings."""
+    j = (xp[:, None, :] <= x[:, :, None]).sum(axis=2) - 1
+    x0, f0, x1, f1 = (np.take_along_axis(v, k, 1) for k in (j, np.minimum(j + 1, xp.shape[1] - 1))
+                      for v in (xp, fp))
+    with np.errstate(all="ignore"):
+        out = (f1 - f0) / (x1 - x0) * (x - x0) + f0
+    return np.where((j == xp.shape[1] - 1) | (x0 == x), f0, out)
 
 
 def rediscretize_plan(x: np.ndarray, layout: Layout) -> np.ndarray:
@@ -188,31 +193,44 @@ def rediscretize_plan(x: np.ndarray, layout: Layout) -> np.ndarray:
     Knot counts and endpoints are unchanged. The density of each new branch
     interval carries the mass of the old arc span it covers. A zero-length
     branch, or one whose remapped leaf mass drifts by more than 1e-9
-    relative, keeps its slots.
+    relative, keeps its slots. The owners with one vertex count are
+    re-sampled together, each by the arithmetic of ``np.linspace`` and
+    ``np.interp`` on it alone (as ``geometry.resample_polyline`` does).
     """
     out = np.array(x, dtype=float)
-    for xs, ys, ms in owner_slices(out, layout):
-        vertices = np.column_stack([xs, ys])
-        if not len(ms):  # a path
-            new_vertices, _ = resample_polyline(vertices, len(xs))
-        else:
-            arcs = cumulative_arclength(vertices)
-            if float(arcs[-1]) == 0.0:
-                continue
-            new_vertices, new_arcs = resample_polyline(vertices, len(xs))
-            new_lengths = segment_lengths(new_vertices)
-            # overlap[q, p]: arc length shared by old interval q and new interval p.
-            overlap = (np.minimum(new_arcs[None, 1:], arcs[1:, None])
-                       - np.maximum(new_arcs[None, :-1], arcs[:-1, None]))
-            # Reducing along axis 0 adds the old intervals in order, one row at
+    counts, firsts = np.array(layout.counts), np.array(layout.offsets[:-1])
+    for n in sorted(set(layout.counts)):  # a first np.unique call adds about 1.4 MB of RSS
+        xi = firsts[counts == n, None] + np.arange(n)  # x slots; y slots follow, then densities
+        xs, ys = out[xi], out[xi + n]
+        lengths = np.hypot(np.diff(xs), np.diff(ys))
+        arcs = np.zeros(xi.shape)
+        np.cumsum(lengths, axis=1, out=arcs[:, 1:])
+        total = arcs[:, -1]
+        # np.linspace(0, total, n) for each row, its step-underflow case included.
+        step = total / (n - 1)
+        knots = np.arange(n) * step[:, None]
+        knots[step == 0.0] = np.arange(n) / (n - 1) * total[step == 0.0, None]
+        knots[:, -1] = total
+        new_x, new_y = _interp_rows(knots, arcs, xs), _interp_rows(knots, arcs, ys)
+        keep = slice(None)  # every owner, unless a branch remap below is refused
+        for new, old in ((new_x, xs), (new_y, ys)):
+            new[:, 0], new[:, -1] = old[:, 0], old[:, -1]
+            new[total <= 0.0] = old[total <= 0.0, :1]  # no length: all at the first vertex
+        if len(layout.m_slots):
+            ms = out[xi[:, 1:] + 2 * n - 1]
+            new_lengths = np.hypot(np.diff(new_x), np.diff(new_y))
+            # overlap[o, q, p]: arc length shared by old interval q and new interval p of owner o.
+            overlap = (np.minimum(knots[:, None, 1:], arcs[:, 1:, None])
+                       - np.maximum(knots[:, None, :-1], arcs[:, :-1, None]))
+            # Reducing along axis 1 adds the old intervals in order, one row at
             # a time; a pairwise sum would change the last bits of the result.
-            acc = np.where(overlap > 0.0, ms[:, None] * overlap, 0.0).sum(axis=0)
-            new_m = np.divide(acc, new_lengths, out=np.zeros(len(ms)), where=new_lengths > 0.0)
-            old_mass = float((ms * segment_lengths(vertices)).sum())
-            if abs(float((new_m * new_lengths).sum()) - old_mass) > 1e-9 * max(1.0, old_mass):
-                continue
-            ms[:] = new_m
-        xs[:], ys[:] = new_vertices[:, 0], new_vertices[:, 1]
+            acc = np.where(overlap > 0.0, ms[:, :, None] * overlap, 0.0).sum(axis=1)
+            new_m = np.divide(acc, new_lengths, out=np.zeros_like(acc), where=new_lengths > 0.0)
+            old_mass = (ms * lengths).sum(axis=1)  # each row summed as its own 1-D sum would be
+            drift = np.abs((new_m * new_lengths).sum(axis=1) - old_mass)
+            keep = (total != 0.0) & ~(drift > 1e-9 * np.where(old_mass > 1.0, old_mass, 1.0))
+            out[xi[keep, 1:] + 2 * n - 1] = new_m[keep]
+        out[xi[keep]], out[xi[keep] + n] = new_x[keep], new_y[keep]
     return out
 
 
@@ -360,7 +378,9 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
     The final value is the last finite one, or None when the first
     stage's starting objective is not finite.
     """
-    plan = project_plan(plan)
+    layout = Layout.of(plan)  # the nearest feasible plan (identity on feasible input)
+    plan = vector_to_plan(feasibility_project(layout.base, layout), layout)
+    del layout  # each stage makes its own; this one would be held through the run
     tau0 = resolve_tau0(plan, cfg)
     trace = RunTrace()
     trace.stage_plans.append(plan)

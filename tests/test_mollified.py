@@ -32,7 +32,11 @@ from ramify.mollified import (
     _gradient_weights,
     _KeptPairs,
     _midpoint_energy,
+    _midpoint_pairs,
     _pair_list,
+    _pair_pulls,
+    _pairs,
+    _value_pass,
     branch_irrigation_cost,
     energy_avg,
     energy_avg_gradient,
@@ -621,6 +625,43 @@ def test_slicing_the_pair_list_changes_no_bit(monkeypatch):
     for block in (1, 50):
         monkeypatch.setattr(mollified_module, "_BLOCK", block)
         assert _sliced_outputs(17) == whole
+
+
+def _broadcast_pulls(table, pairs, eps, moments, weigh):
+    """The pulls as one broadcast product per derivative and block, each
+    product then added a coordinate column at a time, for comparison."""
+    ga, gb, gx = np.zeros((3, table.size, 2))
+    for (i, j), part in zip(pairs, moments):
+        value, d_a, d_b, d_x = _pairs(table, table.midpoint, i, j, eps, KernelSpec(), 32,
+                                      grad=True, moments=part)
+        weight = weigh(i, j, value)[:, None]
+        for total, index, products in ((ga, j, weight * d_a), (gb, j, weight * d_b),
+                                       (gx, i, weight * d_x)):
+            for k in range(2):
+                np.add.at(total[:, k], index, products[:, k])
+    return ga, gb, gx
+
+
+@pytest.mark.parametrize("case", ["fan", "star"])
+def test_pair_pulls_match_the_broadcast_products_bit_for_bit(monkeypatch, case):
+    # A fan at eps 0.8 is one block; a 100-atom star cut into blocks of 2^12
+    # candidates is many.
+    if case == "fan":
+        plan, eps = build_fan_branches(15), 0.8
+    else:
+        monkeypatch.setattr(mollified_module, "_BLOCK", 2 ** 12)
+        plan, eps = build_star_plan(half_circle_targets(100), segments_per_path=16), 0.1
+    table = segment_table(plan)
+    pairs = _midpoint_pairs(table, eps)
+    assert (len(pairs) == 1) == (case == "fan")
+    moments = _value_pass(table, table.midpoint, pairs, eps, lambda i, j, value: None)
+
+    def weigh(i, j, value):
+        return np.sin(i + 0.37 * j) * table.flux[j] + value
+
+    got = _pair_pulls(table, pairs, eps, moments, weigh)
+    want = _broadcast_pulls(table, pairs, eps, moments, weigh)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_energy_avg_and_its_gradient_stay_within_a_slice_budget():

@@ -35,7 +35,6 @@ from ramify.optimizer import (
     eps_continuation,
     feasibility_project,
     path_evaluator,
-    project_plan,
     rediscretize_plan,
     resolve_tau0,
     run_descent,
@@ -208,9 +207,11 @@ def test_layout_round_trip_projection_and_pinned_gradients():
             assert np.all(grad[pinned] == 0.0)
 
 
-def test_project_plan_is_identity_on_feasible():
+def test_feasibility_projection_is_identity_on_a_feasible_plan():
+    # The projection eps_continuation applies to its starting plan.
     plan = build_fan_branches(3, segments=2)
-    again = project_plan(plan)
+    layout = Layout.of(plan)
+    again = vector_to_plan(feasibility_project(layout.base, layout), layout)
     for b, c in zip(plan.branches, again.branches):
         np.testing.assert_array_equal(b.x, c.x)
         np.testing.assert_array_equal(b.y, c.y)
@@ -447,6 +448,26 @@ def test_rediscretize_resamples_every_owner_in_the_flat_vector():
                 expected = (vertices[:, 0], vertices[:, 1], np.zeros(0))
             assert [s.tobytes() for s in slots] == [np.ascontiguousarray(e).tobytes()
                                                     for e in expected]
+
+
+def test_rediscretize_resamples_owners_of_one_vertex_count_as_each_alone():
+    # Paths with one vertex count are resampled together. The group holds a
+    # repeated vertex, knots landing on vertices, a zero-length path ending
+    # at -0.0 and one of a single subnormal step, whose np.linspace step
+    # underflows to zero.
+    rng = np.random.default_rng(29)
+    vertices = [np.vstack([np.zeros((1, 2)), rng.uniform(-1.0, 1.0, (6, 2))]) for _ in range(4)]
+    vertices[1][3] = vertices[1][2]
+    vertices += [np.column_stack([np.arange(7.0), np.zeros(7)]),
+                 np.vstack([np.zeros((1, 2)), np.full((6, 2), -0.0)]),
+                 np.vstack([np.zeros((1, 2)), np.full((6, 2), [5e-324, 0.0])])]
+    plan = PathPlan(paths=tuple(Path(vertices=v, mass=0.25) for v in vertices))
+    layout = Layout.of(plan)
+    out = rediscretize_plan(plan_to_vector(plan), layout)
+    for v, (xs, ys, _) in zip(vertices, owner_slices(out, layout)):
+        expected, _ = resample_polyline(v, len(v))
+        assert (xs.tobytes(), ys.tobytes()) == (np.ascontiguousarray(expected[:, 0]).tobytes(),
+                                                np.ascontiguousarray(expected[:, 1]).tobytes())
 
 
 def test_eps_continuation_stages_and_numbering():
