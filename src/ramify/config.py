@@ -267,6 +267,8 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return data

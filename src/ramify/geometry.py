@@ -1,4 +1,4 @@
-"""Planar polyline geometry shared by the plan, cost, and optimizer modules.
+"""Planar geometry shared by the plan and mollified-energy modules.
 
 All routines are vectorized over numpy arrays and allocate nothing global,
 so they are safe to call from parallel read-only evaluations.
@@ -7,55 +7,6 @@ so they are safe to call from parallel read-only evaluations.
 from __future__ import annotations
 
 import numpy as np
-
-
-def segment_lengths(vertices: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the consecutive segments of a polyline.
-
-    Parameters
-    ----------
-    vertices : (K+1, 2) array
-    Returns
-    -------
-    (K,) array of segment lengths.
-    """
-    v = np.asarray(vertices, dtype=float)
-    d = np.diff(v, axis=0)
-    return np.hypot(d[:, 0], d[:, 1])
-
-
-def cumulative_arclength(vertices: np.ndarray) -> np.ndarray:
-    """Cumulative arc length at each vertex, starting at 0."""
-    lengths = segment_lengths(vertices)
-    out = np.empty(len(lengths) + 1)
-    out[0] = 0.0
-    np.cumsum(lengths, out=out[1:])
-    return out
-
-
-def resample_polyline(vertices: np.ndarray, num_vertices: int):
-    """Redistribute a polyline's vertices at equal arc-length spacing.
-
-    The resampled polyline traces the same curve; the first and last
-    vertices are preserved bit-exactly. Returns ``(new_vertices, knot_arcs)``
-    where ``knot_arcs`` are the arc-length positions of the new vertices
-    along the original curve.
-    """
-    v = np.asarray(vertices, dtype=float)
-    if num_vertices < 2:
-        raise ValueError("a polyline needs at least two vertices")
-    cum = cumulative_arclength(v)
-    total = cum[-1]
-    knot_arcs = np.linspace(0.0, total, num_vertices)
-    if total <= 0.0:
-        return np.repeat(v[:1], num_vertices, axis=0), knot_arcs
-    new = np.column_stack([
-        np.interp(knot_arcs, cum, v[:, 0]),
-        np.interp(knot_arcs, cum, v[:, 1]),
-    ])
-    new[0] = v[0]
-    new[-1] = v[-1]
-    return new, knot_arcs
 
 
 def pair_projection(points: np.ndarray, a: np.ndarray, b: np.ndarray):

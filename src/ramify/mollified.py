@@ -74,11 +74,20 @@ def _record(value, form: str) -> _Evaluation:
 
 
 @dataclass(frozen=True)
-class MollifiedEval:
-    """Energy value with its per-segment midpoint-rule terms."""
+class ObjectiveValue:
+    """Objective total together with its three components.
 
-    value: float
-    terms: np.ndarray  # (S,) contribution of each segment table row
+    An energy or branch cost is its own irrigation, with its per-segment
+    ``terms`` in segment-table order (None for the tree objective).
+    ``_evaluation`` holds the settings and data of the evaluation, for its
+    gradient. Neither takes part in comparisons.
+    """
+
+    total: float
+    irrigation: float
+    penalty: float = 0.0
+    payoff: float = 0.0
+    terms: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     _evaluation: Optional[_Evaluation] = field(default=None, compare=False, repr=False)
 
 
@@ -421,10 +430,11 @@ def _powers(table: SegmentTable, w: np.ndarray, alpha: float, what: str):
 
 
 def _midpoint_energy(table: SegmentTable, w: np.ndarray, alpha: float, what: str,
-                     evaluation: Optional[_Evaluation] = None) -> MollifiedEval:
+                     evaluation: Optional[_Evaluation] = None) -> ObjectiveValue:
     active, powers = _powers(table, w, alpha, what)
     terms = np.where(active, powers * table.flux * table.length, 0.0)
-    return MollifiedEval(value=float(terms.sum()), terms=terms, _evaluation=evaluation)
+    total = float(terms.sum())
+    return ObjectiveValue(total=total, irrigation=total, terms=terms, _evaluation=evaluation)
 
 
 def _gradient_weights(table: SegmentTable, w: np.ndarray, alpha: float, what: str):
@@ -437,7 +447,7 @@ def _gradient_weights(table: SegmentTable, w: np.ndarray, alpha: float, what: st
 
 
 def energy_max(plan, alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
-               kept=None) -> MollifiedEval:
+               kept=None) -> ObjectiveValue:
     """Midpoint-rule energy of a path plan or its segment table, built on
     the max-form multiplicity.
 
@@ -457,7 +467,7 @@ def energy_max(plan, alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
 
 
 def energy_avg(plan, alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
-               quad_points: int = 32, kept=None) -> MollifiedEval:
+               quad_points: int = 32, kept=None) -> ObjectiveValue:
     """Midpoint-rule energy of a path plan or its segment table, built on
     the integral-average multiplicity.
 
@@ -565,7 +575,7 @@ def floored_power(multiplicity: np.ndarray, transported: np.ndarray,
 
 
 def branch_irrigation_cost(plan: BranchPlan, alpha: float, eps: float,
-                           f_min: float = 0.0) -> MollifiedEval:
+                           f_min: float = 0.0) -> ObjectiveValue:
     """Midpoint-rule irrigation cost of a branch plan.
 
     Sum over segments of F(mid)^(alpha-1) * flux * length with F the
@@ -579,7 +589,8 @@ def branch_irrigation_cost(plan: BranchPlan, alpha: float, eps: float,
         raise ValueError("f_min must be nonnegative")
     table = segment_table(plan)
     terms = _branch_cost_terms(table, alpha, eps, f_min, _midpoint_pairs(table, eps))[0]
-    return MollifiedEval(value=float(terms.sum()), terms=terms)
+    total = float(terms.sum())
+    return ObjectiveValue(total=total, irrigation=total, terms=terms)
 
 
 def _branch_cost_terms(table: SegmentTable, alpha: float, eps: float, f_min: float,

@@ -16,8 +16,7 @@ choice is made so projected descent with a small floor stays stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .mollified import (
     _Evaluation,
     _midpoint_pairs,
     _record,
+    ObjectiveValue,
 )
 from .plan_model import BranchPlan, SegmentTable, segment_table
 
@@ -66,21 +66,6 @@ class ObjectiveConfig:
 
     def with_eps(self, eps: float) -> "ObjectiveConfig":
         return replace(self, eps=eps)
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Objective total together with its three components.
-
-    ``_evaluation`` holds the settings and data of the evaluation, for
-    its gradient; it takes no part in comparisons.
-    """
-
-    total: float
-    irrigation: float
-    penalty: float
-    payoff: float
-    _evaluation: Optional[_Evaluation] = field(default=None, compare=False, repr=False)
 
 
 def _branch_table(plan) -> SegmentTable:

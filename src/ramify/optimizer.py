@@ -21,7 +21,7 @@ smaller radii sharpen the geometry toward the unsmoothed cost.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from .gradients import Layout, vector_to_plan
 from .kernels import KernelSpec
 from .mollified import _KeptPairs, energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
-from .objective import ObjectiveConfig, ObjectiveValue, tree_objective, tree_objective_gradient
+from .objective import ObjectiveConfig, tree_objective, tree_objective_gradient
 
 TRACE_FIELDS = ("iter", "eps", "J", "I", "P", "H", "tau", "gnorm", "backtracks")
 TRACE_HEADER = ",".join(TRACE_FIELDS)
@@ -76,8 +76,7 @@ class DescentConfig:
             raise ValueError("m_init must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One accepted descent iteration, in trace column order."""
 
     iteration: int
@@ -92,7 +91,7 @@ class TraceRow:
 
     def as_csv(self) -> str:
         return ",".join(format(v, ".17g") if isinstance(v, float) else str(v)
-                        for v in astuple(self))
+                        for v in self)
 
 
 class StageCounts(NamedTuple):
@@ -114,8 +113,7 @@ class RunTrace:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Evaluator:
+class Evaluator(NamedTuple):
     """Objective and gradient callables over one plan type.
 
     ``objective(table)`` returns an :class:`ObjectiveValue`; the descent
@@ -126,12 +124,6 @@ class Evaluator:
 
     objective: Callable
     gradient: Callable
-
-
-def _energy_value(energy) -> ObjectiveValue:
-    """An energy as an objective value, carrying the energy's evaluation."""
-    return ObjectiveValue(total=energy.value, irrigation=energy.value, penalty=0.0,
-                          payoff=0.0, _evaluation=energy._evaluation)
 
 
 def path_evaluator(alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
@@ -145,11 +137,11 @@ def path_evaluator(alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
     kept = _KeptPairs(eps, spec)
     if functional == "avg":
         def objective(plan):
-            return _energy_value(energy_avg(plan, alpha, eps, spec, quad_points, kept=kept))
+            return energy_avg(plan, alpha, eps, spec, quad_points, kept=kept)
         return Evaluator(objective=objective, gradient=energy_avg_gradient)
     if functional == "max":
         def objective(plan):
-            return _energy_value(energy_max(plan, alpha, eps, spec, kept=kept))
+            return energy_max(plan, alpha, eps, spec, kept=kept)
         return Evaluator(objective=objective, gradient=energy_max_gradient)
     raise ValueError("functional must be 'avg' or 'max'")
 
@@ -195,7 +187,7 @@ def rediscretize_plan(x: np.ndarray, layout: Layout) -> np.ndarray:
     branch, or one whose remapped leaf mass drifts by more than 1e-9
     relative, keeps its slots. The owners with one vertex count are
     re-sampled together, each by the arithmetic of ``np.linspace`` and
-    ``np.interp`` on it alone (as ``geometry.resample_polyline`` does).
+    ``np.interp`` on it alone.
     """
     out = np.array(x, dtype=float)
     counts, firsts = np.array(layout.counts), np.array(layout.offsets[:-1])

@@ -14,11 +14,8 @@ import pytest
 
 from ramify import cli
 from ramify.config import PRESETS, merge_config, validate_config
-from ramify.exact_cost import (
-    brute_force_bifurcation,
-    exact_multiplicity,
-    exact_plan_cost,
-)
+from oracles import brute_force_bifurcation, exact_multiplicity
+from ramify.exact_cost import exact_plan_cost
 from ramify.gradients import Layout, plan_to_vector, vector_to_plan
 from ramify.mollified import (
     energy_avg,
@@ -85,7 +82,7 @@ def test_smoothed_energy_table_approaches_exact_cost_from_below():
     assert exact == pytest.approx(25.0 ** 0.6, rel=1e-12)
 
     eps_grid = (0.2, 0.1, 0.05, 0.02)
-    energies = [energy_max(plan, alpha, eps).value for eps in eps_grid]
+    energies = [energy_max(plan, alpha, eps).total for eps in eps_grid]
     for eps, value in zip(eps_grid, energies):
         assert value <= exact * (1.0 + 1e-3), (
             f"upper bound violated at eps={eps}: {value} > {exact}")
@@ -158,8 +155,8 @@ def test_lengthening_a_path_can_lower_the_averaged_energy():
 
     plan_short, plan_long, eps = saturated_pair_plans(l1, l2, delta, m1, m2)
     spec = KernelSpec(kind="rational")
-    energy_short = energy_avg(plan_short, alpha, eps, spec).value
-    energy_long = energy_avg(plan_long, alpha, eps, spec).value
+    energy_short = energy_avg(plan_short, alpha, eps, spec).total
+    energy_long = energy_avg(plan_long, alpha, eps, spec).total
     assert energy_long < energy_short, (
         f"lengthened plan not cheaper: {energy_long} >= {energy_short}")
 
@@ -308,7 +305,7 @@ def test_unit_exponent_makes_all_three_energies_agree():
         plan = _random_path_plan(rng)
         exact = exact_plan_cost(plan, 1.0)
         for eps in (0.07, 1.3):
-            e_max = energy_max(plan, 1.0, eps).value
-            e_avg = energy_avg(plan, 1.0, eps).value
+            e_max = energy_max(plan, 1.0, eps).total
+            e_avg = energy_avg(plan, 1.0, eps).total
             assert e_max == pytest.approx(exact, abs=1e-9)
             assert e_avg == pytest.approx(exact, abs=1e-9)

@@ -15,6 +15,7 @@ import pytest
 import ramify
 import ramify.exact_cost as exact_cost_module
 import ramify.mollified as mollified_module
+import ramify.objective as objective_module
 import ramify.optimizer as optimizer_module
 from ramify.cli import main
 from ramify.exact_cost import TopologyError, exact_plan_cost
@@ -302,7 +303,7 @@ def test_gamma_table_outputs_and_monotone_gap(tmp_path):
 def test_failed_gamma_table_checks_are_written_then_exit_three(tmp_path, monkeypatch, capsys,
                                                                e_max, failure):
     def energy_max(plan, alpha, eps, spec):
-        return SimpleNamespace(value=e_max(exact_plan_cost(plan, alpha), eps))
+        return SimpleNamespace(total=e_max(exact_plan_cost(plan, alpha), eps))
 
     monkeypatch.setattr(mollified_module, "energy_max", energy_max)
     out = str(tmp_path / "run")
@@ -345,7 +346,7 @@ def test_failed_counterexample_checks_are_written_then_exit_three(tmp_path, caps
     assert err.strip() == "numerical check failed: " + "; ".join(report["failures"])
 
 
-def test_gradcheck_passes_and_detects_corruption(tmp_path, capsys):
+def test_gradcheck_passes_and_detects_corruption(tmp_path, monkeypatch, capsys):
     cfg = _write_config(
         tmp_path,
         {"experiment": "gradcheck", "gradcheck": {"plans": 4, "seed": 1}},
@@ -358,17 +359,23 @@ def test_gradcheck_passes_and_detects_corruption(tmp_path, capsys):
     assert 0.0 < report["worst_rel_error_major"] <= report["worst_rel_error"]
     assert report["plans"] == 4
 
+    real = objective_module.tree_objective_gradient
+
+    def corrupted(value):
+        analytic = real(value)
+        analytic[min(1, len(analytic) - 1)] += 1e-3
+        return analytic
+
+    monkeypatch.setattr(objective_module, "tree_objective_gradient", corrupted)
     bad_out = str(tmp_path / "bad")
     capsys.readouterr()
-    assert (
-        main(["gradcheck", "--config", cfg, "--out", bad_out, "--corrupt-gradient"]) == 3
-    )
+    assert main(["gradcheck", "--config", cfg, "--out", bad_out]) == 3
     bad_report = _read_json(os.path.join(bad_out, "report.json"))
     assert not bad_report["passed"]
     assert "numerical check failed: gradient mismatch" in capsys.readouterr().err
 
 
-def test_config_errors_exit_two(tmp_path):
+def test_config_errors_exit_two(tmp_path, capsys):
     bad = _write_config(tmp_path, {"objective": {"alfa": 0.5}})
     assert main(["irrigate", "--config", bad, "--out", str(tmp_path / "x")]) == 2
     assert main(["irrigate", "--preset", "fig9", "--out", str(tmp_path / "y")]) == 2
@@ -404,6 +411,19 @@ def test_config_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["treeopt", "--functional", "max", "--out", str(tmp_path / "z")])
     assert info.value.code == 2
+    # A config file that is not UTF-8, and an --out that names an existing file.
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"out_dir": "\xff"}')
+    taken = tmp_path / "taken"
+    taken.touch()
+    for args, out in ((["irrigate", "--config", str(not_utf8), "--out", str(tmp_path / "u")],
+                       tmp_path / "u"),
+                      (["counterexample", "--out", str(taken)], taken)):
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.is_dir()
+    assert taken.read_bytes() == b""
 
 
 def test_experiment_subcommand_mismatch_exits_two(tmp_path):
@@ -513,7 +533,7 @@ def test_nonfinite_stage_writes_outputs_and_exits_three(tmp_path, monkeypatch, c
             value = evaluator.objective(plan)
             return value if len(calls) <= 3 else dataclasses.replace(value, total=np.nan)
 
-        return dataclasses.replace(evaluator, objective=objective)
+        return evaluator._replace(objective=objective)
 
     monkeypatch.setattr(optimizer_module, "path_evaluator", poisoned)
     cfg = _write_config(tmp_path, TINY_IRRIGATE)
@@ -542,7 +562,7 @@ def test_a_run_that_raises_leaves_no_trace(tmp_path, monkeypatch, capsys):
                 raise ValueError("energy_avg: zero multiplicity at midpoint 0")
             return evaluator.objective(plan)
 
-        return dataclasses.replace(evaluator, objective=objective)
+        return evaluator._replace(objective=objective)
 
     monkeypatch.setattr(optimizer_module, "path_evaluator", degenerate)
     out = str(tmp_path / "run")
@@ -580,7 +600,7 @@ def test_nonfinite_stage_start_writes_outputs_and_exits_three(tmp_path, monkeypa
         evaluator = real(alpha, eps, *args)
         if eps != poisoned_eps:
             return evaluator
-        return dataclasses.replace(evaluator, objective=lambda plan: dataclasses.replace(
+        return evaluator._replace(objective=lambda plan: dataclasses.replace(
             evaluator.objective(plan), total=np.nan))
 
     monkeypatch.setattr(optimizer_module, "path_evaluator", poisoned)

