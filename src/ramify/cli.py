@@ -21,6 +21,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import asdict
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
@@ -333,10 +334,7 @@ def cmd_counterexample(run_cfg, out_dir: str):
 
     report = {
         "experiment": "counterexample",
-        "fixture": {
-            "m1": fixture.m1, "m2": fixture.m2, "l1": fixture.l1,
-            "l2": fixture.l2, "delta": fixture.delta, "alpha": fixture.alpha,
-        },
+        "fixture": asdict(fixture),
         "closed_form": {
             "cost_before": cost_before,
             "cost_after": cost_after,
@@ -397,11 +395,7 @@ def run_gradient_check(run_cfg) -> dict:
             worst_component = int(np.flatnonzero(relevant)[int(rel.argmax())])
     return {
         "experiment": "gradcheck",
-        "plans": check.plans,
-        "seed": check.seed,
-        "max_branches": check.max_branches,
-        "max_segments": check.max_segments,
-        "step": check.step,
+        **asdict(check),
         "alpha": run_cfg.objective.alpha,
         "c1": run_cfg.objective.c1,
         "c2": run_cfg.objective.c2,
@@ -409,7 +403,6 @@ def run_gradient_check(run_cfg) -> dict:
         "worst_rel_error_major": worst_major,
         "worst_plan_index": worst_plan,
         "worst_component": worst_component,
-        "tolerance": check.tolerance,
         "passed": worst <= check.tolerance,
     }
 
@@ -490,12 +483,12 @@ def main(argv=None) -> int:
         _check_read(run_cfg, args.command)
         _check_pair_budget(run_cfg)
         out_dir = args.out or run_cfg.out_dir or os.path.join("runs", args.command)
-        try:
+        try:  # an output directory or file that cannot be written
             os.makedirs(out_dir, exist_ok=True)
+            name, report, failures = _COMMANDS[args.command][1](run_cfg, out_dir)
+            _write_json(os.path.join(out_dir, name), report)
         except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        name, report, failures = _COMMANDS[args.command][1](run_cfg, out_dir)
-        _write_json(os.path.join(out_dir, name), report)
+            raise ConfigError(f"cannot write output to {out_dir}: {exc}") from exc
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

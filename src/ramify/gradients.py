@@ -1,89 +1,19 @@
 """Flat packing of plans for the optimizer, and flat gradients.
 
-The flat layout is owner-major: for each path or branch in order, first
-all x coordinates, then all y coordinates, then (branch plans only) all
-interval densities. Pinned coordinates keep their slots so the layout is
-independent of which entries are free; gradients are plain vectors in
-this layout with exact zeros there, and steps never move them. This
-module is the only one that knows the order.
+The flat layout, whose slot map ``plan_model.Layout`` builds, is
+owner-major: for each path or branch in order, first all x coordinates,
+then all y coordinates, then (branch plans only) all interval densities.
+Pinned coordinates keep their slots so the layout is independent of
+which entries are free; gradients are plain vectors in this layout with
+exact zeros there, and steps never move them. This module and
+``Layout`` are the only code that knows the order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .plan_model import Branch, BranchPlan, Path, PathPlan, SegmentTable, _table, segment_table
-
-
-def _slots(table: SegmentTable) -> tuple:
-    """The flat layout of the plan behind a segment table.
-
-    An owner of K segments holds K + 1 x slots, K + 1 y slots and, when
-    the table has densities, K density slots. Returns each owner's first
-    slot followed by the total size, each owner's vertex count, the x and
-    y slots of each segment's start vertex (its end vertex's are one
-    further on), each segment's density slot and the free mask.
-    """
-    counts = table.segments + 1
-    shed = len(table.density) > 0
-    offsets = np.concatenate([[0], np.cumsum((2 + shed) * counts - shed)])
-    first, count = offsets[:-1], counts[table.owner]
-    x = first[table.owner] + table.interval
-    free = np.ones(offsets[-1], dtype=bool)
-    free[first] = free[first + counts] = False
-    fixed = table.terminal_fixed
-    free[(first + counts - 1)[fixed]] = free[(first + 2 * counts - 1)[fixed]] = False
-    # A path table has no densities, so the slice leaves no density slots.
-    m_slots = (x + 2 * count)[:len(table.density)]
-    return offsets, counts, np.column_stack([x, x + count]), m_slots, free
-
-
-@dataclass(frozen=True, eq=False)
-class Layout:
-    """Slot map of one plan shape, built once per descent stage, with the
-    static columns of its segment table, from which :meth:`table` builds the
-    table at any vector. ``base`` is the vector of the plan the layout was
-    built from; the feasibility projection restores its pinned slots.
-    """
-
-    offsets: tuple           # first slot of each owner's block, then the total size
-    counts: tuple            # vertex count of each owner
-    free: np.ndarray         # (N,) False on pinned slots
-    base: np.ndarray         # (N,)
-    clamp: np.ndarray        # slots kept nonnegative: branch heights and densities
-    start_slots: np.ndarray  # (S, 2) x and y slots of each segment's start vertex
-    m_slots: np.ndarray      # (S,) density slot of each segment; empty for path plans
-    columns: tuple           # static segment-table columns, as plan_model._table takes them
-
-    @classmethod
-    def of(cls, plan) -> "Layout":
-        """Layout of a plan's shape (or of its segment table's).
-
-        The origin vertex of every path and branch is pinned. Path
-        terminals are pinned when the path's ``terminal_fixed`` flag is
-        set. Densities are always free; the projection clamps them.
-        """
-        table = segment_table(plan)
-        offsets, counts, start_slots, m_slots, free = _slots(table)
-        base = np.zeros(len(free))
-        base[start_slots] = table.a
-        base[start_slots + 1] = table.b
-        base[m_slots] = table.density
-        clamp = np.zeros(len(free), dtype=bool)
-        if len(m_slots):  # branch heights and densities
-            clamp[start_slots[:, 1]] = clamp[start_slots[:, 1] + 1] = clamp[m_slots] = True
-        return cls(offsets=tuple(offsets.tolist()), counts=tuple(counts.tolist()), free=free,
-                   base=base, clamp=np.flatnonzero(clamp),
-                   start_slots=start_slots, m_slots=m_slots,
-                   columns=(table.owner, table.interval, table.group_starts, table.terminal_fixed,
-                            None if len(m_slots) else table.flux[table.group_starts]))
-
-    def table(self, vector: np.ndarray) -> SegmentTable:
-        """The segment table of the plan at ``vector``, built without the plan."""
-        return _table(self.columns, vector[self.start_slots], vector[self.start_slots + 1],
-                      vector[self.m_slots])
+from .plan_model import Branch, BranchPlan, Layout, Path, PathPlan
 
 
 def plan_to_vector(plan) -> np.ndarray:
@@ -101,23 +31,23 @@ def owner_slices(vector: np.ndarray, layout: Layout) -> list:
 def vector_to_plan(vector: np.ndarray, layout: Layout):
     """The plan at a flat vector, validated like every plan."""
     pieces = owner_slices(np.asarray(vector, dtype=float), layout)
-    _, _, _, pinned, masses = layout.columns
-    if masses is None:
+    if layout.masses is None:
         return BranchPlan(tuple(Branch(x=xs, y=ys, m=ms) for xs, ys, ms in pieces))
     return PathPlan(tuple(Path(np.column_stack([xs, ys]), float(mass), bool(pin))
-                          for (xs, ys, _), mass, pin in zip(pieces, masses, pinned)))
+                          for (xs, ys, _), mass, pin in zip(pieces, layout.masses,
+                                                            layout.terminal_fixed)))
 
 
 def scatter_segment_gradients(table, ga, gb, gx, g_len, g_density=None) -> np.ndarray:
     """Flat gradient of a plan from per-segment sensitivities.
 
-    ``table`` is the plan's segment table. ga, gb pull on the segment
-    endpoints, gx on the segment midpoint, and g_len scales the unit
-    tangent for direct length sensitivities; g_density (branch plans)
-    is the sensitivity to each segment's density. Pinned slots are
-    exactly zero.
+    ``table`` is the plan's segment table; its layout gives the slots.
+    ga, gb pull on the segment endpoints, gx on the segment midpoint, and
+    g_len scales the unit tangent for direct length sensitivities;
+    g_density (branch plans) is the sensitivity to each segment's density.
+    Pinned slots are exactly zero.
     """
-    _, _, start_slots, m_slots, free = _slots(table)
+    start_slots, m_slots, free = table.layout.start_slots, table.layout.m_slots, table.layout.free
     d = table.b - table.a
     # A collapsed interval has no tangent; zero is a valid subgradient of
     # the length there, so its direct length pull is dropped. Descent can

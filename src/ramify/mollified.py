@@ -106,7 +106,7 @@ def _path_table(plan):
     table = segment_table(plan) if isinstance(plan, PathPlan) else plan
     if not isinstance(table, SegmentTable) or len(table.density):
         raise TypeError("mollified multiplicities and energies are defined on path plans")
-    return table, table.flux[table.group_starts]
+    return table, table.layout.masses
 
 
 def _query(field, x, plan: PathPlan, eps: float, *args):

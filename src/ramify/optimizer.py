@@ -26,10 +26,11 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .gradients import Layout, vector_to_plan
+from .gradients import vector_to_plan
 from .kernels import KernelSpec
 from .mollified import _KeptPairs, energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
 from .objective import ObjectiveConfig, tree_objective, tree_objective_gradient
+from .plan_model import Layout
 
 TRACE_FIELDS = ("iter", "eps", "J", "I", "P", "H", "tau", "gnorm", "backtracks")
 TRACE_HEADER = ",".join(TRACE_FIELDS)

@@ -16,7 +16,7 @@ modify a plan build a new one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import ClassVar
@@ -213,7 +213,8 @@ class SegmentTable:
     One row per polyline segment, grouped contiguously by owner. ``flux``
     holds the transported mass at the segment midpoint: the path mass for
     path plans and the downstream leaf mass m[p] L[p] / 2 + sum_{q > p}
-    m[q] L[q] for branch plans.
+    m[q] L[q] for branch plans. ``layout`` is the plan shape that built
+    the table.
     """
 
     owner: np.ndarray        # (S,) index of the owning path or branch
@@ -224,8 +225,8 @@ class SegmentTable:
     midpoint: np.ndarray     # (S, 2)
     flux: np.ndarray         # (S,)
     density: np.ndarray      # (S,) leaf density of each branch interval; empty for path plans
-    terminal_fixed: np.ndarray  # (n,) whether each owner's last vertex is pinned
     group_starts: np.ndarray = field(repr=False)  # (n,) first row of each owner
+    layout: Layout = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -252,42 +253,107 @@ def _sums_before(values, owner, position, owners: int) -> np.ndarray:
     return np.where(position > 0, np.cumsum(rows, axis=1)[owner, position - 1], 0.0)
 
 
-def _table(columns: tuple, a: np.ndarray, b: np.ndarray, density: np.ndarray) -> SegmentTable:
-    """The one builder of segment tables: a plan shape's static ``columns``
-    (owner, interval, group starts, terminal flags, path masses or None for
-    branches) at segment ends ``a``, ``b`` and interval densities.
-
-    A path's flux is its mass. A branch's is its downstream leaf mass
-    m[p] L[p] / 2 + sum_{q > p} m[q] L[q], the tail summed from its tip inward.
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Slot map of one plan shape, built once per descent stage, with the
+    static columns of its segment tables, from which :meth:`table` builds the
+    table at any vector. ``base`` is the vector of the plan the layout was
+    built from; the feasibility projection restores its pinned slots.
     """
-    owner, interval, group_starts, terminal_fixed, masses = columns
-    length = np.hypot(*(b - a).T)
-    if masses is not None:
-        flux = masses[owner]
-    else:
-        m_l = density * length
-        back = np.diff(np.append(group_starts, len(m_l)))[owner] - 1 - interval  # from the tip
-        flux = 0.5 * m_l + _sums_before(m_l, owner, back, len(group_starts))
-    return SegmentTable(owner=owner, interval=interval, a=a, b=b, length=length,
-                        midpoint=0.5 * (a + b), flux=flux, density=density,
-                        terminal_fixed=terminal_fixed, group_starts=group_starts)
+
+    offsets: tuple           # first slot of each owner's block, then the total size
+    counts: tuple            # vertex count of each owner
+    free: np.ndarray         # (N,) False on pinned slots
+    base: np.ndarray         # (N,)
+    clamp: np.ndarray        # slots kept nonnegative: branch heights and densities
+    start_slots: np.ndarray  # (S, 2) x and y slots of each segment's start vertex
+    m_slots: np.ndarray      # (S,) density slot of each segment; empty for path plans
+    owner: np.ndarray        # (S,) index of the owning path or branch
+    interval: np.ndarray     # (S,) interval index within the owner
+    group_starts: np.ndarray  # (n,) first segment of each owner
+    terminal_fixed: np.ndarray  # (n,) whether each owner's last vertex is pinned
+    masses: np.ndarray | None  # (n,) path masses; None for branch plans
+
+    @classmethod
+    def of(cls, plan) -> "Layout":
+        """Layout of a plan's shape, or a table's layout with the table's
+        coordinates as its ``base``.
+
+        An owner of K segments holds K + 1 x slots, K + 1 y slots and, in a
+        branch plan, K density slots; a segment's end vertex has the slots
+        one after its start vertex's. The origin vertex of every path and
+        branch is pinned. Path terminals are pinned when the path's
+        ``terminal_fixed`` flag is set. Densities are always free; the
+        projection clamps them.
+        """
+        if isinstance(plan, SegmentTable):
+            base = np.zeros(len(plan.layout.free))
+            base[plan.layout.start_slots] = plan.a
+            base[plan.layout.start_slots + 1] = plan.b
+            base[plan.layout.m_slots] = plan.density
+            return replace(plan.layout, base=base)
+        owners = _owners(plan)
+        shed = isinstance(plan, BranchPlan)
+        if shed:  # a branch's block is its x, y and m in turn
+            counts = np.array([len(o.x) for o in owners], dtype=int)
+            base = np.concatenate([block for o in owners for block in (o.x, o.y, o.m)])
+        else:
+            vertices = [o.vertices for o in owners]
+            counts = np.array(list(map(len, vertices)), dtype=int)
+        offsets = np.concatenate([[0], np.cumsum((2 + shed) * counts - shed)])
+        first, vertex_starts = offsets[:-1], np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(len(counts)), counts - 1)
+        group_starts = vertex_starts - np.arange(len(counts))
+        interval = np.arange(len(owner)) - group_starts[owner]
+        x, count = first[owner] + interval, counts[owner]
+        m_slots = x + 2 * count if shed else x[:0]
+        free = np.ones(offsets[-1], dtype=bool)
+        free[first] = free[first + counts] = False
+        fixed = np.array([o.terminal_fixed for o in owners], dtype=bool)
+        free[(first + counts - 1)[fixed]] = free[(first + 2 * counts - 1)[fixed]] = False
+        clamp = np.zeros(len(free), dtype=bool)
+        if shed:  # branch heights and densities
+            clamp[x + count] = clamp[x + count + 1] = clamp[m_slots] = True
+        else:  # every vertex in one concatenation, scattered to its x and y slots
+            vertex_x = np.arange(counts.sum()) + np.repeat(first - vertex_starts, counts)
+            base = np.zeros(len(free))
+            vertex_slots = np.column_stack([vertex_x, vertex_x + np.repeat(counts, counts)])
+            base[vertex_slots] = np.concatenate(vertices or [np.zeros((0, 2))])
+        return cls(offsets=tuple(offsets.tolist()), counts=tuple(counts.tolist()), free=free,
+                   base=base, clamp=np.flatnonzero(clamp),
+                   start_slots=np.column_stack([x, x + count]), m_slots=m_slots,
+                   owner=owner, interval=interval, group_starts=group_starts,
+                   terminal_fixed=fixed,
+                   masses=None if shed else np.array([p.mass for p in owners], dtype=float))
+
+    def table(self, vector: np.ndarray) -> SegmentTable:
+        """The segment table of the plan at ``vector``, built without the plan;
+        the one builder of segment tables.
+
+        A path's flux is its mass. A branch's is its downstream leaf mass
+        m[p] L[p] / 2 + sum_{q > p} m[q] L[q], the tail summed from its tip inward.
+        """
+        a, b = vector[self.start_slots], vector[self.start_slots + 1]
+        density = vector[self.m_slots]
+        length = np.hypot(*(b - a).T)
+        if self.masses is not None:
+            flux = self.masses[self.owner]
+        else:
+            m_l = density * length
+            segments = np.diff(np.append(self.group_starts, len(m_l)))
+            back = segments[self.owner] - 1 - self.interval  # from the tip
+            flux = 0.5 * m_l + _sums_before(m_l, self.owner, back, len(self.group_starts))
+        return SegmentTable(owner=self.owner, interval=self.interval, a=a, b=b, length=length,
+                            midpoint=0.5 * (a + b), flux=flux, density=density,
+                            group_starts=self.group_starts, layout=self)
 
 
 def segment_table(plan) -> SegmentTable:
     """The segment table of a path or branch plan; a table comes back unchanged."""
     if isinstance(plan, SegmentTable):
         return plan
-    owners = _owners(plan)
-    vertices = [o.vertices for o in owners]
-    counts = np.array([len(v) - 1 for v in vertices], dtype=int)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    group_starts = np.cumsum(counts) - counts
-    columns = (owner, np.arange(len(owner)) - group_starts[owner], group_starts,
-               np.array([o.terminal_fixed for o in owners], dtype=bool),
-               np.array([p.mass for p in owners]) if isinstance(plan, PathPlan) else None)
-    return _table(columns, np.concatenate([v[:-1] for v in vertices] or [np.zeros((0, 2))]),
-                  np.concatenate([v[1:] for v in vertices] or [np.zeros((0, 2))]),
-                  np.concatenate([o.densities for o in owners] or [np.zeros(0)]))
+    layout = Layout.of(plan)
+    return layout.table(layout.base)
 
 
 def half_circle_targets(n: int, radius: float = 1.0, total_mass: float = 1.0) -> TargetMeasure:

@@ -20,6 +20,7 @@ WIDTH_MIN_FRACTION = 0.0025
 WIDTH_SCALE_FRACTION = 0.012
 ATOM_RADIUS_FRACTION = 0.008
 ROOT_RADIUS_FRACTION = 0.011
+PIXEL_WIDTH = 640
 
 
 def _fmt(value: float) -> str:
@@ -50,7 +51,7 @@ def _rows(template: str, columns: np.ndarray) -> str:
     return text.replace('"-0.000000"', '"0.000000"')
 
 
-def render_svg(plan, alpha: float = 0.5, targets=None, pixel_width: int = 640) -> str:
+def render_svg(plan, alpha: float = 0.5, targets=None) -> str:
     """Render a plan to an SVG document string.
 
     ``targets`` optionally draws the atoms of a target measure. ``alpha``
@@ -60,13 +61,13 @@ def render_svg(plan, alpha: float = 0.5, targets=None, pixel_width: int = 640) -
     lo, hi = _bounds(plan, targets)
     span = hi - lo
     scale = float(max(span[0], span[1]))
-    pixel_height = max(1, round(pixel_width * span[1] / span[0]))
+    pixel_height = max(1, round(PIXEL_WIDTH * span[1] / span[0]))
 
     def flip(y):  # so that larger y renders upward
         return hi[1] - y + lo[1]
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{pixel_width}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PIXEL_WIDTH}" '
         f'height="{pixel_height}" viewBox="{_fmt(lo[0])} {_fmt(lo[1])} '
         f'{_fmt(span[0])} {_fmt(span[1])}">',
         f'<rect x="{_fmt(lo[0])}" y="{_fmt(lo[1])}" width="{_fmt(span[0])}" '
@@ -91,7 +92,7 @@ def render_svg(plan, alpha: float = 0.5, targets=None, pixel_width: int = 640) -
     return "\n".join(lines) + "\n"
 
 
-def save_svg(plan, path, alpha: float = 0.5, targets=None, pixel_width: int = 640):
+def save_svg(plan, path, alpha: float = 0.5, targets=None):
     """Write :func:`render_svg` output to a file."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(plan, alpha=alpha, targets=targets, pixel_width=pixel_width))
+        handle.write(render_svg(plan, alpha=alpha, targets=targets))

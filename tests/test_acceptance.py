@@ -16,7 +16,7 @@ from ramify import cli
 from ramify.config import PRESETS, merge_config, validate_config
 from oracles import brute_force_bifurcation, exact_multiplicity
 from ramify.exact_cost import exact_plan_cost
-from ramify.gradients import Layout, plan_to_vector, vector_to_plan
+from ramify.gradients import plan_to_vector, vector_to_plan
 from ramify.mollified import (
     energy_avg,
     energy_max,
@@ -34,6 +34,7 @@ from ramify.optimizer import (
     rediscretize_plan,
 )
 from ramify.plan_model import (
+    Layout,
     Path,
     PathPlan,
     TargetMeasure,

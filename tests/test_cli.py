@@ -424,6 +424,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not out.is_dir()
     assert taken.read_bytes() == b""
+    # An output file that cannot be written: a directory stands at its path.
+    tiny = _write_config(tmp_path, TINY_IRRIGATE, name="tiny.json")
+    for args, blocked in ((["counterexample"], "report.json"),
+                          (["irrigate", "--config", tiny], "trace.csv")):
+        out = tmp_path / f"blocked-{blocked}"
+        (out / blocked).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
+        assert str(out / blocked) in err
 
 
 def test_experiment_subcommand_mismatch_exits_two(tmp_path):

@@ -13,7 +13,6 @@ from oracles import exact_multiplicity
 from ramify.exact_cost import exact_plan_cost
 from ramify.geometry import pair_projection
 from ramify.gradients import (
-    Layout,
     central_difference,
     plan_to_vector,
     scatter_segment_gradients,
@@ -60,6 +59,7 @@ from ramify.optimizer import path_evaluator
 from ramify.plan_model import (
     Branch,
     BranchPlan,
+    Layout,
     Path,
     PathPlan,
     build_fan_branches,

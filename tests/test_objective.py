@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from ramify.gradients import Layout
 from ramify.objective import (
     ObjectiveConfig,
     _penalty_matrix,
@@ -16,6 +15,7 @@ from ramify.objective import (
 from ramify.plan_model import (
     Branch,
     BranchPlan,
+    Layout,
     Path,
     PathPlan,
     build_fan_branches,

@@ -7,7 +7,7 @@ import pytest
 
 import ramify.optimizer as optimizer_module
 from oracles import cumulative_arclength, resample_polyline, segment_lengths
-from ramify.gradients import Layout, owner_slices, plan_to_vector, vector_to_plan
+from ramify.gradients import owner_slices, plan_to_vector, vector_to_plan
 from ramify.mollified import (
     _Evaluation,
     _KeptPairs,
@@ -40,6 +40,7 @@ from ramify.optimizer import (
 from ramify.plan_model import (
     Branch,
     BranchPlan,
+    Layout,
     Path,
     PathPlan,
     build_fan_branches,

@@ -9,6 +9,7 @@ from ramify.objective import ObjectiveConfig, tree_objective
 from ramify.plan_model import (
     Branch,
     BranchPlan,
+    Layout,
     Path,
     PathPlan,
     TargetMeasure,
@@ -189,7 +190,7 @@ def test_plan_to_dict_is_json_serializable():
 
 
 def test_plan_kind_consumers_reject_a_non_plan():
-    from ramify.gradients import Layout, plan_to_vector
+    from ramify.gradients import plan_to_vector
     from ramify.svg import render_svg
 
     not_a_plan = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -271,7 +272,7 @@ def _random_path_plan(rng):
 
 
 def test_layout_matches_the_owner_loop():
-    from ramify.gradients import Layout, plan_to_vector
+    from ramify.gradients import plan_to_vector
 
     rng = np.random.default_rng(31)
     plans = [_random_path_plan(rng) for _ in range(100)]
@@ -286,13 +287,30 @@ def test_layout_matches_the_owner_loop():
 
 
 def _tables_equal(one, two) -> bool:
-    """Field-by-field bit equality of two segment tables."""
+    """Field-by-field bit equality of two segment tables, their layouts aside."""
     from dataclasses import fields
 
     return all(getattr(one, f.name).dtype == getattr(two, f.name).dtype
                and getattr(one, f.name).shape == getattr(two, f.name).shape
                and getattr(one, f.name).tobytes() == getattr(two, f.name).tobytes()
-               for f in fields(one))
+               for f in fields(one) if f.name != "layout")
+
+
+def test_a_layout_builds_each_table_and_each_table_knows_its_layout():
+    from ramify.gradients import plan_to_vector
+
+    rng = np.random.default_rng(53)
+    plans = [_random_path_plan(rng) for _ in range(8)]
+    plans += [random_branch_plan(rng, max_branches=5, max_segments=9) for _ in range(8)]
+    plans += [build_fan_branches(15, segments=10),
+              build_star_plan(half_circle_targets(13), segments_per_path=16)]
+    for plan in plans:
+        layout = Layout.of(plan)
+        x = layout.base + rng.normal(0.0, 0.05, layout.base.shape)
+        assert layout.table(x).layout is layout
+        assert plan_to_vector(layout.table(x)).tobytes() == x.tobytes()
+        assert _tables_equal(segment_table(plan), Layout.of(plan).table(Layout.of(plan).base))
+    assert {type(plan) for plan in plans} == {PathPlan, BranchPlan}
 
 
 def _reference_flux(plan) -> np.ndarray:
@@ -317,7 +335,7 @@ def _scalars(value) -> tuple:
 
 
 def test_layout_table_matches_the_table_of_its_plan():
-    from ramify.gradients import Layout, plan_to_vector, vector_to_plan
+    from ramify.gradients import plan_to_vector, vector_to_plan
     from ramify.mollified import energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
     from ramify.objective import tree_objective_gradient
     from ramify.optimizer import feasibility_project, rediscretize_plan
