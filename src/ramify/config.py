@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _check_eps
 from .objective import ObjectiveConfig
 from .optimizer import DescentConfig
 
@@ -75,10 +75,7 @@ class GammaSpec:
     gap_target: float = 0.02
 
     def __post_init__(self):
-        if any(e <= 0.0 for e in self.eps_values):
-            raise ValueError("eps_values must be positive")
-        if any(b >= a for a, b in zip(self.eps_values, self.eps_values[1:])):
-            raise ValueError("eps_values must be strictly decreasing")
+        _check_eps(*self.eps_values, what="eps_values")
         if self.bound_tol < 0.0 or self.gap_target <= 0.0:
             raise ValueError("bound_tol must be nonnegative and gap_target positive")
 

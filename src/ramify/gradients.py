@@ -5,8 +5,9 @@ owner-major: for each path or branch in order, first all x coordinates,
 then all y coordinates, then (branch plans only) all interval densities.
 Pinned coordinates keep their slots so the layout is independent of
 which entries are free; gradients are plain vectors in this layout with
-exact zeros there, and steps never move them. This module and
-``Layout`` are the only code that knows the order.
+exact zeros there, and steps never move them. Only ``Layout.of`` knows
+the order: this module reads and writes slots through the layout's
+arrays and never computes one.
 """
 
 from __future__ import annotations
@@ -21,21 +22,15 @@ def plan_to_vector(plan) -> np.ndarray:
     return Layout.of(plan).base
 
 
-def owner_slices(vector: np.ndarray, layout: Layout) -> list:
-    """Each owner's x, y and density slots of a flat vector, as views into
-    it (writable when the vector is); a path's density slice is empty."""
-    return [(vector[lo:lo + count], vector[lo + count:lo + 2 * count], vector[lo + 2 * count:hi])
-            for lo, hi, count in zip(layout.offsets, layout.offsets[1:], layout.counts)]
-
-
 def vector_to_plan(vector: np.ndarray, layout: Layout):
     """The plan at a flat vector, validated like every plan."""
-    pieces = owner_slices(np.asarray(vector, dtype=float), layout)
+    vertices = np.split(vector[layout.vertex_slots], np.cumsum(layout.counts[:-1]))
     if layout.masses is None:
-        return BranchPlan(tuple(Branch(x=xs, y=ys, m=ms) for xs, ys, ms in pieces))
-    return PathPlan(tuple(Path(np.column_stack([xs, ys]), float(mass), bool(pin))
-                          for (xs, ys, _), mass, pin in zip(pieces, layout.masses,
-                                                            layout.terminal_fixed)))
+        densities = np.split(vector[layout.m_slots], layout.group_starts[1:])
+        return BranchPlan(tuple(Branch(x=v[:, 0], y=v[:, 1], m=ms)
+                                for v, ms in zip(vertices, densities)))
+    return PathPlan(tuple(Path(v, float(mass), bool(pin))
+                          for v, mass, pin in zip(vertices, layout.masses, layout.terminal_fixed)))
 
 
 def scatter_segment_gradients(table, ga, gb, gx, g_len, g_density=None) -> np.ndarray:
@@ -47,21 +42,21 @@ def scatter_segment_gradients(table, ga, gb, gx, g_len, g_density=None) -> np.nd
     g_density (branch plans) is the sensitivity to each segment's density.
     Pinned slots are exactly zero.
     """
-    start_slots, m_slots, free = table.layout.start_slots, table.layout.m_slots, table.layout.free
+    layout = table.layout
     d = table.b - table.a
     # A collapsed interval has no tangent; zero is a valid subgradient of
     # the length there, so its direct length pull is dropped. Descent can
     # then pass through states where consecutive knots coincide.
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(table.length[:, None] > 0.0, d / table.length[:, None], 0.0)
-    grad = np.zeros(len(free))
+    grad = np.zeros(len(layout.free))
     # Each vertex starts at most one segment and ends at most one, so
     # the slots of each scatter are distinct.
-    grad[start_slots] += ga + 0.5 * gx - unit * g_len[:, None]
-    grad[start_slots + 1] += gb + 0.5 * gx + unit * g_len[:, None]
+    grad[layout.start_slots] += ga + 0.5 * gx - unit * g_len[:, None]
+    grad[layout.end_slots] += gb + 0.5 * gx + unit * g_len[:, None]
     if g_density is not None:
-        grad[m_slots] = g_density
-    grad[~free] = 0.0
+        grad[layout.m_slots] = g_density
+    grad[~layout.free] = 0.0
     return grad
 
 

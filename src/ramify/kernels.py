@@ -54,6 +54,15 @@ class KernelSpec:
         return _PROFILE_MASS[self.kind]
 
 
+def _check_eps(*values: float, what: str = "eps"):
+    """The one eps rule, for a smoothing radius or a decreasing schedule of
+    them: each at least 1.5e-154, where eps**2 is normal and 1 / eps**2 finite."""
+    if not all(eps >= 1.5e-154 for eps in values):
+        raise ValueError(f"{what} must be at least 1.5e-154, where eps**2 is a normal float")
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{what} must be strictly decreasing")
+
+
 def kernel_eval(spec: KernelSpec, r):
     """Profile value J(r) for nonnegative radii; vectorized."""
     r = np.asarray(r, dtype=float)
@@ -101,8 +110,7 @@ def _bump_closed_form(a, b, x, eps: float, moments=None, grad: bool = False):
     at a fraction of its cost. Factors that two terms share are computed
     once, and arrays no later step reads are overwritten in place.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -233,8 +241,7 @@ def _quadrature_setup(a, b, x, eps: float, quad_points: int):
     """Checked inputs as coordinate pairs (ax, ay), (xx, xy) and (dx, dy)
     of the segment vectors d = b - a, their lengths L, the broadcast shape
     of the inputs, and Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if quad_points < 1:
         raise ValueError("quad_points must be at least 1")
     a = np.asarray(a, dtype=float)

@@ -46,6 +46,7 @@ from .geometry import pair_projection
 from .gradients import scatter_segment_gradients
 from .kernels import (
     KernelSpec,
+    _check_eps,
     bump_segment_integral,
     bump_segment_integral_grad,
     kernel_derivative,
@@ -94,11 +95,6 @@ class ObjectiveValue:
 def _check_alpha(alpha: float):
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-
-
-def _check_eps(eps: float):
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
 
 
 def _path_table(plan):

@@ -21,9 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gradients import central_difference, scatter_segment_gradients
+from .kernels import _check_eps
 from .mollified import (
     _branch_cost_gradient,
     _branch_cost_terms,
+    _check_alpha,
     _Evaluation,
     _midpoint_pairs,
     _record,
@@ -49,10 +51,8 @@ class ObjectiveConfig:
     penalty_arclength: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
+        _check_alpha(self.alpha)
+        _check_eps(self.eps)
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ValueError("c1 and c2 must be nonnegative")
         if self.penalty_kernel not in PENALTY_KERNELS:

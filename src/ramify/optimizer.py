@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .gradients import vector_to_plan
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _check_eps
 from .mollified import _KeptPairs, energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
 from .objective import ObjectiveConfig, tree_objective, tree_objective_gradient
 from .plan_model import Layout
@@ -55,10 +55,7 @@ class DescentConfig:
         object.__setattr__(self, "eps_schedule", schedule)
         if not schedule:
             raise ValueError("eps_schedule must not be empty")
-        if any(e <= 0.0 for e in schedule):
-            raise ValueError("eps_schedule entries must be positive")
-        if any(b >= a for a, b in zip(schedule, schedule[1:])):
-            raise ValueError("eps_schedule must be strictly decreasing")
+        _check_eps(*schedule, what="eps_schedule entries")
         if self.tau0 is not None and not self.tau0 > 0.0:
             raise ValueError("tau0 must be positive when given")
         if self.j_max < 0:
@@ -191,10 +188,11 @@ def rediscretize_plan(x: np.ndarray, layout: Layout) -> np.ndarray:
     ``np.interp`` on it alone.
     """
     out = np.array(x, dtype=float)
-    counts, firsts = np.array(layout.counts), np.array(layout.offsets[:-1])
-    for n in sorted(set(layout.counts)):  # a first np.unique call adds about 1.4 MB of RSS
-        xi = firsts[counts == n, None] + np.arange(n)  # x slots; y slots follow, then densities
-        xs, ys = out[xi], out[xi + n]
+    firsts = layout.group_starts + np.arange(len(layout.counts))  # each owner's first vertex
+    for n in sorted(set(layout.counts.tolist())):  # a first np.unique call adds ~1.4 MB of RSS
+        vertex = firsts[layout.counts == n, None] + np.arange(n)
+        xi, yi = layout.vertex_slots[:, 0][vertex], layout.vertex_slots[:, 1][vertex]
+        xs, ys = out[xi], out[yi]
         lengths = np.hypot(np.diff(xs), np.diff(ys))
         arcs = np.zeros(xi.shape)
         np.cumsum(lengths, axis=1, out=arcs[:, 1:])
@@ -210,7 +208,8 @@ def rediscretize_plan(x: np.ndarray, layout: Layout) -> np.ndarray:
             new[:, 0], new[:, -1] = old[:, 0], old[:, -1]
             new[total <= 0.0] = old[total <= 0.0, :1]  # no length: all at the first vertex
         if len(layout.m_slots):
-            ms = out[xi[:, 1:] + 2 * n - 1]
+            mi = layout.m_slots[layout.group_starts[layout.counts == n, None] + np.arange(n - 1)]
+            ms = out[mi]
             new_lengths = np.hypot(np.diff(new_x), np.diff(new_y))
             # overlap[o, q, p]: arc length shared by old interval q and new interval p of owner o.
             overlap = (np.minimum(knots[:, None, 1:], arcs[:, 1:, None])
@@ -222,9 +221,20 @@ def rediscretize_plan(x: np.ndarray, layout: Layout) -> np.ndarray:
             old_mass = (ms * lengths).sum(axis=1)  # each row summed as its own 1-D sum would be
             drift = np.abs((new_m * new_lengths).sum(axis=1) - old_mass)
             keep = (total != 0.0) & ~(drift > 1e-9 * np.where(old_mass > 1.0, old_mass, 1.0))
-            out[xi[keep, 1:] + 2 * n - 1] = new_m[keep]
-        out[xi[keep]], out[xi[keep] + n] = new_x[keep], new_y[keep]
+            out[mi[keep]] = new_m[keep]
+        out[xi[keep]], out[yi[keep]] = new_x[keep], new_y[keep]
     return out
+
+
+def _evaluate(evaluator: Evaluator, layout: Layout, vector: np.ndarray):
+    """The objective value on the table at ``vector`` (a stage start, trial or
+    resample), or None when an entry is not finite or the evaluation overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return (evaluator.objective(layout.table(vector))
+                    if np.all(np.isfinite(vector)) else None)
+    except FloatingPointError:  # finite coordinates whose squares overflow, or a tiny eps
+        return None
 
 
 def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad: np.ndarray,
@@ -244,12 +254,7 @@ def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad:
     for j in range(cfg.backtrack_limit):
         with np.errstate(over="ignore"):  # a non-finite step is caught below
             trial = feasibility_project(x - tau * grad, layout)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                value = (evaluator.objective(layout.table(trial))
-                         if np.all(np.isfinite(trial)) else None)
-        except FloatingPointError:  # finite coordinates whose squares overflow
-            value = None
+        value = _evaluate(evaluator, layout, trial)
         if value is None or not np.isfinite(value.total):
             return trial, None, tau, j
         if value.total < current_total:
@@ -266,11 +271,11 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     decrease falls below ``stop_tol``, when the line search cannot find
     any decreasing step, or at the iteration cap. A starting objective,
     gradient entry, trial vector entry, trial objective or resample
-    objective that is not finite stops the stage with reason
+    objective that is not finite or overflows stops the stage with reason
     ``"nonfinite"``. Returns the last finite accepted plan (the starting
-    plan if its own objective is not finite), its objective value, the
-    accepted-iteration rows, the stop reason and the stage's
-    :class:`StageCounts`.
+    plan if its own objective is not finite), its objective value (None
+    if that overflowed), the accepted-iteration rows, the stop reason and
+    the stage's :class:`StageCounts`.
 
     The first line search starts at ``tau0``; each later one at
     ``min(tau0, tau_prev / backtrack_factor)``, where ``tau_prev`` is the
@@ -295,8 +300,8 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     counted = Evaluator(objective=objective, gradient=evaluator.gradient)
     layout = Layout.of(plan)
     x = feasibility_project(layout.base, layout)
-    value = counted.objective(layout.table(x))
-    if not np.isfinite(value.total):
+    value = _evaluate(counted, layout, x)
+    if value is None or not np.isfinite(value.total):
         return vector_to_plan(x, layout), value, [], "nonfinite", StageCounts(evals, rejected)
     rows = []
     quiet = 0
@@ -317,8 +322,8 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
         x, tau_prev = trial, tau
         if cfg.rediscretize_every > 0 and it % cfg.rediscretize_every == 0:
             resampled = rediscretize_plan(x, layout)
-            resampled_value = counted.objective(layout.table(resampled))
-            if not np.isfinite(resampled_value.total):
+            resampled_value = _evaluate(counted, layout, resampled)
+            if resampled_value is None or not np.isfinite(resampled_value.total):
                 reason = "nonfinite"  # the accepted trial still gets its row
             elif resampled_value.total <= new_value.total:
                 x, new_value = resampled, resampled_value
@@ -384,7 +389,7 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
         evaluator = evaluator_factory(eps)
         plan, value, rows, reason, counts = run_descent(
             plan, evaluator, cfg, eps, tau0, start_iteration=start, on_iteration=on_iteration)
-        if np.isfinite(value.total):
+        if value is not None and np.isfinite(value.total):
             final_value = value
         trace.rows.extend(rows)
         trace.stage_plans.append(plan)

@@ -55,10 +55,11 @@ class TargetMeasure:
         _require_finite(mas, "atom masses")
         if np.any(mas <= 0.0):
             raise ValueError("atom masses must be positive")
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                if pos[i, 0] == pos[j, 0] and pos[i, 1] == pos[j, 1]:
-                    raise ValueError(f"atoms {i} and {j} share a position")
+        order = np.lexsort((pos[:, 1] + 0.0, pos[:, 0] + 0.0))  # + 0.0 turns -0.0 into 0.0
+        same = np.flatnonzero((pos[order[1:]] == pos[order[:-1]]).all(axis=1))
+        if len(same):  # a stable sort keeps equal atoms in index order
+            k = same[np.argmin(order[same])]  # the lowest atom with a later duplicate
+            raise ValueError(f"atoms {order[k]} and {order[k + 1]} share a position")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", mas)
 
@@ -261,15 +262,17 @@ class Layout:
     built from; the feasibility projection restores its pinned slots.
     """
 
-    offsets: tuple           # first slot of each owner's block, then the total size
-    counts: tuple            # vertex count of each owner
+    counts: np.ndarray       # (n,) vertex count of each owner
     free: np.ndarray         # (N,) False on pinned slots
     base: np.ndarray         # (N,)
     clamp: np.ndarray        # slots kept nonnegative: branch heights and densities
+    vertex_slots: np.ndarray  # (V, 2) x and y slots of every vertex, owner by owner
     start_slots: np.ndarray  # (S, 2) x and y slots of each segment's start vertex
+    end_slots: np.ndarray    # (S, 2) x and y slots of each segment's end vertex
     m_slots: np.ndarray      # (S,) density slot of each segment; empty for path plans
     owner: np.ndarray        # (S,) index of the owning path or branch
     interval: np.ndarray     # (S,) interval index within the owner
+    back: np.ndarray         # (S,) intervals between each segment and its owner's tip
     group_starts: np.ndarray  # (n,) first segment of each owner
     terminal_fixed: np.ndarray  # (n,) whether each owner's last vertex is pinned
     masses: np.ndarray | None  # (n,) path masses; None for branch plans
@@ -279,51 +282,46 @@ class Layout:
         """Layout of a plan's shape, or a table's layout with the table's
         coordinates as its ``base``.
 
-        An owner of K segments holds K + 1 x slots, K + 1 y slots and, in a
-        branch plan, K density slots; a segment's end vertex has the slots
-        one after its start vertex's. The origin vertex of every path and
-        branch is pinned. Path terminals are pinned when the path's
-        ``terminal_fixed`` flag is set. Densities are always free; the
-        projection clamps them.
+        The one code that places coordinates in the flat vector. An owner of
+        K segments holds K + 1 x slots, then K + 1 y slots and, in a branch
+        plan, K density slots. The origin vertex of every path and branch is
+        pinned. Path terminals are pinned when the path's ``terminal_fixed``
+        flag is set. Densities are always free; the projection clamps them.
         """
         if isinstance(plan, SegmentTable):
             base = np.zeros(len(plan.layout.free))
             base[plan.layout.start_slots] = plan.a
-            base[plan.layout.start_slots + 1] = plan.b
+            base[plan.layout.end_slots] = plan.b
             base[plan.layout.m_slots] = plan.density
             return replace(plan.layout, base=base)
         owners = _owners(plan)
         shed = isinstance(plan, BranchPlan)
-        if shed:  # a branch's block is its x, y and m in turn
-            counts = np.array([len(o.x) for o in owners], dtype=int)
-            base = np.concatenate([block for o in owners for block in (o.x, o.y, o.m)])
-        else:
-            vertices = [o.vertices for o in owners]
-            counts = np.array(list(map(len, vertices)), dtype=int)
-        offsets = np.concatenate([[0], np.cumsum((2 + shed) * counts - shed)])
-        first, vertex_starts = offsets[:-1], np.cumsum(counts) - counts
+        counts = np.array([o.segments + 1 for o in owners], dtype=int)
+        sizes = (2 + shed) * counts - shed  # slots per owner
+        firsts, vertex_starts = np.cumsum(sizes) - sizes, np.cumsum(counts) - counts
+        vertex_x = np.arange(counts.sum()) + np.repeat(firsts - vertex_starts, counts)
+        vertex_slots = np.column_stack([vertex_x, vertex_x + np.repeat(counts, counts)])
         owner = np.repeat(np.arange(len(counts)), counts - 1)
         group_starts = vertex_starts - np.arange(len(counts))
         interval = np.arange(len(owner)) - group_starts[owner]
-        x, count = first[owner] + interval, counts[owner]
-        m_slots = x + 2 * count if shed else x[:0]
-        free = np.ones(offsets[-1], dtype=bool)
-        free[first] = free[first + counts] = False
+        start = np.arange(len(owner)) + owner  # start vertices (take gathers rows fastest)
+        start_slots, end_slots = vertex_slots.take(start, 0), vertex_slots.take(start + 1, 0)
+        m_slots = start_slots[:, 1] + counts[owner] if shed else owner[:0]
+        free = np.ones(sizes.sum(), dtype=bool)
         fixed = np.array([o.terminal_fixed for o in owners], dtype=bool)
-        free[(first + counts - 1)[fixed]] = free[(first + 2 * counts - 1)[fixed]] = False
+        free[vertex_slots.take(vertex_starts, 0)] = False
+        free[vertex_slots.take((vertex_starts + counts - 1)[fixed], 0)] = False
         clamp = np.zeros(len(free), dtype=bool)
-        if shed:  # branch heights and densities
-            clamp[x + count] = clamp[x + count + 1] = clamp[m_slots] = True
+        if shed:  # branch heights and densities; a branch's block is its x, y and m in turn
+            clamp[vertex_slots[:, 1]] = clamp[m_slots] = True
+            base = np.concatenate([block for o in owners for block in (o.x, o.y, o.m)])
         else:  # every vertex in one concatenation, scattered to its x and y slots
-            vertex_x = np.arange(counts.sum()) + np.repeat(first - vertex_starts, counts)
             base = np.zeros(len(free))
-            vertex_slots = np.column_stack([vertex_x, vertex_x + np.repeat(counts, counts)])
-            base[vertex_slots] = np.concatenate(vertices or [np.zeros((0, 2))])
-        return cls(offsets=tuple(offsets.tolist()), counts=tuple(counts.tolist()), free=free,
-                   base=base, clamp=np.flatnonzero(clamp),
-                   start_slots=np.column_stack([x, x + count]), m_slots=m_slots,
-                   owner=owner, interval=interval, group_starts=group_starts,
-                   terminal_fixed=fixed,
+            base[vertex_slots] = np.concatenate([o.vertices for o in owners] or [np.zeros((0, 2))])
+        return cls(counts=counts, free=free, base=base, clamp=np.flatnonzero(clamp),
+                   vertex_slots=vertex_slots, start_slots=start_slots, end_slots=end_slots,
+                   m_slots=m_slots, owner=owner, interval=interval, group_starts=group_starts,
+                   back=(counts - 2)[owner] - interval, terminal_fixed=fixed,
                    masses=None if shed else np.array([p.mass for p in owners], dtype=float))
 
     def table(self, vector: np.ndarray) -> SegmentTable:
@@ -333,16 +331,14 @@ class Layout:
         A path's flux is its mass. A branch's is its downstream leaf mass
         m[p] L[p] / 2 + sum_{q > p} m[q] L[q], the tail summed from its tip inward.
         """
-        a, b = vector[self.start_slots], vector[self.start_slots + 1]
+        a, b = vector[self.start_slots], vector[self.end_slots]
         density = vector[self.m_slots]
         length = np.hypot(*(b - a).T)
         if self.masses is not None:
             flux = self.masses[self.owner]
         else:
             m_l = density * length
-            segments = np.diff(np.append(self.group_starts, len(m_l)))
-            back = segments[self.owner] - 1 - self.interval  # from the tip
-            flux = 0.5 * m_l + _sums_before(m_l, self.owner, back, len(self.group_starts))
+            flux = 0.5 * m_l + _sums_before(m_l, self.owner, self.back, len(self.group_starts))
         return SegmentTable(owner=self.owner, interval=self.interval, a=a, b=b, length=length,
                             midpoint=0.5 * (a + b), flux=flux, density=density,
                             group_starts=self.group_starts, layout=self)

@@ -408,6 +408,18 @@ def test_config_errors_exit_two(tmp_path, capsys):
         out = str(tmp_path / f"unread-{index}")
         assert main([command, "--config", unread, "--out", out]) == 2
         assert not os.path.exists(out)
+    # An eps whose square underflows is refused before any solve, as every eps setting.
+    for index, (command, setting) in enumerate((
+            ("irrigate", {"descent": {"eps_schedule": [1e-300]},
+                          "measure": {"n": 3, "segments_per_path": 3}}),
+            ("gradcheck", {"objective": {"eps": 1e-300}}),
+            ("gamma-table", {"gamma": {"eps_values": [0.1, 1e-300]}}))):
+        tiny_eps = _write_config(tmp_path, setting, name=f"tiny-eps-{index}.json")
+        out = str(tmp_path / f"tiny-eps-{index}")
+        capsys.readouterr()
+        assert main([command, "--config", tiny_eps, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not os.path.exists(out)
     with pytest.raises(SystemExit) as info:
         main(["treeopt", "--functional", "max", "--out", str(tmp_path / "z")])
     assert info.value.code == 2
@@ -598,6 +610,24 @@ def test_overflowing_finite_step_stops_the_stage_as_nonfinite(tmp_path, capsys):
     assert summary["stage_reasons"] == ["nonfinite"]
     assert summary["iterations"] == 0
     assert np.isfinite(summary["final_energy"])
+    for name in ("plan_stage_0.json", "plan_stage_1.json", "stage_0.svg", "stage_1.svg"):
+        assert os.path.exists(os.path.join(out, name))
+
+
+def test_an_overflowing_stage_start_stops_the_stage_as_nonfinite(tmp_path, capsys):
+    # eps = 1e-150 passes the eps check, but 1 / eps**2 times the segment
+    # lengths overflows in the starting objective.
+    data = dict(TINY_IRRIGATE, descent=dict(TINY_IRRIGATE["descent"], eps_schedule=[1e-150]))
+    cfg = _write_config(tmp_path, data)
+    out = str(tmp_path / "run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["irrigate", "--config", cfg, "--out", out]) == 3
+    assert "stage 1 (eps=1e-150) stopped on a non-finite objective" in capsys.readouterr().err
+    summary = _read_json(os.path.join(out, "summary.json"))
+    assert summary["stage_reasons"] == ["nonfinite"]
+    assert summary["iterations"] == 0
+    assert summary["final_energy"] is None
     for name in ("plan_stage_0.json", "plan_stage_1.json", "stage_0.svg", "stage_1.svg"):
         assert os.path.exists(os.path.join(out, name))
 

@@ -7,7 +7,7 @@ import pytest
 
 import ramify.optimizer as optimizer_module
 from oracles import cumulative_arclength, resample_polyline, segment_lengths
-from ramify.gradients import owner_slices, plan_to_vector, vector_to_plan
+from ramify.gradients import plan_to_vector, vector_to_plan
 from ramify.mollified import (
     _Evaluation,
     _KeptPairs,
@@ -328,6 +328,13 @@ def _resampled(plan):
     return vector_to_plan(rediscretize_plan(plan_to_vector(plan), layout), layout)
 
 
+def _owner_arrays(vector, layout) -> list:
+    """Each owner's x, y and densities in the plan at ``vector``, read
+    through ``vector_to_plan``; a path's densities are empty."""
+    return [(o.vertices[:, 0], o.vertices[:, 1], o.densities)
+            for o in vector_to_plan(vector, layout).owners]
+
+
 def _leaf_mass(plan) -> float:
     """Total leaf mass of a branch plan: density times segment length, summed."""
     table = segment_table(plan)
@@ -410,7 +417,8 @@ def test_rediscretize_branch_matches_the_interval_loop_bit_for_bit():
         assert abs(_leaf_mass(out) - _leaf_mass(plan)) <= 1e-12
     layout = Layout.of(plans[-1])
     x = plan_to_vector(plans[-1])
-    kept, slots = owner_slices(rediscretize_plan(x, layout), layout)[1], owner_slices(x, layout)[1]
+    kept = _owner_arrays(rediscretize_plan(x, layout), layout)[1]
+    slots = _owner_arrays(x, layout)[1]
     assert [s.tobytes() for s in kept] == [s.tobytes() for s in slots]  # the zero-length branch
 
 
@@ -438,7 +446,7 @@ def test_rediscretize_resamples_every_owner_in_the_flat_vector():
         out = rediscretize_plan(x, layout)
         assert x.tobytes() == before
         assert out[~layout.free].tobytes() == x[~layout.free].tobytes()
-        for owner, slots in zip(plan.owners, owner_slices(out, layout)):
+        for owner, slots in zip(plan.owners, _owner_arrays(out, layout)):
             if isinstance(owner, Branch):
                 expected = _reference_branch_remap(owner)
                 expected = (expected.x, expected.y, expected.m)
@@ -463,7 +471,7 @@ def test_rediscretize_resamples_owners_of_one_vertex_count_as_each_alone():
     plan = PathPlan(paths=tuple(Path(vertices=v, mass=0.25) for v in vertices))
     layout = Layout.of(plan)
     out = rediscretize_plan(plan_to_vector(plan), layout)
-    for v, (xs, ys, _) in zip(vertices, owner_slices(out, layout)):
+    for v, (xs, ys, _) in zip(vertices, _owner_arrays(out, layout)):
         expected, _ = resample_polyline(v, len(v))
         assert (xs.tobytes(), ys.tobytes()) == (np.ascontiguousarray(expected[:, 0]).tobytes(),
                                                 np.ascontiguousarray(expected[:, 1]).tobytes())

@@ -38,6 +38,41 @@ def test_target_measure_validation():
         TargetMeasure(positions=np.array([[1.0, 0.0], [1.0, 0.0]]), masses=np.array([1.0, 1.0]))
 
 
+def _first_shared_position(positions):
+    """The pair the all-pairs loop reports: the lowest i with a later atom at
+    its position, and the lowest such j; None when every position differs."""
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            if positions[i, 0] == positions[j, 0] and positions[i, 1] == positions[j, 1]:
+                return i, j
+    return None
+
+
+def test_shared_positions_are_reported_as_the_pair_loop_reports_them():
+    rng = np.random.default_rng(41)
+    cases = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        # Few distinct values, signed zeros among them, so that groups of
+        # shared positions form, some of them only up to the sign of a zero.
+        values = np.array([0.0, -0.0, 0.5, -0.5, 1.0])
+        positions = values[rng.integers(0, len(values), (n, 2))]
+        if rng.random() < 0.3:  # some measures with every position distinct
+            positions = rng.uniform(-1.0, 1.0, (n, 2))
+        expected = _first_shared_position(positions)
+        if expected is None:
+            assert len(TargetMeasure(positions=positions, masses=np.ones(n))) == n
+            continue
+        cases += 1
+        with pytest.raises(ValueError) as info:
+            TargetMeasure(positions=positions, masses=np.ones(n))
+        assert str(info.value) == "atoms %d and %d share a position" % expected
+    assert cases > 100
+    signed = np.array([[0.5, 0.0], [-0.0, 0.5], [0.5, 1.0], [0.0, 0.5], [0.5, -0.0]])
+    with pytest.raises(ValueError, match="^atoms 0 and 4 share a position$"):
+        TargetMeasure(positions=signed, masses=np.ones(5))
+
+
 def test_path_must_start_at_origin():
     with pytest.raises(ValueError, match="origin"):
         Path(vertices=np.array([[0.1, 0.0], [1.0, 0.0]]), mass=1.0)
@@ -238,7 +273,8 @@ def _reference_layout(plan):
     """The flat layout as a loop over owners, for comparison."""
     from ramify.plan_model import _owners
 
-    blocks, offsets, counts, clamp, m_slots, pinned = [], [], [], [], [], []
+    blocks, counts, clamp, m_slots, pinned = [], [], [], [], []
+    vertex_slots, start_slots, end_slots = [], [], []
     offset = 0
     for owner in _owners(plan):
         count, densities = len(owner.vertices), len(owner.densities)
@@ -248,17 +284,22 @@ def _reference_layout(plan):
         if densities:
             clamp.append(np.arange(y0, m0 + densities))
             m_slots.append(np.arange(m0, m0 + densities))
-        offsets.append(offset)
+        slots = [[x0 + k, y0 + k] for k in range(count)]
+        vertex_slots.extend(slots)
+        start_slots.extend(slots[:-1])
+        end_slots.extend(slots[1:])
         counts.append(count)
         offset = m0 + densities
-    offsets.append(offset)
     free = np.ones(offset, dtype=bool)
     free[pinned] = False
     empty = np.zeros(0, dtype=int)
-    return {"offsets": offsets, "counts": counts, "free": free,
+    return {"counts": counts, "free": free,
             "base": np.concatenate(blocks) if blocks else np.zeros(0),
             "clamp": np.concatenate(clamp) if clamp else empty,
-            "m_slots": np.concatenate(m_slots) if m_slots else empty}
+            "m_slots": np.concatenate(m_slots) if m_slots else empty,
+            **{name: np.reshape(np.array(value, dtype=int), (-1, 2)) for name, value in
+               (("vertex_slots", vertex_slots), ("start_slots", start_slots),
+                ("end_slots", end_slots))}}
 
 
 def _random_path_plan(rng):
