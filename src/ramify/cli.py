@@ -158,6 +158,20 @@ def _run_continuation(initial_plan, factory, run_cfg, out_dir, svg_alpha, target
     return final_plan, trace, shared, failures
 
 
+def _guarded_at(eps, call):
+    """``call()`` under the descent's overflow guard; a ValueError naming
+    ``eps`` when it overflows or raises one."""
+    from .optimizer import _guarded
+
+    try:
+        result = _guarded(call)
+    except ValueError as exc:
+        raise ValueError(f"at eps={eps}: {exc}") from None
+    if result is None:
+        raise ValueError(f"the evaluation overflows at eps={eps}; use a larger eps")
+    return result
+
+
 def _kernel_payload(spec) -> dict:
     mass = spec.profile_mass
     return {
@@ -250,8 +264,9 @@ def cmd_gamma_table(run_cfg, out_dir: str):
     gamma = run_cfg.gamma
     rows = []
     for eps in gamma.eps_values:
-        e_max = energy_max(plan, alpha, eps, run_cfg.kernel).total
-        e_avg = energy_avg(plan, alpha, eps, run_cfg.kernel, run_cfg.quad_points).total
+        e_max, e_avg = _guarded_at(eps, lambda: (
+            energy_max(plan, alpha, eps, run_cfg.kernel).total,
+            energy_avg(plan, alpha, eps, run_cfg.kernel, run_cfg.quad_points).total))
         rows.append({
             "eps": eps,
             "E_exact": exact,
@@ -378,8 +393,9 @@ def run_gradient_check(run_cfg) -> dict:
     worst_component = None
     for index in range(check.plans):
         plan = random_branch_plan(rng, check.max_branches, check.max_segments)
-        analytic = tree_objective_gradient(tree_objective(plan, run_cfg.objective))
-        numeric = fd_gradient(plan, run_cfg.objective, check.step)
+        analytic, numeric = _guarded_at(run_cfg.objective.eps, lambda: (
+            tree_objective_gradient(tree_objective(plan, run_cfg.objective)),
+            fd_gradient(plan, run_cfg.objective, check.step)))
         scale = np.maximum(np.abs(analytic), np.abs(numeric))
         relevant = scale > 1e-8
         if not np.any(relevant):

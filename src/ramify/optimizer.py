@@ -114,41 +114,39 @@ class RunTrace:
 class Evaluator(NamedTuple):
     """Objective and gradient callables over one plan type.
 
-    ``objective(table)`` returns an :class:`ObjectiveValue`; the descent
-    hands it segment tables only, though a plan is taken as well.
-    ``gradient(value)`` returns the flat gradient at the plan of ``value``,
-    a result of that objective.
+    ``objective(table, kept=None)`` returns an :class:`ObjectiveValue`, with
+    ``kept`` a stage's pair list for ``pairs`` (eps, kernel); ``gradient(value)``
+    the flat gradient at the plan of ``value``, a result of that objective.
     """
 
     objective: Callable
     gradient: Callable
+    pairs: Optional[tuple] = None
 
 
 def path_evaluator(alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
                    functional: str = "avg", quad_points: int = 32) -> Evaluator:
     """Evaluator minimizing a mollified irrigation energy over path plans.
 
-    Its objective keeps one pair list over its calls, so it serves one
-    stage. Each call reads the energy from this module's names, so a
-    wrapper set over them after import (as a tracer does) is the one used.
+    Each call reads the energy from this module's names, so a wrapper set
+    over them after import (as a tracer does) is the one used.
     """
-    kept = _KeptPairs(eps, spec)
     if functional == "avg":
-        def objective(plan):
+        def objective(plan, kept=None):
             return energy_avg(plan, alpha, eps, spec, quad_points, kept=kept)
-        return Evaluator(objective=objective, gradient=energy_avg_gradient)
+        return Evaluator(objective=objective, gradient=energy_avg_gradient, pairs=(eps, spec))
     if functional == "max":
-        def objective(plan):
+        def objective(plan, kept=None):
             return energy_max(plan, alpha, eps, spec, kept=kept)
-        return Evaluator(objective=objective, gradient=energy_max_gradient)
+        return Evaluator(objective=objective, gradient=energy_max_gradient, pairs=(eps, spec))
     raise ValueError("functional must be 'avg' or 'max'")
 
 
 def branch_evaluator(obj_cfg: ObjectiveConfig, eps: float) -> Evaluator:
     """Evaluator for the branch-shape objective at one stage's smoothing."""
-    cfg, kept = obj_cfg.with_eps(eps), _KeptPairs(eps, KernelSpec())
-    return Evaluator(objective=lambda plan: tree_objective(plan, cfg, kept=kept),
-                     gradient=tree_objective_gradient)
+    cfg = obj_cfg.with_eps(eps)
+    return Evaluator(objective=lambda plan, kept=None: tree_objective(plan, cfg, kept=kept),
+                     gradient=tree_objective_gradient, pairs=(eps, KernelSpec()))
 
 
 def feasibility_project(vector: np.ndarray, layout: Layout) -> np.ndarray:
@@ -226,35 +224,32 @@ def rediscretize_plan(x: np.ndarray, layout: Layout) -> np.ndarray:
     return out
 
 
-def _evaluate(evaluator: Evaluator, layout: Layout, vector: np.ndarray):
-    """The objective value on the table at ``vector`` (a stage start, trial or
-    resample), or None when an entry is not finite or the evaluation overflows."""
+def _guarded(call):
+    """``call()``, or None when it overflows; the guard of every evaluation."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return (evaluator.objective(layout.table(vector))
-                    if np.all(np.isfinite(vector)) else None)
+            return call()
     except FloatingPointError:  # finite coordinates whose squares overflow, or a tiny eps
         return None
 
 
 def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad: np.ndarray,
-                      tau_start: float, evaluator: Evaluator, cfg: DescentConfig):
+                      tau_start: float, evaluate: Callable, cfg: DescentConfig):
     """Largest projected step tau_start * factor^j from x that strictly decreases.
 
     At most ``backtrack_limit`` trials are made, from ``tau_start`` down;
-    ``run_descent`` chooses the start. Each trial is evaluated on its
-    segment table, built straight from the projected vector, and no plan
-    is built. Returns (x, value, tau, trials) on success, where trials
-    counts the rejected shrinks before acceptance, or (None, None, 0.0,
-    limit) when every trial step fails to decrease the objective. A trial
-    with a non-finite entry, an overflowing evaluation or a non-finite
-    objective ends the search with that trial vector and no value.
+    ``run_descent`` chooses the start. Each projected trial vector goes to the
+    stage's ``evaluate`` (None when not finite or overflowing); no plan is
+    built. Returns (x, value, tau, trials) on success, where trials counts
+    the rejected shrinks before acceptance, or (None, None, 0.0, limit) when
+    no trial decreases the objective. A trial with no finite value ends the
+    search with that trial vector and no value.
     """
     tau = tau_start
     for j in range(cfg.backtrack_limit):
         with np.errstate(over="ignore"):  # a non-finite step is caught below
             trial = feasibility_project(x - tau * grad, layout)
-        value = _evaluate(evaluator, layout, trial)
+        value = evaluate(trial)
         if value is None or not np.isfinite(value.total):
             return trial, None, tau, j
         if value.total < current_total:
@@ -290,17 +285,21 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     return. Each gradient is taken of the objective value of the accepted
     iterate (the accepted trial or resample).
     """
+    layout = Layout.of(plan)
+    # For the start and every trial; a resample gets a fresh list and leaves this one.
+    kept = None if evaluator.pairs is None else _KeptPairs(*evaluator.pairs)
     evals = rejected = 0
 
-    def objective(arg):
-        nonlocal evals
-        evals += 1
-        return evaluator.objective(arg)
+    def evaluate(vector, kept=kept):
+        def call():
+            nonlocal evals
+            table = layout.table(vector)
+            evals += 1
+            return evaluator.objective(table, kept)
+        return _guarded(call) if np.all(np.isfinite(vector)) else None
 
-    counted = Evaluator(objective=objective, gradient=evaluator.gradient)
-    layout = Layout.of(plan)
     x = feasibility_project(layout.base, layout)
-    value = _evaluate(counted, layout, x)
+    value = evaluate(x)
     if value is None or not np.isfinite(value.total):
         return vector_to_plan(x, layout), value, [], "nonfinite", StageCounts(evals, rejected)
     rows = []
@@ -314,7 +313,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
             break
         start = tau0 if tau_prev is None else min(tau0, tau_prev / cfg.backtrack_factor)
         trial, new_value, tau, trials = backtracking_step(
-            x, layout, value.total, grad, start, counted, cfg)
+            x, layout, value.total, grad, start, evaluate, cfg)
         rejected += trials
         if new_value is None:
             reason = "line_search_exhausted" if trial is None else "nonfinite"
@@ -322,7 +321,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
         x, tau_prev = trial, tau
         if cfg.rediscretize_every > 0 and it % cfg.rediscretize_every == 0:
             resampled = rediscretize_plan(x, layout)
-            resampled_value = _evaluate(counted, layout, resampled)
+            resampled_value = evaluate(resampled, kept=None)
             if resampled_value is None or not np.isfinite(resampled_value.total):
                 reason = "nonfinite"  # the accepted trial still gets its row
             elif resampled_value.total <= new_value.total:

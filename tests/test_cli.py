@@ -551,9 +551,9 @@ def test_nonfinite_stage_writes_outputs_and_exits_three(tmp_path, monkeypatch, c
     def poisoned(*args, **kwargs):
         evaluator, calls = real(*args, **kwargs), []
 
-        def objective(plan):
+        def objective(plan, kept=None):
             calls.append(plan)
-            value = evaluator.objective(plan)
+            value = evaluator.objective(plan, kept)
             return value if len(calls) <= 3 else dataclasses.replace(value, total=np.nan)
 
         return evaluator._replace(objective=objective)
@@ -579,11 +579,11 @@ def test_a_run_that_raises_leaves_no_trace(tmp_path, monkeypatch, capsys):
     def degenerate(*args, **kwargs):
         evaluator, calls = real(*args, **kwargs), []
 
-        def objective(plan):
+        def objective(plan, kept=None):
             calls.append(plan)
             if len(calls) > 3:
                 raise ValueError("energy_avg: zero multiplicity at midpoint 0")
-            return evaluator.objective(plan)
+            return evaluator.objective(plan, kept)
 
         return evaluator._replace(objective=objective)
 
@@ -632,6 +632,23 @@ def test_an_overflowing_stage_start_stops_the_stage_as_nonfinite(tmp_path, capsy
         assert os.path.exists(os.path.join(out, name))
 
 
+@pytest.mark.parametrize("command, data", [
+    ("gradcheck", {"objective": {"eps": 1e-150}}),
+    ("gamma-table", {"gamma": {"eps_values": [1e-150]}}),
+], ids=["gradcheck", "gamma-table"])
+def test_a_check_at_an_overflowing_eps_exits_three_and_names_it(tmp_path, capsys, command, data):
+    # eps = 1e-150 passes the eps check, but the branch objective overflows
+    # and the max-form multiplicity of a midpoint is zero. Each command ends
+    # through the descent's guard, with no warning and no traceback.
+    out = str(tmp_path / "run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", _write_config(tmp_path, data), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "eps=1e-150" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("poisoned_eps, stage", [(0.15, 2), (0.3, 1)])
 def test_nonfinite_stage_start_writes_outputs_and_exits_three(tmp_path, monkeypatch, capsys,
                                                               poisoned_eps, stage):
@@ -641,8 +658,8 @@ def test_nonfinite_stage_start_writes_outputs_and_exits_three(tmp_path, monkeypa
         evaluator = real(alpha, eps, *args)
         if eps != poisoned_eps:
             return evaluator
-        return evaluator._replace(objective=lambda plan: dataclasses.replace(
-            evaluator.objective(plan), total=np.nan))
+        return evaluator._replace(objective=lambda plan, kept=None: dataclasses.replace(
+            evaluator.objective(plan, kept), total=np.nan))
 
     monkeypatch.setattr(optimizer_module, "path_evaluator", poisoned)
     cfg = _write_config(tmp_path, TINY_IRRIGATE)

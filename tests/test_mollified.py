@@ -726,11 +726,12 @@ def test_a_stage_evaluator_stays_within_the_slice_budget_plus_its_kept_list():
         assert _kept_blocks(replica, table)[1]
         kept_pairs.append(sum(len(segments) for _, _, segments in replica.built[1]))
     evaluator = path_evaluator(0.5, 0.1)
+    stage_list = _KeptPairs(*evaluator.pairs)
     tracemalloc.start()
     try:
         for table, kept in zip(tables, kept_pairs):
             tracemalloc.reset_peak()
-            value = evaluator.objective(table)
+            value = evaluator.objective(table, stage_list)
             evaluator.gradient(value)
             peak = tracemalloc.get_traced_memory()[1]
             pairs = sum(len(i) for i, _ in value._evaluation.data[2])

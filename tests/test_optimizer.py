@@ -56,7 +56,7 @@ def _quadratic_evaluator(target, offset=0.0):
     value carries its plan's vector for the gradient."""
     target = np.asarray(target, dtype=float)
 
-    def objective(plan):
+    def objective(plan, kept=None):
         v = plan_to_vector(plan)
         total = offset + ((v - target) ** 2).sum()
         return ObjectiveValue(total=total, irrigation=total, penalty=0.0, payoff=0.0,
@@ -228,7 +228,7 @@ def test_backtracking_accepts_plain_step():
     cfg = DescentConfig()
     layout = Layout.of(plan)
     trial, cand_value, tau, trials = backtracking_step(
-        layout.base, layout, value.total, grad, 0.4, ev, cfg)
+        layout.base, layout, value.total, grad, 0.4, lambda v: ev.objective(layout.table(v)), cfg)
     assert trials == 0
     assert tau == 0.4
     assert vector_to_plan(trial, layout).branches[0].m[0] == pytest.approx(0.2, abs=1e-15)
@@ -246,8 +246,8 @@ def test_backtracking_shrinks_overshooting_step():
     grad = ev.gradient(value)
     layout = Layout.of(plan)
     trial, cand_value, tau, trials = backtracking_step(
-        layout.base, layout, value.total, grad, 8.0, ev, DescentConfig()
-    )
+        layout.base, layout, value.total, grad, 8.0, lambda v: ev.objective(layout.table(v)),
+        DescentConfig())
     assert trials == 4
     assert tau == pytest.approx(0.5)
     assert vector_to_plan(trial, layout).branches[0].x[1] == pytest.approx(0.5, abs=1e-15)
@@ -264,7 +264,7 @@ def test_backtracking_reports_exhaustion_on_ascent_direction():
     cfg = DescentConfig(backtrack_limit=5)
     layout = Layout.of(plan)
     trial, cand_value, tau, trials = backtracking_step(
-        layout.base, layout, value.total, ascent, 0.4, ev, cfg)
+        layout.base, layout, value.total, ascent, 0.4, lambda v: ev.objective(layout.table(v)), cfg)
     assert trial is None
     assert cand_value is None
     assert tau == 0.0
@@ -520,8 +520,8 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
     plan, inner = make()
     evaluated, handed, accepted, resamples = [], [], [], []
 
-    def objective(current):
-        value = inner.objective(current)
+    def objective(current, kept=None):
+        value = inner.objective(current, kept)
         evaluated.append((current, value))
         return value
 
@@ -545,7 +545,7 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
 
     monkeypatch.setattr(optimizer_module, "rediscretize_plan", resample)
     cfg = DescentConfig(j_max=8, rediscretize_every=2)
-    _, _, rows, _, _ = run_descent(plan, Evaluator(objective, gradient), cfg, eps=0.3,
+    _, _, rows, _, _ = run_descent(plan, Evaluator(objective, gradient, inner.pairs), cfg, eps=0.3,
                                    tau0=0.02,
                                    on_iteration=lambda row, current: accepted.append(current))
     assert len(rows) == 8 and len(resamples) == 4
@@ -572,9 +572,9 @@ def _poisoned(evaluator, total=None, finite_calls=1, nan_gradient=False):
     replaced by ``total``, and with NaN gradients if asked."""
     calls = []
 
-    def objective(plan):
+    def objective(plan, kept=None):
         calls.append(plan)
-        value = evaluator.objective(plan)
+        value = evaluator.objective(plan, kept)
         if total is None or len(calls) <= finite_calls:
             return value
         return ObjectiveValue(total=total, irrigation=total, penalty=0.0, payoff=0.0)
@@ -650,7 +650,7 @@ def test_run_descent_stops_on_a_nonfinite_trial_vector():
     quadratic = _quadratic_evaluator(start + 1.0)
     evaluated = []
 
-    def objective(current):
+    def objective(current, kept=None):
         evaluated.append(current)
         return quadratic.objective(current)
 
@@ -680,7 +680,7 @@ def _ladder_evaluator(plan, thresholds):
     direction = Layout.of(plan).free.astype(float)
     searches, resamples, state = [], [], {}
 
-    def objective(current):
+    def objective(current, kept=None):
         vector = plan_to_vector(current)
         if state.get("accepted"):  # a resample
             total = state["last"] + len(resamples) % 2
@@ -792,13 +792,14 @@ def test_descent_with_a_kept_pair_list_is_bit_identical(monkeypatch, form):
         plan, eps = build_fan_branches(5, segments=6, m_init=0.1), 0.2
         obj_cfg = ObjectiveConfig(alpha=0.5, c1=0.2, c2=1.0).with_eps(eps)
         kept = branch_evaluator(obj_cfg, eps)
-        fresh = Evaluator(lambda table: tree_objective(table, obj_cfg), tree_objective_gradient)
+        fresh = Evaluator(lambda table, kept=None: tree_objective(table, obj_cfg),
+                          tree_objective_gradient)
     else:
         plan, eps = build_star_plan(half_circle_targets(6), segments_per_path=8), 0.1
         energy, gradient = {"avg": (energy_avg, energy_avg_gradient),
                             "max": (energy_max, energy_max_gradient)}[form]
         kept = path_evaluator(0.5, eps, functional=form)
-        fresh = Evaluator(lambda table: energy(table, 0.5, eps), gradient)
+        fresh = Evaluator(lambda table, kept=None: energy(table, 0.5, eps), gradient)
     builds = []
     blocks = _KeptPairs.blocks
 
@@ -813,9 +814,47 @@ def test_descent_with_a_kept_pair_list_is_bit_identical(monkeypatch, form):
     runs = [run_descent(plan, evaluator, cfg, eps, tau0=0.5) for evaluator in (kept, fresh)]
     (ends, values, rows, reasons, counts) = zip(*runs)
     # The tau0 is large enough that the skin is passed on some evaluations.
-    assert len(builds) == counts[0].objective_evals and 2 < sum(builds) < len(builds)
+    # A resample is evaluated on a fresh list, not the kept one.
+    resamples = len(rows[0]) // cfg.rediscretize_every
+    assert len(builds) == counts[0].objective_evals - resamples and 2 < sum(builds) < len(builds)
     assert len(rows[1]) > 5 and reasons[0] == reasons[1] and counts[0] == counts[1]
     assert [np.array([tuple(row) for row in side]).tobytes() for side in rows] == \
         [np.array([tuple(row) for row in rows[1]]).tobytes()] * 2
     assert plan_to_vector(ends[0]).tobytes() == plan_to_vector(ends[1]).tobytes()
     assert np.float64(values[0].total).tobytes() == np.float64(values[1].total).tobytes()
+
+
+@pytest.mark.parametrize("form", ["avg", "tree"])
+def test_a_rejected_resample_leaves_the_kept_pair_list_as_it_was(monkeypatch, form):
+    # Every resample returns the stage's starting vector, whose objective is
+    # above the iterate's, so each is rejected and the stage follows the path
+    # it follows with no resampling. Neither may it rebuild its list more.
+    if form == "tree":
+        plan, eps = build_fan_branches(5, segments=6, m_init=0.1), 0.2
+        ev = branch_evaluator(ObjectiveConfig(alpha=0.5, c1=0.2, c2=1.0), eps)
+    else:
+        plan, eps = build_star_plan(half_circle_targets(6), segments_per_path=8), 0.1
+        ev = path_evaluator(0.5, eps)
+    builds, resamples = [], []
+    blocks = _KeptPairs.blocks
+
+    def counted(self, table):
+        before = self.built
+        out = blocks(self, table)
+        builds[-1] += self.built is not before
+        return out
+
+    def restart(x, layout):
+        resamples.append(x)
+        return layout.base.copy()
+
+    monkeypatch.setattr(_KeptPairs, "blocks", counted)
+    monkeypatch.setattr(optimizer_module, "rediscretize_plan", restart)
+    rows = []
+    for every in (2, 0):
+        builds.append(0)
+        cfg = DescentConfig(j_max=20, rediscretize_every=every)
+        rows.append(run_descent(plan, ev, cfg, eps, tau0=0.5)[2])
+    assert len(resamples) == len(rows[0]) // 2 > 2
+    assert rows[0] == rows[1]  # every resample was rejected
+    assert 2 < builds[0] <= builds[1]

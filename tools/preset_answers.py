@@ -5,8 +5,9 @@ Usage: python tools/preset_answers.py [REV]
 Extracts the ``src/`` tree of git revision REV (default ``HEAD``) with
 ``git archive``, like ``tools/same_outputs.py``, and runs ``irrigate
 --preset fig2`` at the radii in ``FIG2_RADII`` plus ``irrigate --preset
-fig3`` and ``treeopt --preset fig4`` and ``fig5``, each once against REV's
-``src/`` and once against the working tree's, under ``RAMIFY_THREADS=1``.
+fig3`` and ``fig3-text`` and ``treeopt --preset fig4`` and ``fig5``, each
+once against REV's ``src/`` and once against the working tree's, under
+``RAMIFY_THREADS=1``.
 Runs go one at a time, REV's first. For each run it prints the wall time,
 peak resident memory and minor page faults (the child's ``ru_maxrss``, in
 kilobytes on Linux, and ``ru_minflt``, from ``os.wait4``), iterations,
@@ -44,6 +45,7 @@ def run_set() -> dict:
     runs = {f"fig2 r={radius}": ("irrigate", "fig2", {"measure": {"radius": radius}})
             for radius in FIG2_RADII}
     runs["fig3"] = ("irrigate", "fig3", None)
+    runs["fig3-text"] = ("irrigate", "fig3-text", None)
     runs["fig4"] = ("treeopt", "fig4", None)
     runs["fig5"] = ("treeopt", "fig5", None)
     return runs
