@@ -159,16 +159,13 @@ def _run_continuation(initial_plan, factory, run_cfg, out_dir, svg_alpha, target
 
 
 def _guarded_at(eps, call):
-    """``call()`` under the descent's overflow guard; a ValueError naming
-    ``eps`` when it overflows or raises one."""
+    """``call()`` under the descent's guard; a ValueError naming ``eps`` when
+    the guard refuses it."""
     from .optimizer import _guarded
 
-    try:
-        result = _guarded(call)
-    except ValueError as exc:
-        raise ValueError(f"at eps={eps}: {exc}") from None
+    result = _guarded(call)
     if result is None:
-        raise ValueError(f"the evaluation overflows at eps={eps}; use a larger eps")
+        raise ValueError(f"no finite evaluation at eps={eps} (overflow or degenerate plan)")
     return result
 
 
@@ -330,10 +327,9 @@ def cmd_counterexample(run_cfg, out_dir: str):
     # A kernel with unbounded profile mass stays near 1 across the whole
     # configuration at this eps, which is what saturates the cap.
     spec = KernelSpec(kind="rational")
-    energy_short = energy_avg(plan_short, fixture.alpha, eps, spec,
-                              run_cfg.quad_points).total
-    energy_long = energy_avg(plan_long, fixture.alpha, eps, spec,
-                             run_cfg.quad_points).total
+    energy_short, energy_long = _guarded_at(eps, lambda: tuple(
+        energy_avg(plan, fixture.alpha, eps, spec, run_cfg.quad_points).total
+        for plan in (plan_short, plan_long)))
 
     failures = []
     if not cost_after < cost_before:

@@ -74,6 +74,10 @@ def _record(value, form: str) -> _Evaluation:
     return record
 
 
+class DegenerateEvaluation(ValueError):
+    """An infinite objective: zero multiplicity or flux under mass, or coincident midpoints."""
+
+
 @dataclass(frozen=True)
 class ObjectiveValue:
     """Objective total together with its three components.
@@ -416,7 +420,7 @@ def _powers(table: SegmentTable, w: np.ndarray, alpha: float, what: str):
     active = (table.flux * table.length) > 0.0
     if np.any(active & (w <= 0.0)):
         bad = int(np.flatnonzero(active & (w <= 0.0))[0])
-        raise ValueError(
+        raise DegenerateEvaluation(
             f"{what}: zero multiplicity at midpoint of segment "
             f"(owner {table.owner[bad]}, interval {table.interval[bad]}) carrying mass"
         )
@@ -563,8 +567,8 @@ def floored_power(multiplicity: np.ndarray, transported: np.ndarray,
     active = transported > 0.0
     floored = np.maximum(multiplicity, f_min) if f_min > 0.0 else multiplicity
     if np.any(active & (floored <= 0.0)):
-        raise ValueError("zero mollified flux under transported mass; "
-                         "set a positive flux floor or fix the plan")
+        raise DegenerateEvaluation("zero mollified flux under transported mass; "
+                                   "set a positive flux floor or fix the plan")
     out = np.zeros_like(multiplicity)
     np.power(floored, alpha - 1.0, out=out, where=active)
     return out

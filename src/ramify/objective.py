@@ -29,6 +29,7 @@ from .mollified import (
     _Evaluation,
     _midpoint_pairs,
     _record,
+    DegenerateEvaluation,
     ObjectiveValue,
 )
 from .plan_model import BranchPlan, SegmentTable, segment_table
@@ -101,7 +102,7 @@ def _penalty_matrix(midpoints: np.ndarray, weights: np.ndarray,
         return np.exp(-cfg.beta * sq)
     off = ~np.eye(len(midpoints), dtype=bool)
     if np.any(off & (sq == 0.0) & (np.outer(weights, weights) > 0.0)):
-        raise ValueError("power-law crowding penalty: coincident weighted midpoints")
+        raise DegenerateEvaluation("power-law crowding penalty: coincident weighted midpoints")
     m_mat = np.zeros_like(sq)
     np.power(sq, -0.5 * cfg.gamma, out=m_mat, where=off & (sq > 0.0))
     return m_mat

@@ -28,7 +28,8 @@ import numpy as np
 
 from .gradients import vector_to_plan
 from .kernels import KernelSpec, _check_eps
-from .mollified import _KeptPairs, energy_avg, energy_avg_gradient, energy_max, energy_max_gradient
+from .mollified import (DegenerateEvaluation, _KeptPairs, energy_avg, energy_avg_gradient,
+                        energy_max, energy_max_gradient)
 from .objective import ObjectiveConfig, tree_objective, tree_objective_gradient
 from .plan_model import Layout
 
@@ -225,12 +226,15 @@ def rediscretize_plan(x: np.ndarray, layout: Layout) -> np.ndarray:
 
 
 def _guarded(call):
-    """``call()``, or None when it overflows; the guard of every evaluation."""
+    """The judge of every evaluation: ``call()``, or None when it overflows, meets a degenerate
+    plan or returns an ObjectiveValue, array or tuple of floats and arrays that is not finite."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return call()
-    except FloatingPointError:  # finite coordinates whose squares overflow, or a tiny eps
+            result = call()
+    except (FloatingPointError, DegenerateEvaluation):  # e.g. a huge step or a tiny eps
         return None
+    parts = result if isinstance(result, tuple) else (result,)
+    return result if all(np.all(np.isfinite(getattr(p, "total", p))) for p in parts) else None
 
 
 def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad: np.ndarray,
@@ -239,20 +243,17 @@ def backtracking_step(x: np.ndarray, layout: Layout, current_total: float, grad:
 
     At most ``backtrack_limit`` trials are made, from ``tau_start`` down;
     ``run_descent`` chooses the start. Each projected trial vector goes to the
-    stage's ``evaluate`` (None when not finite or overflowing); no plan is
-    built. Returns (x, value, tau, trials) on success, where trials counts
-    the rejected shrinks before acceptance, or (None, None, 0.0, limit) when
-    no trial decreases the objective. A trial with no finite value ends the
-    search with that trial vector and no value.
+    stage's ``evaluate``; no plan is built. Returns (x, value, tau, trials),
+    where trials counts the rejected shrinks before it, for the first trial
+    that decreases or that ``evaluate`` refuses (value None), or
+    (None, None, 0.0, limit) when no trial decreases the objective.
     """
     tau = tau_start
     for j in range(cfg.backtrack_limit):
         with np.errstate(over="ignore"):  # a non-finite step is caught below
             trial = feasibility_project(x - tau * grad, layout)
         value = evaluate(trial)
-        if value is None or not np.isfinite(value.total):
-            return trial, None, tau, j
-        if value.total < current_total:
+        if value is None or value.total < current_total:
             return trial, value, tau, j
         tau *= cfg.backtrack_factor
     return None, None, 0.0, cfg.backtrack_limit
@@ -264,13 +265,12 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
 
     Stops after ``stop_patience`` consecutive iterations whose relative
     decrease falls below ``stop_tol``, when the line search cannot find
-    any decreasing step, or at the iteration cap. A starting objective,
-    gradient entry, trial vector entry, trial objective or resample
-    objective that is not finite or overflows stops the stage with reason
-    ``"nonfinite"``. Returns the last finite accepted plan (the starting
-    plan if its own objective is not finite), its objective value (None
-    if that overflowed), the accepted-iteration rows, the stop reason and
-    the stage's :class:`StageCounts`.
+    any decreasing step, or at the iteration cap. A trial vector that is
+    not finite, or a start, trial, resample or gradient that ``_guarded``
+    refuses, stops the stage with reason ``"nonfinite"``. Returns the last
+    accepted plan (the starting plan if its own objective was refused), its
+    objective value (None then), the accepted-iteration rows, the stop
+    reason and the stage's :class:`StageCounts`.
 
     The first line search starts at ``tau0``; each later one at
     ``min(tau0, tau_prev / backtrack_factor)``, where ``tau_prev`` is the
@@ -300,15 +300,15 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
 
     x = feasibility_project(layout.base, layout)
     value = evaluate(x)
-    if value is None or not np.isfinite(value.total):
+    if value is None:
         return vector_to_plan(x, layout), value, [], "nonfinite", StageCounts(evals, rejected)
     rows = []
     quiet = 0
     reason = "iteration_cap"
     tau_prev = None
     for it in range(1, cfg.j_max + 1):
-        grad = evaluator.gradient(value)
-        if not np.all(np.isfinite(grad)):
+        grad = _guarded(lambda: evaluator.gradient(value))
+        if grad is None:
             reason = "nonfinite"
             break
         start = tau0 if tau_prev is None else min(tau0, tau_prev / cfg.backtrack_factor)
@@ -322,7 +322,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
         if cfg.rediscretize_every > 0 and it % cfg.rediscretize_every == 0:
             resampled = rediscretize_plan(x, layout)
             resampled_value = evaluate(resampled, kept=None)
-            if resampled_value is None or not np.isfinite(resampled_value.total):
+            if resampled_value is None:
                 reason = "nonfinite"  # the accepted trial still gets its row
             elif resampled_value.total <= new_value.total:
                 x, new_value = resampled, resampled_value
@@ -371,9 +371,9 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
     ``evaluator_factory`` maps each eps to an evaluator. Returns the
     final plan and a trace whose stage_plans hold the initial plan
     followed by the minimizer of every stage; iteration numbers continue
-    across stages. A stage that stops on a non-finite value is the last.
-    The final value is the last finite one, or None when the first
-    stage's starting objective is not finite.
+    across stages. A stage that stops as ``"nonfinite"`` is the last. The
+    final value is the last one a stage returned, or None when the first
+    stage's starting objective was refused.
     """
     layout = Layout.of(plan)  # the nearest feasible plan (identity on feasible input)
     plan = vector_to_plan(feasibility_project(layout.base, layout), layout)
@@ -388,8 +388,7 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
         evaluator = evaluator_factory(eps)
         plan, value, rows, reason, counts = run_descent(
             plan, evaluator, cfg, eps, tau0, start_iteration=start, on_iteration=on_iteration)
-        if value is not None and np.isfinite(value.total):
-            final_value = value
+        final_value = value or final_value  # a stage whose start was refused returns None
         trace.rows.extend(rows)
         trace.stage_plans.append(plan)
         trace.stage_reasons.append(reason)

@@ -614,15 +614,20 @@ def test_overflowing_finite_step_stops_the_stage_as_nonfinite(tmp_path, capsys):
         assert os.path.exists(os.path.join(out, name))
 
 
-def test_an_overflowing_stage_start_stops_the_stage_as_nonfinite(tmp_path, capsys):
-    # eps = 1e-150 passes the eps check, but 1 / eps**2 times the segment
-    # lengths overflows in the starting objective.
+@pytest.mark.parametrize("functional", ["avg", "max"])
+def test_an_overflowing_stage_start_stops_the_stage_as_nonfinite(tmp_path, capsys, functional):
+    # eps = 1e-150 passes the eps check, but in the starting objective the
+    # avg form's 1 / eps**2 times the segment lengths overflows, and the max
+    # form's own-segment kernel reads 0: the midpoint's computed distance to
+    # its own segment is a rounding residue far above eps, so the midpoint
+    # sees a zero multiplicity, a degenerate plan.
     data = dict(TINY_IRRIGATE, descent=dict(TINY_IRRIGATE["descent"], eps_schedule=[1e-150]))
     cfg = _write_config(tmp_path, data)
     out = str(tmp_path / "run")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["irrigate", "--config", cfg, "--out", out]) == 3
+        assert main(["irrigate", "--functional", functional, "--config", cfg,
+                     "--out", out]) == 3
     assert "stage 1 (eps=1e-150) stopped on a non-finite objective" in capsys.readouterr().err
     summary = _read_json(os.path.join(out, "summary.json"))
     assert summary["stage_reasons"] == ["nonfinite"]

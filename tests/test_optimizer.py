@@ -15,6 +15,7 @@ from ramify.mollified import (
     energy_avg_gradient,
     energy_max,
     energy_max_gradient,
+    floored_power,
 )
 from ramify.objective import (
     ObjectiveConfig,
@@ -603,12 +604,58 @@ def test_run_descent_stops_on_a_nonfinite_value(poison, every, accepted):
     assert len(rows) == accepted
     assert all(np.isfinite(row.total) for row in rows)
     if poison.get("finite_calls") == 0:
-        assert np.isnan(value.total)
+        assert value is None
     else:
         assert np.isfinite(value.total)
         assert value == _quadratic_evaluator(start + 1.0).objective(out)
     if not accepted:
         np.testing.assert_array_equal(plan_to_vector(out), start)
+
+
+def _overflowing_gradient(evaluator):
+    """The evaluator with its third gradient overflowing to inf."""
+    calls = []
+
+    def gradient(value):
+        calls.append(value)
+        grad = evaluator.gradient(value)
+        return np.full_like(grad, 1e308) * 10.0 if len(calls) == 3 else grad
+
+    return evaluator._replace(gradient=gradient)
+
+
+def _degenerate_second_trial(evaluator):
+    """The evaluator whose third objective, the second trial, meets a zero
+    mollified flux under transported mass."""
+    calls = []
+
+    def objective(plan, kept=None):
+        calls.append(plan)
+        if len(calls) == 3:
+            floored_power(np.zeros(1), np.ones(1), 0.5, 0.0)
+        return evaluator.objective(plan, kept)
+
+    return evaluator._replace(objective=objective)
+
+
+@pytest.mark.parametrize("poison, accepted", [
+    (_overflowing_gradient, 2),
+    (_degenerate_second_trial, 1),
+], ids=["overflowing-gradient", "degenerate-trial"])
+def test_run_descent_stops_on_an_overflowing_gradient_or_a_degenerate_plan(poison, accepted):
+    # Both end through the stage's one guard: silently, as a nonfinite stage
+    # that keeps the rows accepted before it.
+    plan = build_star_plan(half_circle_targets(3), segments_per_path=3)
+    quadratic = _quadratic_evaluator(plan_to_vector(plan) + 1.0)
+    cfg = DescentConfig(j_max=10, rediscretize_every=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, value, rows, reason, _ = run_descent(plan, poison(quadratic), cfg, eps=0.1,
+                                                  tau0=0.4)
+    assert reason == "nonfinite"
+    assert len(rows) == accepted
+    assert value.total == rows[-1].total
+    assert value == quadratic.objective(out)
 
 
 def test_eps_continuation_runs_no_stage_after_a_nonfinite_one():
