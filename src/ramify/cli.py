@@ -52,6 +52,10 @@ _READ_BY.update({f"objective.{key}": ("treeopt", "gradcheck") for key in (
 # block temporaries at any S (by tracemalloc: 9.9 MB at S = 400 and 800,
 # 10.3 MB at S = 2,000). Their time grows with the pairs, to about 4 s at
 # S = 2,000 on a 2-core x86-64 host, so this caps the time of an evaluation.
+# Treeopt's crowding matrices (c1 != 0) are dense S x S arrays, so this caps
+# their memory: at S = 2,000 (a fan of 200 x 10 segments at eps 0.5) one tree
+# objective and its gradient peak at 234 MB by tracemalloc with the gaussian
+# penalty and 266 MB with the power law, against 113 MB with c1 = 0.
 _MAX_DENSE_PAIRS = 4_000_000
 # glibc mallopt(3) settings: M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3),
 # so the block temporaries each evaluation frees stay in the heap. Setting
@@ -131,31 +135,36 @@ def _resolved_merge_tol(run_cfg, plan) -> float:
 def _run_continuation(initial_plan, factory, run_cfg, out_dir, svg_alpha, targets):
     """Shared run: continuation, then the trace and stage snapshots.
 
-    ``trace.csv`` is written from the returned rows once the continuation
-    ends, so a run that raises leaves none. Returns the final plan, the
-    trace, the keys both optimization summaries share, and the failure of
-    a stage that stopped on a non-finite value."""
+    ``trace.csv`` is written from the stages' rows once the continuation
+    ends, so a run that raises leaves none. Returns the plans (the start,
+    then each stage's), the last objective value a stage returned (None
+    when none did), the keys both optimization summaries share, and the
+    failure of a stage that stopped on a non-finite value."""
     from .optimizer import TRACE_HEADER, eps_continuation
     from .plan_model import save_plan
     from .svg import save_svg
 
-    final_plan, trace = eps_continuation(initial_plan, factory, run_cfg.descent)
+    start, tau0, stages = eps_continuation(initial_plan, factory, run_cfg.descent)
+    rows = [row for stage in stages for row in stage.rows]
     with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as trace_file:
         trace_file.writelines(line + "\n" for line in
-                              [TRACE_HEADER] + [row.as_csv() for row in trace.rows])
-    for i, plan in enumerate(trace.stage_plans):
+                              [TRACE_HEADER] + [row.as_csv() for row in rows])
+    plans = [start] + [stage.plan for stage in stages]
+    for i, plan in enumerate(plans):
         save_plan(plan, os.path.join(out_dir, f"plan_stage_{i}.json"))
         save_svg(plan, os.path.join(out_dir, f"stage_{i}.svg"),
                  alpha=svg_alpha, targets=targets)
     schedule = run_cfg.descent.eps_schedule
-    shared = {"eps_schedule": list(schedule), "tau0": trace.metadata["tau0"],
-              "stage_reasons": trace.stage_reasons, "iterations": len(trace.rows),
-              "stage_rejected_trials": [c.rejected_trials for c in trace.stage_counts],
-              "stage_objective_evals": [c.objective_evals for c in trace.stage_counts]}
+    reasons = [stage.reason for stage in stages]
+    shared = {"eps_schedule": list(schedule), "tau0": tau0,
+              "stage_reasons": reasons, "iterations": len(rows),
+              "stage_rejected_trials": [stage.rejected_trials for stage in stages],
+              "stage_objective_evals": [stage.objective_evals for stage in stages]}
     failures = [f"stage {stage + 1} (eps={schedule[stage]}) stopped on a non-finite "
                 "objective, gradient or trial step"
-                for stage, reason in enumerate(trace.stage_reasons) if reason == "nonfinite"]
-    return final_plan, trace, shared, failures
+                for stage, reason in enumerate(reasons) if reason == "nonfinite"]
+    final = next((stage.value for stage in reversed(stages) if stage.value is not None), None)
+    return plans, final, shared, failures
 
 
 def _guarded_at(eps, call):
@@ -193,13 +202,12 @@ def cmd_irrigate(run_cfg, out_dir: str):
         return path_evaluator(alpha, eps, run_cfg.kernel, run_cfg.functional,
                               run_cfg.quad_points)
 
-    final_plan, trace, shared, failures = _run_continuation(initial, factory, run_cfg,
-                                                            out_dir, alpha, targets)
-    final = trace.metadata["final"]
-    clusters = [crossing_cluster_count(p) for p in trace.stage_plans]
-    merge_tol = _resolved_merge_tol(run_cfg, final_plan)
+    plans, final, shared, failures = _run_continuation(initial, factory, run_cfg,
+                                                       out_dir, alpha, targets)
+    clusters = [crossing_cluster_count(p) for p in plans]
+    merge_tol = _resolved_merge_tol(run_cfg, plans[-1])
     try:
-        exact = exact_plan_cost(final_plan, alpha, merge_tol)
+        exact = exact_plan_cost(plans[-1], alpha, merge_tol)
         exact_note = None
     except TopologyError as exc:
         exact = None
@@ -210,7 +218,7 @@ def cmd_irrigate(run_cfg, out_dir: str):
         "kernel": _kernel_payload(run_cfg.kernel),
         "alpha": alpha,
         **shared,
-        "final_energy": None if final is None else final["total"],
+        "final_energy": None if final is None else final.total,
         "exact_cost": exact,
         "exact_cost_note": exact_note,
         "merge_tol": merge_tol,
@@ -231,7 +239,7 @@ def cmd_treeopt(run_cfg, out_dir: str):
     def factory(eps):
         return branch_evaluator(run_cfg.objective, eps)
 
-    _, trace, shared, failures = _run_continuation(initial, factory, run_cfg, out_dir,
+    _, final, shared, failures = _run_continuation(initial, factory, run_cfg, out_dir,
                                                    run_cfg.objective.alpha, None)
     summary = {
         "experiment": "treeopt",
@@ -242,7 +250,8 @@ def cmd_treeopt(run_cfg, out_dir: str):
         "penalty_kernel": run_cfg.objective.penalty_kernel,
         "f_min": run_cfg.objective.f_min,
         **shared,
-        "final": trace.metadata["final"],
+        "final": None if final is None else {
+            key: getattr(final, key) for key in ("total", "irrigation", "penalty", "payoff")},
     }
     return "summary.json", summary, failures
 
@@ -432,16 +441,23 @@ def cmd_gradcheck(run_cfg, out_dir: str):
 
 
 def _check_pair_budget(run_cfg):
-    """Raise a ConfigError when a non-compact kernel would list more than
-    ``_MAX_DENSE_PAIRS`` pairs: every midpoint with every segment, S^2."""
+    """Raise a ConfigError when a run would form more than ``_MAX_DENSE_PAIRS``
+    dense pairs, S^2: a non-compact kernel lists every midpoint with every
+    segment, and treeopt's crowding penalty (c1 != 0) every midpoint with every
+    midpoint. A command leaves the settings it does not read at their defaults."""
     from .config import ConfigError
 
-    segments = run_cfg.measure.n * run_cfg.measure.segments_per_path
-    if not run_cfg.kernel.compact_support and segments ** 2 > _MAX_DENSE_PAIRS:
-        raise ConfigError(f"the {run_cfg.kernel.kind!r} kernel pairs every midpoint with all "
-                          f"S = {segments} segments, {segments ** 2} pairs, above the limit of "
-                          f"{_MAX_DENSE_PAIRS} (S = 2,000); use a compact kernel or fewer "
-                          "measure.n * measure.segments_per_path")
+    measure, fan = run_cfg.measure, run_cfg.fan
+    for dense, segments, what, fix in (
+            (not run_cfg.kernel.compact_support, measure.n * measure.segments_per_path,
+             f"the {run_cfg.kernel.kind!r} kernel pairs every midpoint with all",
+             "use a compact kernel or fewer measure.n * measure.segments_per_path"),
+            (run_cfg.objective.c1 != 0.0, fan.n * fan.segments,
+             "the crowding penalty (objective.c1 != 0) pairs the midpoints of all",
+             "set objective.c1 to 0 or use fewer fan.n * fan.segments")):
+        if dense and segments ** 2 > _MAX_DENSE_PAIRS:
+            raise ConfigError(f"{what} S = {segments} segments, {segments ** 2} pairs, above "
+                              f"the limit of {_MAX_DENSE_PAIRS} (S = 2,000); {fix}")
 
 
 def _check_read(run_cfg, command: str):

@@ -96,8 +96,8 @@ class CounterexampleSpec:
             raise ValueError("masses must be positive")
         if not 0.0 < self.l2 < self.l2 + self.delta < 1.0 < self.l1:
             raise ValueError("lengths must satisfy 0 < l2 < l2+delta < 1 < l1")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 KERNEL_KINDS = ("exponential", "rational", "triangular", "bump")
 
-# Integral of the profile over [0, infinity); used for run metadata.
+# Integral of the profile over [0, infinity); reported in run summaries.
 # The bump and triangular profiles integrate to less than 1, which means
 # multiplicity estimates built from them are not normalized; callers
 # surface this in their run summaries.
@@ -237,10 +237,10 @@ def _gauss_legendre(quad_points: int):
     return nodes, weights
 
 
-def _quadrature_setup(a, b, x, eps: float, quad_points: int):
-    """Checked inputs as coordinate pairs (ax, ay), (xx, xy) and (dx, dy)
-    of the segment vectors d = b - a, their lengths L, the broadcast shape
-    of the inputs, and Gauss-Legendre nodes and weights mapped to [0, 1]."""
+def _quadrature(spec: KernelSpec, a, b, x, eps: float, quad_points: int, grad: bool = False):
+    """Shared Gauss-Legendre body of :func:`kernel_segment_integral` and, with
+    ``grad``, :func:`kernel_segment_integral_grad`: the value, or the value and
+    its (..., 2) derivatives in a, b and x."""
     _check_eps(eps)
     if quad_points < 1:
         raise ValueError("quad_points must be at least 1")
@@ -249,8 +249,33 @@ def _quadrature_setup(a, b, x, eps: float, quad_points: int):
     x = np.asarray(x, dtype=float)
     d = (b[..., 0] - a[..., 0], b[..., 1] - a[..., 1])
     L = np.sqrt(d[0] * d[0] + d[1] * d[1])
-    return ((a[..., 0], a[..., 1]), (x[..., 0], x[..., 1]), d, L,
-            np.broadcast(a, b, x).shape, *_gauss_legendre(quad_points))
+    acc = 0.0
+    if grad:
+        da, db, dx = (np.zeros(np.broadcast(a, b, x).shape) for _ in range(3))
+    for u, wt in zip(*_gauss_legendre(quad_points)):
+        diff = (a[..., 0] + u * d[0] - x[..., 0], a[..., 1] + u * d[1] - x[..., 1])
+        r = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
+        acc = acc + wt * kernel_eval(spec, r / eps)
+        if not grad:
+            continue
+        # d/dtheta of (1/eps) J(r/eps) L = (1/eps^2) J' (dr/dtheta) L + (1/eps) J dL/dtheta
+        scale = wt * kernel_derivative(spec, r / eps) * L / (eps * eps)
+        for k in range(2):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                core = scale * np.where(r > 0.0, diff[k] / r, 0.0)
+            da[..., k] += core * (1.0 - u)
+            db[..., k] += core * u
+            dx[..., k] += -core
+    val = acc * L / eps
+    val = val if np.ndim(val) else float(val)
+    if not grad:
+        return val
+    for k in range(2):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = np.where(L > 0.0, d[k] / L, 0.0)
+        da[..., k] += (acc / eps) * (-unit)
+        db[..., k] += (acc / eps) * unit
+    return val, da, db, dx
 
 
 def kernel_segment_integral(spec: KernelSpec, a, b, x, eps: float, quad_points: int = 32):
@@ -262,14 +287,7 @@ def kernel_segment_integral(spec: KernelSpec, a, b, x, eps: float, quad_points: 
     """
     if spec.kind == "bump":
         return bump_segment_integral(a, b, x, eps)
-    (ax, ay), (xx, xy), (dx, dy), L, _, nodes, weights = _quadrature_setup(
-        a, b, x, eps, quad_points)
-    acc = 0.0
-    for u, wt in zip(nodes, weights):
-        r = np.sqrt((ax + u * dx - xx) ** 2 + (ay + u * dy - xy) ** 2)
-        acc = acc + wt * kernel_eval(spec, r / eps)
-    val = acc * L / eps
-    return val if np.ndim(val) else float(val)
+    return _quadrature(spec, a, b, x, eps, quad_points)
 
 
 def kernel_segment_integral_grad(spec: KernelSpec, a, b, x, eps: float, quad_points: int = 32):
@@ -281,28 +299,4 @@ def kernel_segment_integral_grad(spec: KernelSpec, a, b, x, eps: float, quad_poi
     """
     if spec.kind == "bump":
         return bump_segment_integral_grad(a, b, x, eps)
-    (ax, ay), (xx, xy), d, L, shape, nodes, weights = _quadrature_setup(
-        a, b, x, eps, quad_points)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = [np.where(L > 0.0, dc / L, 0.0) for dc in d]
-    acc = 0.0
-    da, db, dx = (np.zeros(shape) for _ in range(3))
-    for u, wt in zip(nodes, weights):
-        diff = (ax + u * d[0] - xx, ay + u * d[1] - xy)
-        r = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
-        jv = kernel_eval(spec, r / eps)
-        jd = kernel_derivative(spec, r / eps)
-        acc = acc + wt * jv
-        # d/dtheta of (1/eps) J(r/eps) L = (1/eps^2) J' (dr/dtheta) L + (1/eps) J dL/dtheta
-        scale = wt * jd * L / (eps * eps)
-        for k in range(2):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                core = scale * np.where(r > 0.0, diff[k] / r, 0.0)
-            da[..., k] += core * (1.0 - u)
-            db[..., k] += core * u
-            dx[..., k] += -core
-    for k in range(2):
-        da[..., k] += (acc / eps) * (-unit[k])
-        db[..., k] += (acc / eps) * unit[k]
-    val = acc * L / eps
-    return (val if np.ndim(val) else float(val)), da, db, dx
+    return _quadrature(spec, a, b, x, eps, quad_points, grad=True)

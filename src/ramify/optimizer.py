@@ -21,15 +21,15 @@ smaller radii sharpen the geometry toward the unsmoothed cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .gradients import vector_to_plan
 from .kernels import KernelSpec, _check_eps
-from .mollified import (DegenerateEvaluation, _KeptPairs, energy_avg, energy_avg_gradient,
-                        energy_max, energy_max_gradient)
+from .mollified import (DegenerateEvaluation, ObjectiveValue, _KeptPairs, energy_avg,
+                        energy_avg_gradient, energy_max, energy_max_gradient)
 from .objective import ObjectiveConfig, tree_objective, tree_objective_gradient
 from .plan_model import Layout
 
@@ -93,23 +93,19 @@ class TraceRow(NamedTuple):
                         for v in self)
 
 
-class StageCounts(NamedTuple):
-    """Line-search work of one stage: every objective evaluation (start,
-    trials and resamples) and every trial that failed to decrease."""
+class Stage(NamedTuple):
+    """One descent stage: its last accepted plan and that plan's objective value
+    (None when the start was refused; its totals only, without the terms and
+    evaluation record a gradient reads), its accepted-iteration rows, its stop
+    reason, and its line-search work: every objective evaluation (start, trials
+    and resamples) and every trial that failed to decrease."""
 
+    plan: object
+    value: Optional[ObjectiveValue]
+    rows: list
+    reason: str
     objective_evals: int
     rejected_trials: int
-
-
-@dataclass
-class RunTrace:
-    """Concatenated iteration history plus per-stage snapshots and counts."""
-
-    rows: list = field(default_factory=list)
-    stage_plans: list = field(default_factory=list)
-    stage_reasons: list = field(default_factory=list)
-    stage_counts: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
 
 class Evaluator(NamedTuple):
@@ -267,10 +263,9 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     decrease falls below ``stop_tol``, when the line search cannot find
     any decreasing step, or at the iteration cap. A trial vector that is
     not finite, or a start, trial, resample or gradient that ``_guarded``
-    refuses, stops the stage with reason ``"nonfinite"``. Returns the last
-    accepted plan (the starting plan if its own objective was refused), its
-    objective value (None then), the accepted-iteration rows, the stop
-    reason and the stage's :class:`StageCounts`.
+    refuses, stops the stage with reason ``"nonfinite"``. Returns the
+    :class:`Stage`, whose plan is the starting one if its own objective was
+    refused.
 
     The first line search starts at ``tau0``; each later one at
     ``min(tau0, tau_prev / backtrack_factor)``, where ``tau_prev`` is the
@@ -301,7 +296,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     x = feasibility_project(layout.base, layout)
     value = evaluate(x)
     if value is None:
-        return vector_to_plan(x, layout), value, [], "nonfinite", StageCounts(evals, rejected)
+        return Stage(vector_to_plan(x, layout), value, [], "nonfinite", evals, rejected)
     rows = []
     quiet = 0
     reason = "iteration_cap"
@@ -353,7 +348,9 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
                 break
         else:
             quiet = 0
-    return vector_to_plan(x, layout), value, rows, reason, StageCounts(evals, rejected)
+    # A kept record would pin the stage's table and pair data: 10 MB on irrigate-wide.
+    value = replace(value, terms=None, _evaluation=None)
+    return Stage(vector_to_plan(x, layout), value, rows, reason, evals, rejected)
 
 
 def resolve_tau0(plan, cfg: DescentConfig) -> float:
@@ -368,34 +365,22 @@ def eps_continuation(plan, evaluator_factory: Callable[[float], Evaluator],
                      cfg: DescentConfig, on_iteration=None):
     """Descend through the eps schedule with warm starts.
 
-    ``evaluator_factory`` maps each eps to an evaluator. Returns the
-    final plan and a trace whose stage_plans hold the initial plan
-    followed by the minimizer of every stage; iteration numbers continue
-    across stages. A stage that stops as ``"nonfinite"`` is the last. The
-    final value is the last one a stage returned, or None when the first
-    stage's starting objective was refused.
+    ``evaluator_factory`` maps each eps to an evaluator. Returns
+    ``(start, tau0, stages)``: the nearest feasible plan to ``plan``, the
+    first step size of every stage, and one :class:`Stage` per eps that ran,
+    each warm-started from the plan of the one before. Iteration numbers
+    continue across stages. A stage that stops as ``"nonfinite"`` is the last.
     """
     layout = Layout.of(plan)  # the nearest feasible plan (identity on feasible input)
-    plan = vector_to_plan(feasibility_project(layout.base, layout), layout)
+    start = vector_to_plan(feasibility_project(layout.base, layout), layout)
     del layout  # each stage makes its own; this one would be held through the run
-    tau0 = resolve_tau0(plan, cfg)
-    trace = RunTrace()
-    trace.stage_plans.append(plan)
-    trace.metadata["tau0"] = tau0
-    start = 0
-    final_value = None
+    tau0 = resolve_tau0(start, cfg)
+    stages = []
     for eps in cfg.eps_schedule:
-        evaluator = evaluator_factory(eps)
-        plan, value, rows, reason, counts = run_descent(
-            plan, evaluator, cfg, eps, tau0, start_iteration=start, on_iteration=on_iteration)
-        final_value = value or final_value  # a stage whose start was refused returns None
-        trace.rows.extend(rows)
-        trace.stage_plans.append(plan)
-        trace.stage_reasons.append(reason)
-        trace.stage_counts.append(counts)
-        start += len(rows)
-        if reason == "nonfinite":
+        stage = run_descent(stages[-1].plan if stages else start, evaluator_factory(eps), cfg,
+                            eps, tau0, start_iteration=sum(len(s.rows) for s in stages),
+                            on_iteration=on_iteration)
+        stages.append(stage)
+        if stage.reason == "nonfinite":
             break
-    trace.metadata["final"] = None if final_value is None else {
-        key: getattr(final_value, key) for key in ("total", "irrigation", "penalty", "payoff")}
-    return plan, trace
+    return start, tau0, stages

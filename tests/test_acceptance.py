@@ -190,9 +190,9 @@ def test_descent_recovers_the_optimal_bifurcation():
                             masses=[0.5, 0.5])
     plan = build_star_plan(targets, 8)
     cfg = DescentConfig(eps_schedule=(0.3, 0.1, 0.03, 0.01), j_max=500)
-    final_plan, _ = eps_continuation(
+    _, _, stages = eps_continuation(
         plan, lambda eps: path_evaluator(alpha, eps), cfg)
-    achieved = exact_plan_cost(final_plan, alpha, merge_tol=0.02)
+    achieved = exact_plan_cost(stages[-1].plan, alpha, merge_tol=0.02)
     _, optimal = brute_force_bifurcation([-arm, arm], [arm, arm],
                                          0.5, 0.5, alpha)
     rel = abs(achieved - optimal) / optimal

@@ -27,7 +27,7 @@ from ramify.optimizer import (
     TRACE_HEADER,
     DescentConfig,
     Evaluator,
-    StageCounts,
+    Stage,
     TraceRow,
     backtracking_step,
     branch_evaluator,
@@ -276,7 +276,7 @@ def test_run_descent_zero_iteration_cap_returns_initial_plan():
     plan = _single_branch_plan()
     ev = _quadratic_evaluator(plan_to_vector(plan) * 0.0)
     cfg = DescentConfig(j_max=0)
-    out, value, rows, reason, _ = run_descent(plan, ev, cfg, eps=0.1, tau0=0.25)
+    out, value, rows, reason, *_ = run_descent(plan, ev, cfg, eps=0.1, tau0=0.25)
     assert rows == []
     assert reason == "iteration_cap"
     np.testing.assert_array_equal(plan_to_vector(out), plan_to_vector(plan))
@@ -290,7 +290,7 @@ def test_run_descent_converges_on_offset_quadratic():
     target[4] = 0.4
     ev = _quadratic_evaluator(target, offset=1.0)
     cfg = DescentConfig(j_max=500, stop_tol=1e-7, stop_patience=3, rediscretize_every=0)
-    out, value, rows, reason, _ = run_descent(plan, ev, cfg, eps=0.1, tau0=0.25)
+    out, value, rows, reason, *_ = run_descent(plan, ev, cfg, eps=0.1, tau0=0.25)
     assert reason == "converged"
     assert value.total == pytest.approx(1.0, abs=1e-8)
     np.testing.assert_allclose(plan_to_vector(out)[[1, 3, 4]], [0.5, 0.8, 0.4], atol=1e-4)
@@ -311,7 +311,7 @@ def test_run_descent_iterates_stay_feasible():
         seen.append(row.iteration)
 
     cfg = DescentConfig(j_max=25, rediscretize_every=5)
-    _, _, rows, _, _ = run_descent(plan, ev, cfg, eps=0.5, tau0=0.05, on_iteration=watch)
+    _, _, rows, *_ = run_descent(plan, ev, cfg, eps=0.5, tau0=0.05, on_iteration=watch)
     assert seen == [r.iteration for r in rows]
     assert len(rows) > 0
 
@@ -481,32 +481,33 @@ def test_rediscretize_resamples_owners_of_one_vertex_count_as_each_alone():
 def test_eps_continuation_stages_and_numbering():
     plan = build_star_plan(half_circle_targets(4), segments_per_path=4)
     cfg = DescentConfig(eps_schedule=(0.3, 0.15), j_max=20, rediscretize_every=4)
-    final, trace = eps_continuation(
+    start, tau0, stages = eps_continuation(
         plan, lambda e: path_evaluator(0.5, e, functional="avg"), cfg
     )
-    assert len(trace.stage_plans) == 3
-    assert len(trace.stage_reasons) == 2
-    assert [r.iteration for r in trace.rows] == list(range(1, len(trace.rows) + 1))
-    assert set(r.eps for r in trace.rows) <= {0.3, 0.15}
+    np.testing.assert_array_equal(plan_to_vector(start), plan_to_vector(plan))  # feasible
+    assert len(stages) == 2
+    rows = [row for stage in stages for row in stage.rows]
+    assert [r.iteration for r in rows] == list(range(1, len(rows) + 1))
+    assert set(r.eps for r in rows) <= {0.3, 0.15}
     # strict decrease within each stage
     for eps in (0.3, 0.15):
-        totals = [r.total for r in trace.rows if r.eps == eps]
+        totals = [r.total for r in rows if r.eps == eps]
         assert np.all(np.diff(totals) < 0.0)
-    assert trace.metadata["tau0"] > 0.0
-    assert set(trace.metadata["final"]) == {"total", "irrigation", "penalty", "payoff"}
-    header, *lines = [TRACE_HEADER] + [row.as_csv() for row in trace.rows]
+    assert tau0 > 0.0
+    assert isinstance(stages[-1].value, ObjectiveValue)
+    header, *lines = [TRACE_HEADER] + [row.as_csv() for row in rows]
     assert header == TRACE_HEADER
-    assert len(lines) == len(trace.rows)
+    assert len(lines) == len(rows)
 
 
 def test_eps_continuation_improves_fan_objective():
     plan = build_fan_branches(5, segments=4, m_init=0.1)
     obj = ObjectiveConfig(alpha=0.4, eps=0.5, c1=0.4, c2=1.4)
     cfg = DescentConfig(eps_schedule=(0.5, 0.1), j_max=40)
-    final, trace = eps_continuation(plan, lambda e: branch_evaluator(obj, e), cfg)
-    first_stage = [r.total for r in trace.rows if r.eps == 0.5]
+    _, _, stages = eps_continuation(plan, lambda e: branch_evaluator(obj, e), cfg)
+    first_stage = [r.total for r in stages[0].rows]
     assert first_stage[-1] < first_stage[0]
-    assert trace.rows[-1].total < trace.rows[0].total
+    assert stages[-1].rows[-1].total < stages[0].rows[0].total
 
 
 @pytest.mark.parametrize("make", [
@@ -546,9 +547,9 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
 
     monkeypatch.setattr(optimizer_module, "rediscretize_plan", resample)
     cfg = DescentConfig(j_max=8, rediscretize_every=2)
-    _, _, rows, _, _ = run_descent(plan, Evaluator(objective, gradient, inner.pairs), cfg, eps=0.3,
-                                   tau0=0.02,
-                                   on_iteration=lambda row, current: accepted.append(current))
+    _, _, rows, *_ = run_descent(plan, Evaluator(objective, gradient, inner.pairs), cfg, eps=0.3,
+                                 tau0=0.02,
+                                 on_iteration=lambda row, current: accepted.append(current))
     assert len(rows) == 8 and len(resamples) == 4
     assert len(handed) == 8
     # The first gradient takes the starting value, each later one the very
@@ -599,7 +600,7 @@ def test_run_descent_stops_on_a_nonfinite_value(poison, every, accepted):
     start = plan_to_vector(plan)
     ev = _poisoned(_quadratic_evaluator(start + 1.0), **poison)
     cfg = DescentConfig(j_max=10, rediscretize_every=every)
-    out, value, rows, reason, _ = run_descent(plan, ev, cfg, eps=0.1, tau0=0.4)
+    out, value, rows, reason, *_ = run_descent(plan, ev, cfg, eps=0.1, tau0=0.4)
     assert reason == "nonfinite"
     assert len(rows) == accepted
     assert all(np.isfinite(row.total) for row in rows)
@@ -650,8 +651,8 @@ def test_run_descent_stops_on_an_overflowing_gradient_or_a_degenerate_plan(poiso
     cfg = DescentConfig(j_max=10, rediscretize_every=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out, value, rows, reason, _ = run_descent(plan, poison(quadratic), cfg, eps=0.1,
-                                                  tau0=0.4)
+        out, value, rows, reason, *_ = run_descent(plan, poison(quadratic), cfg, eps=0.1,
+                                                   tau0=0.4)
     assert reason == "nonfinite"
     assert len(rows) == accepted
     assert value.total == rows[-1].total
@@ -662,11 +663,11 @@ def test_eps_continuation_runs_no_stage_after_a_nonfinite_one():
     plan = build_star_plan(half_circle_targets(3), segments_per_path=3)
     ev = _poisoned(_quadratic_evaluator(plan_to_vector(plan) + 1.0), nan_gradient=True)
     cfg = DescentConfig(eps_schedule=(0.3, 0.2, 0.1), j_max=10)
-    _, trace = eps_continuation(plan, lambda eps: ev, cfg)
-    assert trace.stage_reasons == ["nonfinite"]
-    assert len(trace.stage_plans) == 2
-    assert trace.rows == []
-    assert np.isfinite(trace.metadata["final"]["total"])
+    _, _, stages = eps_continuation(plan, lambda eps: ev, cfg)
+    assert [stage.reason for stage in stages] == ["nonfinite"]
+    assert len(stages) == 1
+    assert stages[0].rows == []
+    assert np.isfinite(stages[0].value.total)
 
 
 def test_eps_continuation_keeps_the_last_finite_value_past_a_nonfinite_start():
@@ -674,19 +675,21 @@ def test_eps_continuation_keeps_the_last_finite_value_past_a_nonfinite_start():
     quadratic = _quadratic_evaluator(plan_to_vector(plan) + 1.0)
     cfg = DescentConfig(eps_schedule=(0.3, 0.2, 0.1), j_max=4, rediscretize_every=0)
     # Every objective of the second stage is NaN, its starting one first.
-    _, trace = eps_continuation(
+    _, _, stages = eps_continuation(
         plan, lambda eps: quadratic if eps == 0.3 else _poisoned(quadratic, np.nan, 0), cfg)
-    assert trace.stage_reasons == ["iteration_cap", "nonfinite"]
-    assert len(trace.stage_plans) == 3
-    assert len(trace.rows) == 4
-    np.testing.assert_array_equal(plan_to_vector(trace.stage_plans[2]),
-                                  plan_to_vector(trace.stage_plans[1]))
-    assert trace.metadata["final"]["total"] == trace.rows[-1].total
-    # A first stage that cannot start leaves no final value at all.
-    _, trace = eps_continuation(plan, lambda eps: _poisoned(quadratic, np.nan, 0), cfg)
-    assert trace.stage_reasons == ["nonfinite"]
-    assert trace.rows == []
-    assert trace.metadata["final"] is None
+    assert [stage.reason for stage in stages] == ["iteration_cap", "nonfinite"]
+    assert len(stages) == 2
+    assert [len(stage.rows) for stage in stages] == [4, 0]
+    np.testing.assert_array_equal(plan_to_vector(stages[1].plan),
+                                  plan_to_vector(stages[0].plan))
+    # The second stage's start was refused, so the last value is the first stage's.
+    assert stages[1].value is None
+    assert stages[0].value.total == stages[0].rows[-1].total
+    # A first stage that cannot start leaves no value at all.
+    _, _, stages = eps_continuation(plan, lambda eps: _poisoned(quadratic, np.nan, 0), cfg)
+    assert [stage.reason for stage in stages] == ["nonfinite"]
+    assert stages[0].rows == []
+    assert stages[0].value is None
 
 
 def test_run_descent_stops_on_a_nonfinite_trial_vector():
@@ -704,8 +707,8 @@ def test_run_descent_stops_on_a_nonfinite_trial_vector():
     ev = Evaluator(objective=objective, gradient=lambda value: np.full_like(start, 1e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the overflow must stay silent
-        out, value, rows, reason, _ = run_descent(plan, ev, DescentConfig(j_max=10), eps=0.1,
-                                               tau0=10.0)
+        out, value, rows, reason, *_ = run_descent(plan, ev, DescentConfig(j_max=10), eps=0.1,
+                                                   tau0=10.0)
     assert reason == "nonfinite"
     assert rows == []
     assert len(evaluated) == 1  # the starting plan only
@@ -757,7 +760,8 @@ def test_each_line_search_starts_one_rung_above_the_last_accepted_step():
     thresholds = [0.1, 0.3, 0.01, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.05, 0.0]
     ev, searches, resamples = _ladder_evaluator(plan, thresholds)
     cfg = DescentConfig(j_max=20, backtrack_limit=12, rediscretize_every=2)
-    _, _, rows, reason, counts = run_descent(plan, ev, cfg, eps=0.1, tau0=1.0)
+    stage = run_descent(plan, ev, cfg, eps=0.1, tau0=1.0)
+    rows, reason = stage.rows, stage.reason
     factor = cfg.backtrack_factor
     assert reason == "line_search_exhausted"
     assert len(searches) == len(thresholds) and len(rows) == len(thresholds) - 1
@@ -781,8 +785,9 @@ def test_each_line_search_starts_one_rung_above_the_last_accepted_step():
     assert len(searches[-1]) == cfg.backtrack_limit
     assert resamples == [-2.0, -3.0, -6.0, -7.0, -10.0]
     trials = sum(len(steps) for steps in searches)
-    assert counts == StageCounts(objective_evals=1 + trials + len(resamples),
-                                 rejected_trials=trials - len(rows))
+    assert isinstance(stage, Stage)
+    assert (stage.objective_evals, stage.rejected_trials) == (1 + trials + len(resamples),
+                                                              trials - len(rows))
 
 
 def test_every_stage_starts_its_line_search_at_tau0():
@@ -790,14 +795,14 @@ def test_every_stage_starts_its_line_search_at_tau0():
     stages = {eps: _ladder_evaluator(plan, [0.1, 0.3, 0.0]) for eps in (0.3, 0.1)}
     cfg = DescentConfig(eps_schedule=(0.3, 0.1), tau0=1.0, backtrack_limit=5,
                         rediscretize_every=0)
-    _, trace = eps_continuation(plan, lambda eps: stages[eps][0], cfg)
-    assert trace.stage_reasons == ["line_search_exhausted"] * 2
+    _, _, records = eps_continuation(plan, lambda eps: stages[eps][0], cfg)
+    assert [stage.reason for stage in records] == ["line_search_exhausted"] * 2
     for eps in (0.3, 0.1):
         searches = stages[eps][1]
         assert [steps[0] for steps in searches] == pytest.approx([1.0, 0.125, 0.25],
                                                                  rel=1e-12)
         assert [len(steps) for steps in searches] == [5, 1, 5]
-    assert trace.stage_counts == [StageCounts(objective_evals=12, rejected_trials=9)] * 2
+    assert [(stage.objective_evals, stage.rejected_trials) for stage in records] == [(12, 9)] * 2
 
 
 def _counted(monkeypatch, name):
@@ -820,7 +825,7 @@ def test_run_descent_builds_a_plan_only_where_one_is_read(monkeypatch, watch):
     resamples = _counted(monkeypatch, "rediscretize_plan")
     seen = []
     cfg = DescentConfig(j_max=12, rediscretize_every=3)
-    out, _, rows, _, _ = run_descent(
+    out, _, rows, *_ = run_descent(
         plan, ev, cfg, eps=0.5, tau0=0.02,
         on_iteration=(lambda row, current: seen.append(current)) if watch else None)
     assert len(rows) == 12 and len(resamples) == 4
@@ -859,12 +864,13 @@ def test_descent_with_a_kept_pair_list_is_bit_identical(monkeypatch, form):
     monkeypatch.setattr(_KeptPairs, "blocks", counted)
     cfg = DescentConfig(j_max=25, rediscretize_every=5)
     runs = [run_descent(plan, evaluator, cfg, eps, tau0=0.5) for evaluator in (kept, fresh)]
-    (ends, values, rows, reasons, counts) = zip(*runs)
+    (ends, values, rows, reasons, evals, rejected) = zip(*runs)
     # The tau0 is large enough that the skin is passed on some evaluations.
     # A resample is evaluated on a fresh list, not the kept one.
     resamples = len(rows[0]) // cfg.rediscretize_every
-    assert len(builds) == counts[0].objective_evals - resamples and 2 < sum(builds) < len(builds)
-    assert len(rows[1]) > 5 and reasons[0] == reasons[1] and counts[0] == counts[1]
+    assert len(builds) == evals[0] - resamples and 2 < sum(builds) < len(builds)
+    assert len(rows[1]) > 5 and reasons[0] == reasons[1]
+    assert evals[0] == evals[1] and rejected[0] == rejected[1]
     assert [np.array([tuple(row) for row in side]).tobytes() for side in rows] == \
         [np.array([tuple(row) for row in rows[1]]).tobytes()] * 2
     assert plan_to_vector(ends[0]).tobytes() == plan_to_vector(ends[1]).tobytes()
@@ -901,7 +907,7 @@ def test_a_rejected_resample_leaves_the_kept_pair_list_as_it_was(monkeypatch, fo
     for every in (2, 0):
         builds.append(0)
         cfg = DescentConfig(j_max=20, rediscretize_every=every)
-        rows.append(run_descent(plan, ev, cfg, eps, tau0=0.5)[2])
+        rows.append(run_descent(plan, ev, cfg, eps, tau0=0.5).rows)
     assert len(resamples) == len(rows[0]) // 2 > 2
     assert rows[0] == rows[1]  # every resample was rejected
     assert 2 < builds[0] <= builds[1]
