@@ -46,16 +46,17 @@ _READ_BY = {
 }
 # Path energies read objective.alpha only; the branch objective reads every field.
 _READ_BY.update({f"objective.{key}": ("treeopt", "gradcheck") for key in (
-    "c1", "c2", "penalty_kernel", "beta", "gamma", "f_min", "penalty_arclength")})
+    "c1", "c2", "penalty.kernel", "penalty.beta", "penalty.gamma", "f_min", "penalty_arclength")})
 # Most pairs a non-compact kernel may list. Its list keeps only point
 # ranges, so the averaged energy and its gradient peak at about 10 MB of
 # block temporaries at any S (by tracemalloc: 9.9 MB at S = 400 and 800,
 # 10.3 MB at S = 2,000). Their time grows with the pairs, to about 4 s at
 # S = 2,000 on a 2-core x86-64 host, so this caps the time of an evaluation.
-# Treeopt's crowding matrices (c1 != 0) are dense S x S arrays, so this caps
+# Treeopt's crowding matrices (c1 != 0) are dense S x S arrays, and its bump
+# kernel at an eps near the fan's size lists nearly S^2 pairs, so this caps
 # their memory: at S = 2,000 (a fan of 200 x 10 segments at eps 0.5) one tree
-# objective and its gradient peak at 234 MB by tracemalloc with the gaussian
-# penalty and 266 MB with the power law, against 113 MB with c1 = 0.
+# objective and its gradient peak by tracemalloc at 234 MB with the gaussian
+# penalty, 266 MB with the power law and 113 MB with c1 = 0 (28 B per S^2).
 _MAX_DENSE_PAIRS = 4_000_000
 # glibc mallopt(3) settings: M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3),
 # so the block temporaries each evaluation frees stay in the heap. Setting
@@ -442,9 +443,9 @@ def cmd_gradcheck(run_cfg, out_dir: str):
 
 def _check_pair_budget(run_cfg):
     """Raise a ConfigError when a run would form more than ``_MAX_DENSE_PAIRS``
-    dense pairs, S^2: a non-compact kernel lists every midpoint with every
-    segment, and treeopt's crowding penalty (c1 != 0) every midpoint with every
-    midpoint. A command leaves the settings it does not read at their defaults."""
+    dense pairs, S^2: a non-compact kernel (or treeopt's bump at a wide eps)
+    pairs every midpoint with every segment, and treeopt's crowding penalty
+    every midpoint with every midpoint. Unread settings keep their defaults."""
     from .config import ConfigError
 
     measure, fan = run_cfg.measure, run_cfg.fan
@@ -452,9 +453,8 @@ def _check_pair_budget(run_cfg):
             (not run_cfg.kernel.compact_support, measure.n * measure.segments_per_path,
              f"the {run_cfg.kernel.kind!r} kernel pairs every midpoint with all",
              "use a compact kernel or fewer measure.n * measure.segments_per_path"),
-            (run_cfg.objective.c1 != 0.0, fan.n * fan.segments,
-             "the crowding penalty (objective.c1 != 0) pairs the midpoints of all",
-             "set objective.c1 to 0 or use fewer fan.n * fan.segments")):
+            (True, fan.n * fan.segments, "treeopt pairs every midpoint with all",
+             "use fewer fan.n * fan.segments")):
         if dense and segments ** 2 > _MAX_DENSE_PAIRS:
             raise ConfigError(f"{what} S = {segments} segments, {segments ** 2} pairs, above "
                               f"the limit of {_MAX_DENSE_PAIRS} (S = 2,000); {fix}")
@@ -463,11 +463,13 @@ def _check_pair_budget(run_cfg):
 def _check_read(run_cfg, command: str):
     """Raise a ConfigError naming the first setting of ``run_cfg`` that
     ``command`` does not read and that differs from its default."""
-    from .config import ConfigError, RunConfig
+    from .config import _PENALTY_FIELDS, ConfigError, RunConfig
 
     default = RunConfig()
     for key, readers in _READ_BY.items():
         path = key.split(".")
+        if path[:2] == ["objective", "penalty"]:
+            path = ["objective", _PENALTY_FIELDS[path[2]]]
         if command not in readers and (functools.reduce(getattr, path, run_cfg)
                                        != functools.reduce(getattr, path, default)):
             raise ConfigError(f"the {command!r} command does not read {key!r}; "

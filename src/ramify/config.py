@@ -209,16 +209,18 @@ def _build(cls, where: str, values: dict):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# The keys of the nested object objective.penalty -> their ObjectiveConfig fields.
+_PENALTY_FIELDS = {"kernel": "penalty_kernel", "beta": "beta", "gamma": "gamma"}
+
+
 def _objective(data) -> ObjectiveConfig:
     """ObjectiveConfig's penalty fields sit in the nested object objective.penalty."""
     keys = _defaults(ObjectiveConfig)
-    penalty_keys = {"kernel": keys.pop("penalty_kernel"), "beta": keys.pop("beta"),
-                    "gamma": keys.pop("gamma")}
+    penalty_keys = {key: keys.pop(field) for key, field in _PENALTY_FIELDS.items()}
     values = _read(data, "objective", {**keys, "penalty": {}})
     penalty = _read(values.pop("penalty", {}), "objective.penalty", penalty_keys)
-    if "kernel" in penalty:
-        penalty["penalty_kernel"] = penalty.pop("kernel")
-    return _build(ObjectiveConfig, "objective", {**values, **penalty})
+    values.update((_PENALTY_FIELDS[key], value) for key, value in penalty.items())
+    return _build(ObjectiveConfig, "objective", values)
 
 
 def validate_config(data: dict) -> RunConfig:

@@ -15,23 +15,27 @@ quadrature.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-KERNEL_KINDS = ("exponential", "rational", "triangular", "bump")
-
-# Integral of the profile over [0, infinity); reported in run summaries.
-# The bump and triangular profiles integrate to less than 1, which means
-# multiplicity estimates built from them are not normalized; callers
-# surface this in their run summaries.
-_PROFILE_MASS = {
-    "exponential": 1.0,
-    "rational": float("inf"),
-    "triangular": 0.5,
-    "bump": 2.0 / 3.0,
+# Kind -> the profile J(r), its slope dJ/dr (one-sided from inside the
+# support at kinks), its mass (the integral over [0, infinity), which run
+# summaries report; below 1 for bump and triangular, so their multiplicities
+# are not normalized) and whether J vanishes for r >= 1.
+_Profile = namedtuple("_Profile", "value slope mass compact")
+_PROFILES = {
+    "exponential": _Profile(lambda r: np.exp(-r), lambda r: -np.exp(-r), 1.0, False),
+    "rational": _Profile(lambda r: 1.0 / (1.0 + r), lambda r: -1.0 / (1.0 + r) ** 2,
+                         np.inf, False),
+    "triangular": _Profile(lambda r: np.maximum(0.0, 1.0 - r),
+                           lambda r: np.where(r < 1.0, -1.0, 0.0), 0.5, True),
+    "bump": _Profile(lambda r: np.maximum(0.0, 1.0 - r * r),
+                     lambda r: np.where(r < 1.0, -2.0 * r, 0.0), 2.0 / 3.0, True),
 }
+KERNEL_KINDS = tuple(_PROFILES)
 
 
 @dataclass(frozen=True)
@@ -46,12 +50,12 @@ class KernelSpec:
 
     @property
     def compact_support(self) -> bool:
-        return self.kind in ("triangular", "bump")
+        return _PROFILES[self.kind].compact
 
     @property
     def profile_mass(self) -> float:
         """Integral of the profile over [0, infinity)."""
-        return _PROFILE_MASS[self.kind]
+        return _PROFILES[self.kind].mass
 
 
 def _check_eps(*values: float, what: str = "eps"):
@@ -63,34 +67,23 @@ def _check_eps(*values: float, what: str = "eps"):
         raise ValueError(f"{what} must be strictly decreasing")
 
 
-def kernel_eval(spec: KernelSpec, r):
-    """Profile value J(r) for nonnegative radii; vectorized."""
+def _at_radii(column, r):
+    """``column`` of the profile table at nonnegative radii; vectorized."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("kernel radius must be nonnegative")
-    if spec.kind == "exponential":
-        out = np.exp(-r)
-    elif spec.kind == "rational":
-        out = 1.0 / (1.0 + r)
-    elif spec.kind == "triangular":
-        out = np.maximum(0.0, 1.0 - r)
-    else:
-        out = np.maximum(0.0, 1.0 - r * r)
+    out = column(r)
     return out if out.ndim else float(out)
+
+
+def kernel_eval(spec: KernelSpec, r):
+    """Profile value J(r) for nonnegative radii; vectorized."""
+    return _at_radii(_PROFILES[spec.kind].value, r)
 
 
 def kernel_derivative(spec: KernelSpec, r):
     """dJ/dr, taken one-sidedly from inside the support at kink radii."""
-    r = np.asarray(r, dtype=float)
-    if spec.kind == "exponential":
-        out = -np.exp(-r)
-    elif spec.kind == "rational":
-        out = -1.0 / (1.0 + r) ** 2
-    elif spec.kind == "triangular":
-        out = np.where(r < 1.0, -1.0, 0.0)
-    else:
-        out = np.where(r < 1.0, -2.0 * r, 0.0)
-    return out if out.ndim else float(out)
+    return _at_radii(_PROFILES[spec.kind].slope, r)
 
 
 def _bump_closed_form(a, b, x, eps: float, moments=None, grad: bool = False):
@@ -244,6 +237,7 @@ def _quadrature(spec: KernelSpec, a, b, x, eps: float, quad_points: int, grad: b
     _check_eps(eps)
     if quad_points < 1:
         raise ValueError("quad_points must be at least 1")
+    profile = _PROFILES[spec.kind]
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -255,11 +249,11 @@ def _quadrature(spec: KernelSpec, a, b, x, eps: float, quad_points: int, grad: b
     for u, wt in zip(*_gauss_legendre(quad_points)):
         diff = (a[..., 0] + u * d[0] - x[..., 0], a[..., 1] + u * d[1] - x[..., 1])
         r = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
-        acc = acc + wt * kernel_eval(spec, r / eps)
+        acc = acc + wt * profile.value(r / eps)
         if not grad:
             continue
         # d/dtheta of (1/eps) J(r/eps) L = (1/eps^2) J' (dr/dtheta) L + (1/eps) J dL/dtheta
-        scale = wt * kernel_derivative(spec, r / eps) * L / (eps * eps)
+        scale = wt * profile.slope(r / eps) * L / (eps * eps)
         for k in range(2):
             with np.errstate(invalid="ignore", divide="ignore"):
                 core = scale * np.where(r > 0.0, diff[k] / r, 0.0)
@@ -278,25 +272,31 @@ def _quadrature(spec: KernelSpec, a, b, x, eps: float, quad_points: int, grad: b
     return val, da, db, dx
 
 
-def kernel_segment_integral(spec: KernelSpec, a, b, x, eps: float, quad_points: int = 32):
+def kernel_segment_integral(spec: KernelSpec, a, b, x, eps: float, quad_points: int = 32,
+                            with_moments: bool = False):
     """Segment integral of a scaled kernel profile.
 
     Same integral as :func:`bump_segment_integral` for an arbitrary
     profile; the bump profile dispatches to the closed form and the rest
-    use Gauss-Legendre quadrature with ``quad_points`` nodes.
+    use Gauss-Legendre quadrature with ``quad_points`` nodes. With
+    ``with_moments`` returns (value, moments): the bump's support moments,
+    which :func:`kernel_segment_integral_grad` can reuse, else None.
     """
     if spec.kind == "bump":
-        return bump_segment_integral(a, b, x, eps)
-    return _quadrature(spec, a, b, x, eps, quad_points)
+        return bump_segment_integral(a, b, x, eps, with_moments=with_moments)
+    value = _quadrature(spec, a, b, x, eps, quad_points)
+    return (value, None) if with_moments else value
 
 
-def kernel_segment_integral_grad(spec: KernelSpec, a, b, x, eps: float, quad_points: int = 32):
+def kernel_segment_integral_grad(spec: KernelSpec, a, b, x, eps: float, quad_points: int = 32,
+                                 moments=None):
     """Value and gradients of :func:`kernel_segment_integral`.
 
     The gradient differentiates the quadrature sum itself, so it is exact
     for the discretized quantity the optimizer minimizes. Nodes that land
-    exactly on the evaluation point contribute no directional term.
+    exactly on the evaluation point contribute no directional term. A
+    bump reuses the ``moments`` of a value call on the same inputs.
     """
     if spec.kind == "bump":
-        return bump_segment_integral_grad(a, b, x, eps)
+        return bump_segment_integral_grad(a, b, x, eps, moments)
     return _quadrature(spec, a, b, x, eps, quad_points, grad=True)

@@ -47,8 +47,6 @@ from .gradients import scatter_segment_gradients
 from .kernels import (
     KernelSpec,
     _check_eps,
-    bump_segment_integral,
-    bump_segment_integral_grad,
     kernel_derivative,
     kernel_eval,
     kernel_segment_integral,
@@ -335,13 +333,10 @@ def _pairs(table: SegmentTable, points: np.ndarray, i: np.ndarray, j: np.ndarray
     segments, and their bump support moments (None for other kernels);
     with ``grad``, the integrals and their (N, 2) derivatives in segment
     start, end and point, reusing the value call's bump ``moments``."""
-    args = (_rows(table.a, j), _rows(table.b, j), _rows(points, i), eps)
-    if spec.kind == "bump":
-        return bump_segment_integral_grad(*args, moments) if grad else \
-            bump_segment_integral(*args, with_moments=True)
+    args = (spec, _rows(table.a, j), _rows(table.b, j), _rows(points, i), eps, quad_points)
     if grad:
-        return kernel_segment_integral_grad(spec, *args, quad_points)
-    return kernel_segment_integral(spec, *args, quad_points), None
+        return kernel_segment_integral_grad(*args, moments=moments)
+    return kernel_segment_integral(*args, with_moments=True)
 
 
 def _value_pass(table: SegmentTable, points: np.ndarray, pairs: list, eps: float, add,

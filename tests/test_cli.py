@@ -274,11 +274,13 @@ def test_noncompact_kernel_refuses_a_pair_list_above_the_limit(tmp_path, capsys)
     # A compact kernel lists only the pairs it reaches, at any size.
     _check_pair_budget(validate_config(dict(big, kernel="bump")))
     _check_pair_budget(validate_config(dict(big, measure={"n": 125, "segments_per_path": 16})))
-    # Treeopt's crowding matrices (c1 != 0) pair every midpoint with every midpoint.
+    # Treeopt pairs every midpoint with every segment (and, with c1 != 0, every
+    # midpoint), so a crowded fan is refused whatever c1 is.
     crowded = {"fan": {"n": 201, "segments": 10}, "objective": {"c1": 0.5}}
     with pytest.raises(ConfigError, match="S = 2010 segments, 4040100 pairs"):
         _check_pair_budget(validate_config(crowded))
-    _check_pair_budget(validate_config(dict(crowded, objective={"c1": 0.0})))
+    with pytest.raises(ConfigError, match="S = 2010 segments"):
+        _check_pair_budget(validate_config(dict(crowded, objective={"c1": 0.0})))
 
 
 def test_gamma_table_outputs_and_monotone_gap(tmp_path):
@@ -411,11 +413,16 @@ def test_config_errors_exit_two(tmp_path, capsys):
             ("irrigate", {"descent": {"m_init": 0.9}}))):
         unread = _write_config(tmp_path, setting, name=f"unread-{index}.json")
         out = str(tmp_path / f"unread-{index}")
+        capsys.readouterr()
         assert main([command, "--config", unread, "--out", out]) == 2
         assert not os.path.exists(out)
+        # A penalty setting is named as the config spells it.
+        for key in setting.get("objective", {}).get("penalty", {}):
+            assert f"'objective.penalty.{key}'" in capsys.readouterr().err
     # Settings no solve can use are refused before any solve: an eps whose square
     # underflows (every eps setting), a counterexample alpha of 0 (its energy needs
-    # alpha > 0), and crowding matrices above the dense pair limit (S = 2,010).
+    # alpha > 0), and a fan above the dense pair limit (S = 2,010) with or without
+    # crowding matrices.
     for index, (command, setting) in enumerate((
             ("irrigate", {"descent": {"eps_schedule": [1e-300]},
                           "measure": {"n": 3, "segments_per_path": 3}}),
@@ -423,7 +430,8 @@ def test_config_errors_exit_two(tmp_path, capsys):
             ("gamma-table", {"gamma": {"eps_values": [0.1, 1e-300]}}),
             ("counterexample", {"counterexample": {"alpha": 0.0}}),
             ("treeopt", {"fan": {"n": 201, "segments": 10}, "objective": {"c1": 0.5},
-                         "descent": {"j_max": 0}}))):
+                         "descent": {"j_max": 0}}),
+            ("treeopt", {"fan": {"n": 201, "segments": 10}, "descent": {"j_max": 0}}))):
         refused = _write_config(tmp_path, setting, name=f"refused-{index}.json")
         out = str(tmp_path / f"refused-{index}")
         capsys.readouterr()

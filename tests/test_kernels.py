@@ -46,8 +46,12 @@ def test_unknown_kernel_kind_rejected():
 
 
 def test_negative_radius_rejected():
-    with pytest.raises(ValueError):
-        kernel_eval(KernelSpec("bump"), np.array([-0.1]))
+    for kind in KERNEL_KINDS:
+        for reader in (kernel_eval, kernel_derivative):
+            with pytest.raises(ValueError, match="kernel radius must be nonnegative"):
+                reader(KernelSpec(kind), np.array([-0.1]))
+            with pytest.raises(ValueError, match="kernel radius must be nonnegative"):
+                reader(KernelSpec(kind), -0.5)
     a, b, x = np.zeros(2), np.array([1.0, 0.0]), np.array([0.5, 0.1])
     for integral in (kernel_segment_integral, kernel_segment_integral_grad):
         with pytest.raises(ValueError, match="quad_points must be at least 1"):
@@ -358,3 +362,24 @@ def test_quadrature_kernels_match_the_axis_sum_oracle_bit_for_bit():
                 _assert_same_bits([value], want[:1])
                 _assert_same_bits(kernel_segment_integral_grad(spec, a, b, x, eps, quad_points),
                                   want)
+
+
+def test_integral_entries_carry_the_bump_moments():
+    eps, cases = _oracle_inputs(34)
+    for kind in KERNEL_KINDS:
+        spec = KernelSpec(kind)
+        for a, b, x in cases:
+            value, moments = kernel_segment_integral(spec, a, b, x, eps, 5, with_moments=True)
+            _assert_same_bits([value], [kernel_segment_integral(spec, a, b, x, eps, 5)])
+            if kind == "bump":
+                want = bump_segment_integral(a, b, x, eps, with_moments=True)[1]
+                assert len(moments) == 3
+                for got, exact in zip(moments, want):
+                    assert np.asarray(got).tobytes() == np.asarray(exact).tobytes()
+            else:
+                assert moments is None
+            got = kernel_segment_integral_grad(spec, a, b, x, eps, 5, moments=moments)
+            want = kernel_segment_integral_grad(spec, a, b, x, eps, 5)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
