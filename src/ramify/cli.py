@@ -47,16 +47,16 @@ _READ_BY = {
 # Path energies read objective.alpha only; the branch objective reads every field.
 _READ_BY.update({f"objective.{key}": ("treeopt", "gradcheck") for key in (
     "c1", "c2", "penalty.kernel", "penalty.beta", "penalty.gamma", "f_min", "penalty_arclength")})
-# Most pairs a non-compact kernel may list. Its list keeps only point
-# ranges, so the averaged energy and its gradient peak at about 10 MB of
-# block temporaries at any S (by tracemalloc: 9.9 MB at S = 400 and 800,
-# 10.3 MB at S = 2,000). Their time grows with the pairs, to about 4 s at
-# S = 2,000 on a 2-core x86-64 host, so this caps the time of an evaluation.
-# Treeopt's crowding matrices (c1 != 0) are dense S x S arrays, and its bump
-# kernel at an eps near the fan's size lists nearly S^2 pairs, so this caps
-# their memory: at S = 2,000 (a fan of 200 x 10 segments at eps 0.5) one tree
-# objective and its gradient peak by tracemalloc at 234 MB with the gaussian
-# penalty, 266 MB with the power law and 113 MB with c1 = 0 (28 B per S^2).
+# Most pairs, S^2 for a plan of S segments, of any plan a command builds,
+# whatever the kernel (by tracemalloc on a 2-core x86-64 host). A non-compact
+# kernel pairs all S^2 as point ranges: about 10 MB at any S, but about 4 s an
+# evaluation at S = 2,000. A compact kernel's list holds 40 B a pair and moves
+# toward S^2 as paths bundle: at fig2's first eps (0.25) the starting star's
+# energy_avg and gradient listed 1.9M pairs in 85 MB at S = 3,200 and 7.4M in
+# 340 MB and 3.2 s at S = 6,400 (about 8.5 GB at S = 32,000). Crowding matrices
+# (c1 != 0) are dense S x S: at S = 2,000 (a fan of 200 x 10 segments at eps
+# 0.5) one tree objective and its gradient peak at 234 MB with the gaussian
+# penalty, 266 MB with the power law and 113 MB with c1 = 0.
 _MAX_DENSE_PAIRS = 4_000_000
 # glibc mallopt(3) settings: M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3),
 # so the block temporaries each evaluation frees stay in the heap. Setting
@@ -442,22 +442,22 @@ def cmd_gradcheck(run_cfg, out_dir: str):
 
 
 def _check_pair_budget(run_cfg):
-    """Raise a ConfigError when a run would form more than ``_MAX_DENSE_PAIRS``
-    dense pairs, S^2: a non-compact kernel (or treeopt's bump at a wide eps)
-    pairs every midpoint with every segment, and treeopt's crowding penalty
-    every midpoint with every midpoint. Unread settings keep their defaults."""
+    """Raise a ConfigError when a plan a run would build has more than
+    ``_MAX_DENSE_PAIRS`` pairs at worst, S^2 for its S segments: the star of
+    irrigate and gamma-table, the fan of treeopt, or gradcheck's largest
+    random plan. Unread settings keep their defaults."""
     from .config import ConfigError
 
-    measure, fan = run_cfg.measure, run_cfg.fan
-    for dense, segments, what, fix in (
-            (not run_cfg.kernel.compact_support, measure.n * measure.segments_per_path,
-             f"the {run_cfg.kernel.kind!r} kernel pairs every midpoint with all",
-             "use a compact kernel or fewer measure.n * measure.segments_per_path"),
-            (True, fan.n * fan.segments, "treeopt pairs every midpoint with all",
-             "use fewer fan.n * fan.segments")):
-        if dense and segments ** 2 > _MAX_DENSE_PAIRS:
-            raise ConfigError(f"{what} S = {segments} segments, {segments ** 2} pairs, above "
-                              f"the limit of {_MAX_DENSE_PAIRS} (S = 2,000); {fix}")
+    measure, fan, check = run_cfg.measure, run_cfg.fan, run_cfg.gradcheck
+    for segments, fix in (
+            (measure.n * measure.segments_per_path, "measure.n * measure.segments_per_path"),
+            (fan.n * fan.segments, "fan.n * fan.segments"),
+            (check.max_branches * check.max_segments,
+             "gradcheck.max_branches * gradcheck.max_segments")):
+        if segments ** 2 > _MAX_DENSE_PAIRS:
+            raise ConfigError(f"a plan of S = {segments} segments, {segments ** 2} pairs at "
+                              f"worst, is above the limit of {_MAX_DENSE_PAIRS} (S = 2,000); "
+                              f"use fewer {fix}")
 
 
 def _check_read(run_cfg, command: str):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
-from .kernels import KernelSpec, _check_eps
+from .kernels import KernelSpec, _check_eps, _check_quad_points
 from .objective import ObjectiveConfig
 from .optimizer import DescentConfig
 
@@ -144,8 +144,7 @@ class RunConfig:
         if self.functional not in FUNCTIONALS:
             raise ValueError(f"functional must be one of {FUNCTIONALS}, "
                              f"got {self.functional!r}")
-        if self.quad_points < 1:
-            raise ValueError("quad_points must be at least 1")
+        _check_quad_points(self.quad_points)
         if self.merge_tol is not None and self.merge_tol < 0.0:
             raise ValueError("merge_tol must be nonnegative")
         if self.out_dir is not None and not isinstance(self.out_dir, str):

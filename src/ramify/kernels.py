@@ -67,6 +67,14 @@ def _check_eps(*values: float, what: str = "eps"):
         raise ValueError(f"{what} must be strictly decreasing")
 
 
+def _check_quad_points(quad_points: int):
+    """The one quad_points rule: 1 to 1,000 Gauss-Legendre nodes. leggauss(n)
+    solves an n x n matrix: 8.8 MB and 0.31 s at 1,000 nodes by tracemalloc
+    on a 2-core x86-64 host. No preset, test or tool uses more than 64."""
+    if not 1 <= quad_points <= 1000:
+        raise ValueError("quad_points must be at least 1 and at most 1000")
+
+
 def _at_radii(column, r):
     """``column`` of the profile table at nonnegative radii; vectorized."""
     r = np.asarray(r, dtype=float)
@@ -235,8 +243,7 @@ def _quadrature(spec: KernelSpec, a, b, x, eps: float, quad_points: int, grad: b
     ``grad``, :func:`kernel_segment_integral_grad`: the value, or the value and
     its (..., 2) derivatives in a, b and x."""
     _check_eps(eps)
-    if quad_points < 1:
-        raise ValueError("quad_points must be at least 1")
+    _check_quad_points(quad_points)
     profile = _PROFILES[spec.kind]
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -18,7 +18,7 @@ fill ``_BLOCK``. The value pass :func:`_value_pass` evaluates the kernel
 integrals of each block and the gradient pass :func:`_pair_pulls`
 chain-rules their derivatives. For a compact kernel the list holds only
 the pairs a cell list finds near each other, so no (T, S) array is
-formed; a stage filters one list kept with a skin (:class:`_KeptPairs`)
+formed; a stage filters one list it keeps (:func:`_midpoint_pairs`)
 into the same pairs on each call. A non-compact kernel's list keeps only
 its blocks' point ranges (:class:`_AllPairs`) and makes each block's
 pairs as a pass reaches it. Every per-point, per-path or
@@ -238,51 +238,38 @@ def _rows(array: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take(array, index, axis=0)
 
 
-# Skin of a kept pair list, in units of eps (see _KeptPairs). Skins of 0.5 to
+# Skin of a kept pair list, in units of eps (see _midpoint_pairs). Skins of 0.5 to
 # 2 ran the benchmark's solves about equally fast; 0.5 keeps the fewest pairs.
 _SKIN = 0.5
 
 
-class _KeptPairs:
-    """One stage's midpoint pair list for one eps and kernel (a Verlet list,
-    Phys. Rev. 159, 1967): built with a skin of ``_SKIN * eps``, kept in its
-    blocks as first point, int32 counts per point and int32 segments, and
-    filtered by :meth:`blocks` with the list's own test into a fresh list's
-    pairs. It is rebuilt, the old list dropped first, on a new segment count
-    or once twice the largest midpoint move plus the largest half-length
-    growth since its table passes the skin. Non-compact kernels get a fresh list."""
-
-    def __init__(self, eps: float, spec: KernelSpec):
-        self.eps, self.spec, self.built = eps, spec, None  # built: (table, blocks)
-
-    def blocks(self, table: SegmentTable):
-        """The pair blocks of ``table``'s midpoints, in :func:`_pair_list`'s format."""
-        mids, skin = table.midpoint, _SKIN * self.eps
-        if not (self.spec.compact_support and table.size):
-            return _pair_list(table, mids, self.eps, self.spec)
-        ref = self.built[0] if self.built else None
-        if (ref is None or ref.size != table.size
-                or 2.0 * np.hypot(*(mids - ref.midpoint).T).max()  # less 1e-6, for rounding
-                + max(0.5 * (table.length - ref.length).max(), 0.0) >= skin * (1 - 1e-6)):
-            self.built = None  # Each block holds its first midpoint's own pair.
-            self.built = (table, _pair_list(table, mids, self.eps, self.spec, skin, lambda i, j: (
-                i[0], np.bincount(i - i[0]).astype(np.int32), j.astype(np.int32))))
-        reach2 = ((self.eps + 0.5 * table.length) * (1.0 + 1e-9)) ** 2
-        out = []
-        for first, counts, segs in self.built[1]:
-            i = np.repeat(np.arange(first, first + len(counts)), counts)
-            near = _within(mids, mids, i, segs, reach2)
-            out.append((i[near], segs[near].astype(np.intp)))
-        return out
-
-
 def _midpoint_pairs(table: SegmentTable, eps: float, spec=KernelSpec(), kept=None):
-    """Pair blocks of the table's midpoints: fresh, or from ``kept``, a kept list."""
-    if kept is None:
-        return _pair_list(table, table.midpoint, eps, spec)
-    if (kept.eps, kept.spec) != (eps, spec):
-        raise ValueError("a kept pair list serves only its own eps and kernel")
-    return kept.blocks(table)
+    """Pair blocks of the table's midpoints, in :func:`_pair_list`'s format:
+    fresh, or for a compact kernel filtered from the list a descent stage
+    keeps in its dict ``kept`` (a Verlet list, Phys. Rev. 159, 1967). That
+    list has a skin of ``_SKIN * eps`` and keeps each block as first point,
+    int32 counts per point and int32 segments. It is rebuilt, the old list
+    dropped first, on a new (eps, kernel), on a new segment count, or once
+    twice the largest midpoint move plus the largest half-length growth
+    since its table passes the skin."""
+    mids = table.midpoint
+    if kept is None or not (spec.compact_support and table.size):
+        return _pair_list(table, mids, eps, spec)
+    skin, ref = _SKIN * eps, kept.get("table")
+    if (kept.get("key") != (eps, spec) or ref.size != table.size
+            or 2.0 * np.hypot(*(mids - ref.midpoint).T).max()  # less 1e-6, for rounding
+            + max(0.5 * (table.length - ref.length).max(), 0.0) >= skin * (1 - 1e-6)):
+        kept.clear()  # Each block holds its first midpoint's own pair.
+        kept.update(key=(eps, spec), table=table, blocks=_pair_list(
+            table, mids, eps, spec, skin,
+            lambda i, j: (i[0], np.bincount(i - i[0]).astype(np.int32), j.astype(np.int32))))
+    reach2 = ((eps + 0.5 * table.length) * (1.0 + 1e-9)) ** 2
+    out = []
+    for first, counts, segs in kept["blocks"]:
+        i = np.repeat(np.arange(first, first + len(counts)), counts)
+        near = _within(mids, mids, i, segs, reach2)
+        out.append((i[near], segs[near].astype(np.intp)))
+    return out
 
 
 def _nearest(points: np.ndarray, table: SegmentTable, pairs: list):
@@ -449,8 +436,8 @@ def energy_max(plan, alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
     Sum over segments of w(mid)^(alpha-1) * mass * length, where w is
     :func:`multiplicity_max`. Bounded above by the exact plan cost. The
     result carries its settings, segment table, nearest pairs and
-    multiplicities for :func:`energy_max_gradient`. ``kept``, a stage's
-    kept pair list for this eps and kernel, saves building the pair list.
+    multiplicities for :func:`energy_max_gradient`. ``kept``, a descent
+    stage's dict, keeps one pair list between calls (see :func:`_midpoint_pairs`).
     """
     _check_alpha(alpha)
     _check_eps(eps)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .gradients import vector_to_plan
 from .kernels import KernelSpec, _check_eps
-from .mollified import (DegenerateEvaluation, ObjectiveValue, _KeptPairs, energy_avg,
-                        energy_avg_gradient, energy_max, energy_max_gradient)
+from .mollified import (DegenerateEvaluation, ObjectiveValue, energy_avg, energy_avg_gradient,
+                        energy_max, energy_max_gradient)
 from .objective import ObjectiveConfig, tree_objective, tree_objective_gradient
 from .plan_model import Layout
 
@@ -109,16 +109,15 @@ class Stage(NamedTuple):
 
 
 class Evaluator(NamedTuple):
-    """Objective and gradient callables over one plan type.
+    """An objective and its gradient over one plan type.
 
     ``objective(table, kept=None)`` returns an :class:`ObjectiveValue`, with
-    ``kept`` a stage's pair list for ``pairs`` (eps, kernel); ``gradient(value)``
-    the flat gradient at the plan of ``value``, a result of that objective.
+    ``kept`` a stage's dict that keeps its pair list; ``gradient(value)`` the
+    flat gradient at the plan of ``value``, a result of that objective.
     """
 
     objective: Callable
     gradient: Callable
-    pairs: Optional[tuple] = None
 
 
 def path_evaluator(alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
@@ -131,11 +130,11 @@ def path_evaluator(alpha: float, eps: float, spec: KernelSpec = KernelSpec(),
     if functional == "avg":
         def objective(plan, kept=None):
             return energy_avg(plan, alpha, eps, spec, quad_points, kept=kept)
-        return Evaluator(objective=objective, gradient=energy_avg_gradient, pairs=(eps, spec))
+        return Evaluator(objective=objective, gradient=energy_avg_gradient)
     if functional == "max":
         def objective(plan, kept=None):
             return energy_max(plan, alpha, eps, spec, kept=kept)
-        return Evaluator(objective=objective, gradient=energy_max_gradient, pairs=(eps, spec))
+        return Evaluator(objective=objective, gradient=energy_max_gradient)
     raise ValueError("functional must be 'avg' or 'max'")
 
 
@@ -143,7 +142,7 @@ def branch_evaluator(obj_cfg: ObjectiveConfig, eps: float) -> Evaluator:
     """Evaluator for the branch-shape objective at one stage's smoothing."""
     cfg = obj_cfg.with_eps(eps)
     return Evaluator(objective=lambda plan, kept=None: tree_objective(plan, cfg, kept=kept),
-                     gradient=tree_objective_gradient, pairs=(eps, KernelSpec()))
+                     gradient=tree_objective_gradient)
 
 
 def feasibility_project(vector: np.ndarray, layout: Layout) -> np.ndarray:
@@ -281,8 +280,7 @@ def run_descent(plan, evaluator: Evaluator, cfg: DescentConfig, eps: float, tau0
     iterate (the accepted trial or resample).
     """
     layout = Layout.of(plan)
-    # For the start and every trial; a resample gets a fresh list and leaves this one.
-    kept = None if evaluator.pairs is None else _KeptPairs(*evaluator.pairs)
+    kept = {}  # the stage's pair list, for the start and every trial; a resample gets a fresh one
     evals = rejected = 0
 
     def evaluate(vector, kept=kept):

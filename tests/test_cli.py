@@ -269,11 +269,17 @@ def test_noncompact_kernel_refuses_a_pair_list_above_the_limit(tmp_path, capsys)
         err = capsys.readouterr().err
         assert "S = 3200" in err and "10240000 pairs" in err
         assert not os.path.exists(out)
-    with pytest.raises(ConfigError, match="S = 3200"):
-        _check_pair_budget(validate_config(dict(big, kernel="rational")))
-    # A compact kernel lists only the pairs it reaches, at any size.
-    _check_pair_budget(validate_config(dict(big, kernel="bump")))
+    # A compact kernel's list moves toward all S^2 pairs as paths bundle, so
+    # the limit holds whatever the kernel.
+    for kind in ("rational", "bump"):
+        with pytest.raises(ConfigError, match="S = 3200 segments, 10240000 pairs"):
+            _check_pair_budget(validate_config(dict(big, kernel=kind)))
     _check_pair_budget(validate_config(dict(big, measure={"n": 125, "segments_per_path": 16})))
+    # Gradcheck's largest random plan has max_branches * max_segments segments.
+    with pytest.raises(ConfigError, match="S = 2010 segments, 4040100 pairs"):
+        _check_pair_budget(validate_config({"gradcheck": {"max_branches": 201,
+                                                          "max_segments": 10}}))
+    _check_pair_budget(validate_config({"gradcheck": {"max_branches": 200, "max_segments": 10}}))
     # Treeopt pairs every midpoint with every segment (and, with c1 != 0, every
     # midpoint), so a crowded fan is refused whatever c1 is.
     crowded = {"fan": {"n": 201, "segments": 10}, "objective": {"c1": 0.5}}
@@ -421,8 +427,9 @@ def test_config_errors_exit_two(tmp_path, capsys):
             assert f"'objective.penalty.{key}'" in capsys.readouterr().err
     # Settings no solve can use are refused before any solve: an eps whose square
     # underflows (every eps setting), a counterexample alpha of 0 (its energy needs
-    # alpha > 0), and a fan above the dense pair limit (S = 2,010) with or without
-    # crowding matrices.
+    # alpha > 0), a fan above the dense pair limit (S = 2,010) with or without
+    # crowding matrices, a bump-kernel star above it (S = 2,016), and more
+    # than 1,000 Gauss-Legendre nodes.
     for index, (command, setting) in enumerate((
             ("irrigate", {"descent": {"eps_schedule": [1e-300]},
                           "measure": {"n": 3, "segments_per_path": 3}}),
@@ -431,7 +438,9 @@ def test_config_errors_exit_two(tmp_path, capsys):
             ("counterexample", {"counterexample": {"alpha": 0.0}}),
             ("treeopt", {"fan": {"n": 201, "segments": 10}, "objective": {"c1": 0.5},
                          "descent": {"j_max": 0}}),
-            ("treeopt", {"fan": {"n": 201, "segments": 10}, "descent": {"j_max": 0}}))):
+            ("treeopt", {"fan": {"n": 201, "segments": 10}, "descent": {"j_max": 0}}),
+            ("irrigate", {"measure": {"n": 126, "segments_per_path": 16}}),
+            ("counterexample", {"quad_points": 1001}))):
         refused = _write_config(tmp_path, setting, name=f"refused-{index}.json")
         out = str(tmp_path / f"refused-{index}")
         capsys.readouterr()

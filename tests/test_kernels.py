@@ -54,8 +54,9 @@ def test_negative_radius_rejected():
                 reader(KernelSpec(kind), -0.5)
     a, b, x = np.zeros(2), np.array([1.0, 0.0]), np.array([0.5, 0.1])
     for integral in (kernel_segment_integral, kernel_segment_integral_grad):
-        with pytest.raises(ValueError, match="quad_points must be at least 1"):
-            integral(KernelSpec("exponential"), a, b, x, 0.3, quad_points=0)
+        for quad_points in (0, 1001):
+            with pytest.raises(ValueError, match="at least 1 and at most 1000"):
+                integral(KernelSpec("exponential"), a, b, x, 0.3, quad_points=quad_points)
 
 
 def test_kernel_derivative_matches_finite_differences():

@@ -30,7 +30,6 @@ from ramify.mollified import (
     _SKIN,
     _downstream_flux_adjoint,
     _gradient_weights,
-    _KeptPairs,
     _midpoint_energy,
     _midpoint_pairs,
     _pair_list,
@@ -721,12 +720,12 @@ def test_a_stage_evaluator_stays_within_the_slice_budget_plus_its_kept_list():
     # per point. Its reference table is the value's own, so costs nothing.
     # The second call moves past the skin, so it rebuilds the list.
     plan, *tables = _star_and_moved_tables()
-    replica, kept_pairs = _KeptPairs(0.1, KernelSpec()), []
+    replica, kept_pairs = {}, []
     for table in tables:
-        assert _kept_blocks(replica, table)[1]
-        kept_pairs.append(sum(len(segments) for _, _, segments in replica.built[1]))
+        assert _kept_blocks(replica, table, 0.1, KernelSpec())[1]
+        kept_pairs.append(sum(len(segments) for _, _, segments in replica["blocks"]))
     evaluator = path_evaluator(0.5, 0.1)
-    stage_list = _KeptPairs(*evaluator.pairs)
+    stage_list = {}
     tracemalloc.start()
     try:
         for table, kept in zip(tables, kept_pairs):
@@ -754,25 +753,25 @@ def test_a_kept_list_rebuild_holds_its_new_list_and_one_block(monkeypatch):
     # would add 16 bytes a kept pair, and the old list 4.
     monkeypatch.setattr(mollified_module, "_BLOCK", 2 ** 12)
     _, start, moved = _star_and_moved_tables()
-    kept = _KeptPairs(0.1, KernelSpec())
+    kept = {}
     tracemalloc.start()
     try:
-        kept.blocks(start)
+        _midpoint_pairs(start, 0.1, KernelSpec(), kept)
         tracemalloc.reset_peak()
-        blocks = kept.blocks(moved)
+        blocks = _midpoint_pairs(moved, 0.1, KernelSpec(), kept)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kept.built[0] is moved
+    assert kept["table"] is moved
     pairs = sum(len(i) for i, _ in blocks)
-    kept_pairs = sum(len(segments) for _, _, segments in kept.built[1])
+    kept_pairs = sum(len(segments) for _, _, segments in kept["blocks"])
     assert kept_pairs > pairs > 4 * mollified_module._BLOCK
     lists = 4 * kept_pairs + 4 * moved.size + 16 * pairs
     cells = 16 * 8 * 2 * moved.size
     block = 16 * 8 * mollified_module._BLOCK + 1024 * 2 * len(blocks)
     assert peak < lists + cells + block
     # No array of the old list is alive when the new one starts.
-    old = weakref.ref(kept.built[1][0][2])
+    old = weakref.ref(kept["blocks"][0][2])
     build = mollified_module._pair_list
 
     def checked(*args):
@@ -780,16 +779,16 @@ def test_a_kept_list_rebuild_holds_its_new_list_and_one_block(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(mollified_module, "_pair_list", checked)
-    kept.blocks(start)
-    assert kept.built[0] is start
+    _midpoint_pairs(start, 0.1, KernelSpec(), kept)
+    assert kept["table"] is start
 
 
-def _kept_blocks(kept, table):
-    """The joined blocks a kept list gives for ``table``, and whether it was
-    rebuilt for them."""
-    before = kept.built
-    blocks = kept.blocks(table)
-    return tuple(np.concatenate(part) for part in zip(*blocks)), kept.built is not before
+def _kept_blocks(kept, table, eps, spec):
+    """The joined blocks the stage dict ``kept`` gives for ``table``, and
+    whether its list was rebuilt for them."""
+    before = kept.get("blocks")
+    blocks = _midpoint_pairs(table, eps, spec, kept)
+    return tuple(np.concatenate(part) for part in zip(*blocks)), kept.get("blocks") is not before
 
 
 def _assert_same_pairs(got, table, eps, spec):
@@ -807,28 +806,29 @@ def test_kept_pair_list_gives_a_fresh_lists_pairs_at_every_step():
         for kind in ("bump", "triangular"):
             for eps in (0.25, 0.1):
                 spec, x = KernelSpec(kind), layout.base.copy()
-                kept, rebuilds = _KeptPairs(eps, spec), []
+                kept, rebuilds = {}, []
                 for _ in range(40):
                     # Steps of a tenth of the skin, in every free coordinate.
                     step = rng.normal(0.0, 0.1 * _SKIN * eps, x.shape)
                     x = np.where(layout.free, x + step, x)
                     x[layout.clamp] = np.maximum(x[layout.clamp], 0.0)
                     table = layout.table(x)
-                    got, rebuilt = _kept_blocks(kept, table)
+                    got, rebuilt = _kept_blocks(kept, table, eps, spec)
                     rebuilds.append(rebuilt)
                     _assert_same_pairs(got, table, eps, spec)
                 assert rebuilds[0] and 1 < sum(rebuilds) < len(rebuilds) - 10
-                # A new segment count rebuilds the list; a new eps gets a new one.
+                # A new segment count rebuilds the list, and so does a new eps.
                 other = segment_table(_jittered_star(rng, 3))
-                got, rebuilt = _kept_blocks(kept, other)
+                got, rebuilt = _kept_blocks(kept, other, eps, spec)
                 assert rebuilt
                 _assert_same_pairs(got, other, eps, spec)
-                got, _ = _kept_blocks(_KeptPairs(0.5 * eps, spec), other)
+                got, rebuilt = _kept_blocks(kept, other, 0.5 * eps, spec)
+                assert rebuilt
                 _assert_same_pairs(got, other, 0.5 * eps, spec)
         table = layout.table(layout.base)
-        kept = _KeptPairs(0.1, KernelSpec("exponential"))
-        got, _ = _kept_blocks(kept, table)
-        assert kept.built is None
+        kept = {}
+        got, _ = _kept_blocks(kept, table, 0.1, KernelSpec("exponential"))
+        assert not kept
         assert np.array_equal(got[0] * table.size + got[1], np.arange(table.size ** 2))
 
 
@@ -855,25 +855,37 @@ def test_kept_pair_list_is_rebuilt_just_past_its_skin(kind):
         # One segment's half length grows by the skin; midpoints stay.
         longer = _segments(base, start.midpoint, np.array([0.2 + 2.0 * factor * skin, 0.2]))
         for moved in (closer, longer):
-            kept = _KeptPairs(eps, spec)
-            got, _ = _kept_blocks(kept, start)
+            kept = {}
+            got, _ = _kept_blocks(kept, start, eps, spec)
             _assert_same_pairs(got, start, eps, spec)
-            got, rebuilt = _kept_blocks(kept, moved)
+            got, rebuilt = _kept_blocks(kept, moved, eps, spec)
             assert rebuilt == rebuild
             _assert_same_pairs(got, moved, eps, spec)
             assert len(got[0]) == (4 if rebuild else 2) - (moved is longer and rebuild)
 
 
-def test_energies_refuse_a_kept_list_of_another_eps_or_kernel():
-    plan = _jittered_star(np.random.default_rng(31), 4)
-    branches = build_fan_branches(4, segments=3, m_init=0.1)
-    for kept in (_KeptPairs(0.2, KernelSpec()), _KeptPairs(0.1, KernelSpec("triangular"))):
-        for call in (lambda: energy_avg(plan, 0.5, 0.1, kept=kept),
-                     lambda: energy_max(plan, 0.5, 0.1, kept=kept),
-                     lambda: tree_objective(branches, ObjectiveConfig(eps=0.1), kept=kept)):
-            with pytest.raises(ValueError, match="kept pair list"):
-                call()
-        assert kept.built is None
+def test_energies_rebuild_a_kept_list_of_another_eps_or_kernel():
+    # A stage dict whose list was built for another eps (a smaller one, whose
+    # list misses pairs) or kernel gives each energy exactly a fresh list's
+    # pairs at its own eps and kernel, and keeps the list of that key.
+    plan = segment_table(_jittered_star(np.random.default_rng(31), 4))
+    branches = segment_table(build_fan_branches(4, segments=3, m_init=0.1))
+    calls = ((plan, lambda kept: energy_avg(plan, 0.5, 0.1, kept=kept), 2),
+             (plan, lambda kept: energy_max(plan, 0.5, 0.1, kept=kept), None),
+             (branches, lambda kept: tree_objective(branches, ObjectiveConfig(eps=0.1),
+                                                    kept=kept), 1))
+    for table, call, at in calls:
+        for eps, spec in ((0.05, KernelSpec()), (0.1, KernelSpec("triangular"))):
+            kept = {}
+            _midpoint_pairs(table, eps, spec, kept)
+            before = kept["blocks"]
+            got, want = call(kept), call(None)
+            assert kept["key"] == (0.1, KernelSpec()) and kept["blocks"] is not before
+            assert np.float64(got.total).tobytes() == np.float64(want.total).tobytes()
+            assert got.terms is None or got.terms.tobytes() == want.terms.tobytes()
+            if at is not None:
+                _assert_same_pairs(tuple(np.concatenate(part) for part in
+                                         zip(*got._evaluation.data[at])), table, 0.1, KernelSpec())
 
 
 def _energy_forms(alpha, eps, spec):

@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+import ramify.mollified as mollified_module
+import ramify.objective as objective_module
 import ramify.optimizer as optimizer_module
 from oracles import cumulative_arclength, resample_polyline, segment_lengths
 from ramify.gradients import plan_to_vector, vector_to_plan
+from ramify.kernels import KernelSpec
 from ramify.mollified import (
     _Evaluation,
-    _KeptPairs,
     energy_avg,
     energy_avg_gradient,
     energy_max,
@@ -547,7 +549,7 @@ def test_run_descent_hands_each_gradient_the_value_of_its_plan(monkeypatch, make
 
     monkeypatch.setattr(optimizer_module, "rediscretize_plan", resample)
     cfg = DescentConfig(j_max=8, rediscretize_every=2)
-    _, _, rows, *_ = run_descent(plan, Evaluator(objective, gradient, inner.pairs), cfg, eps=0.3,
+    _, _, rows, *_ = run_descent(plan, Evaluator(objective, gradient), cfg, eps=0.3,
                                  tau0=0.02,
                                  on_iteration=lambda row, current: accepted.append(current))
     assert len(rows) == 8 and len(resamples) == 4
@@ -836,6 +838,24 @@ def test_run_descent_builds_a_plan_only_where_one_is_read(monkeypatch, watch):
     np.testing.assert_array_equal(plan_to_vector(out), builds[-1][0])
 
 
+def _kept_list_calls(monkeypatch):
+    """Wrap both bindings of ``_midpoint_pairs`` and return the list that each
+    call with a stage dict appends to: whether it rebuilt the dict's list."""
+    real, calls = mollified_module._midpoint_pairs, []
+
+    def counted(table, eps, spec=KernelSpec(), kept=None):
+        if kept is None:
+            return real(table, eps, spec)
+        before = kept.get("blocks")
+        out = real(table, eps, spec, kept)
+        calls.append(kept.get("blocks") is not before)
+        return out
+
+    for module in (mollified_module, objective_module):
+        monkeypatch.setattr(module, "_midpoint_pairs", counted)
+    return calls
+
+
 @pytest.mark.parametrize("form", ["avg", "max", "tree"])
 def test_descent_with_a_kept_pair_list_is_bit_identical(monkeypatch, form):
     # Each stage evaluator keeps one pair list; an evaluator that calls the
@@ -852,16 +872,7 @@ def test_descent_with_a_kept_pair_list_is_bit_identical(monkeypatch, form):
                             "max": (energy_max, energy_max_gradient)}[form]
         kept = path_evaluator(0.5, eps, functional=form)
         fresh = Evaluator(lambda table, kept=None: energy(table, 0.5, eps), gradient)
-    builds = []
-    blocks = _KeptPairs.blocks
-
-    def counted(self, table):
-        before = self.built
-        out = blocks(self, table)
-        builds.append(self.built is not before)
-        return out
-
-    monkeypatch.setattr(_KeptPairs, "blocks", counted)
+    builds = _kept_list_calls(monkeypatch)
     cfg = DescentConfig(j_max=25, rediscretize_every=5)
     runs = [run_descent(plan, evaluator, cfg, eps, tau0=0.5) for evaluator in (kept, fresh)]
     (ends, values, rows, reasons, evals, rejected) = zip(*runs)
@@ -888,26 +899,19 @@ def test_a_rejected_resample_leaves_the_kept_pair_list_as_it_was(monkeypatch, fo
     else:
         plan, eps = build_star_plan(half_circle_targets(6), segments_per_path=8), 0.1
         ev = path_evaluator(0.5, eps)
-    builds, resamples = [], []
-    blocks = _KeptPairs.blocks
-
-    def counted(self, table):
-        before = self.built
-        out = blocks(self, table)
-        builds[-1] += self.built is not before
-        return out
+    calls, builds, resamples = _kept_list_calls(monkeypatch), [], []
 
     def restart(x, layout):
         resamples.append(x)
         return layout.base.copy()
 
-    monkeypatch.setattr(_KeptPairs, "blocks", counted)
     monkeypatch.setattr(optimizer_module, "rediscretize_plan", restart)
     rows = []
     for every in (2, 0):
-        builds.append(0)
+        first = len(calls)
         cfg = DescentConfig(j_max=20, rediscretize_every=every)
         rows.append(run_descent(plan, ev, cfg, eps, tau0=0.5).rows)
+        builds.append(sum(calls[first:]))
     assert len(resamples) == len(rows[0]) // 2 > 2
     assert rows[0] == rows[1]  # every resample was rejected
     assert 2 < builds[0] <= builds[1]
